@@ -97,7 +97,9 @@ def bin_layout(
         counter.add(comparisons)
 
     # stable integer sort groups indices by bin while keeping ascending
-    # original order inside each bin
+    # original order inside each bin; labels of 16 bits or fewer make it a
+    # linear-time radix sort
+    bin_of = bin_of.astype(np.min_scalar_type(depth + 1))
     order = np.argsort(bin_of, kind="stable")
     counts = np.bincount(bin_of, minlength=depth + 2)
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -124,4 +126,4 @@ def binning_mark(
     n = min(cut, iv.n - 1) + 1
     if counter is not None:
         counter.add(n)
-    return MarkingOutcome.from_marked(iv, concatenated[:n])
+    return MarkingOutcome.trusted(iv, concatenated[:n].copy())

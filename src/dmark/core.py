@@ -187,29 +187,57 @@ class MarkingParams:
         return self.theta == 1.0
 
 
-@dataclass(frozen=True)
-class MarkingOutcome:
-    """A marked index set together with its achieved sum and cardinality."""
+def index_array(indices: Iterable[int]) -> np.ndarray:
+    """The indices as an int64 array (no copy for int64 arrays)."""
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    return np.asarray(indices, dtype=np.int64)
 
-    marked: tuple[int, ...]
+
+def _index_mask(n: int, idx: np.ndarray) -> np.ndarray:
+    """Boolean mask of ``idx`` over ``range(n)``; raises on an index out of range."""
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError("marked index out of range")
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
+class MarkingOutcome:
+    """A marked index set together with its achieved sum and cardinality.
+
+    ``marked`` is a read-only int64 array in the order its producer chose
+    (ascending for the threshold strategies, descending value for ``sort``,
+    selection order for ``decrement``).
+    """
+
+    marked: np.ndarray
     achieved_sum: float
     cardinality: int
 
     @classmethod
     def from_marked(cls, x: IndicatorInput, indices: Iterable[int]) -> "MarkingOutcome":
+        """Validate a caller-supplied set: in range and pairwise distinct."""
         iv = as_indicators(x)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= iv.n:
-                raise IndexError("marked index out of range")
-            if np.unique(idx).size != idx.size:
-                raise MarkingError("marked indices must be distinct")
-        achieved = pairwise_sum(iv.values[idx]) if idx.size else 0.0
-        return cls(tuple(int(i) for i in idx), achieved, int(idx.size))
+        idx = np.array(index_array(indices))
+        if np.count_nonzero(_index_mask(iv.n, idx)) != idx.size:
+            raise MarkingError("marked indices must be distinct")
+        return cls.trusted(iv, idx)
+
+    @classmethod
+    def trusted(cls, iv: IndicatorVector, idx: np.ndarray) -> "MarkingOutcome":
+        """Wrap an int64 index array that a marking strategy produced.
+
+        The array must be distinct, in range and owned by the outcome; it is
+        not checked, and it is made read-only.
+        """
+        idx.setflags(write=False)
+        return cls(idx, pairwise_sum(iv.values[idx]), int(idx.size))
 
     @property
     def marked_set(self) -> frozenset[int]:
-        return frozenset(self.marked)
+        return frozenset(self.marked.tolist())
 
 
 def criterion_tolerance(x: IndicatorInput) -> float:
@@ -234,21 +262,16 @@ def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -
     """
     iv = as_indicators(x)
     check_theta(theta, allow_one=True)
-    idx = np.asarray(sorted(set(int(i) for i in marked)), dtype=np.int64)
-    if idx.size:
-        if idx[0] < 0 or idx[-1] >= iv.n:
-            raise IndexError("marked index out of range")
-        marked_sum = pairwise_sum(iv.values[idx])
-    else:
-        marked_sum = 0.0
+    # the mask collapses duplicates and sums in ascending index order
+    mask = _index_mask(iv.n, index_array(marked))
+    marked_sum = pairwise_sum(iv.values[mask])
     return marked_sum >= goal_value(iv, theta) - criterion_tolerance(iv)
 
 
 def mark_theta_one(x: IndicatorInput) -> MarkingOutcome:
     """The unique minimal marking for ``theta == 1``: all strictly positive entries."""
     iv = as_indicators(x)
-    support = np.flatnonzero(iv.values > 0.0)
-    return MarkingOutcome.from_marked(iv, support)
+    return MarkingOutcome.trusted(iv, np.flatnonzero(iv.values > 0.0))
 
 
 class NeumaierSum:

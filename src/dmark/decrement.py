@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     IndicatorInput,
     MarkingOutcome,
@@ -115,7 +117,7 @@ def _run(
         sweeps_used=sweeps_used,
         running_sum=total,
     )
-    return MarkingOutcome.from_marked(iv, selection), state
+    return MarkingOutcome.trusted(iv, np.array(selection, dtype=np.int64)), state
 
 
 def _sweeps_plain(

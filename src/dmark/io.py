@@ -15,7 +15,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import IndicatorVector, ParseError
+from .core import IndicatorVector, ParseError, index_array
 
 __all__ = ["read_indicators", "write_indicators", "write_marked_indices"]
 
@@ -39,20 +39,23 @@ def read_indicators(path: PathLike) -> IndicatorVector:
 
 
 def _read_text(p: Path) -> np.ndarray:
-    values: list[float] = []
     try:
         lines = p.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ParseError(f"{p}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            raise ParseError(f"{p}:{lineno}: blank line")
-        try:
-            values.append(float(stripped))
-        except ValueError as exc:
-            raise ParseError(f"{p}:{lineno}: not a float: {stripped!r}") from exc
-    return np.asarray(values, dtype=np.float64)
+    try:
+        return np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
+    except ValueError:
+        # only a failed parse pays for the scan that names the offending line
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped:
+                raise ParseError(f"{p}:{lineno}: blank line") from None
+            try:
+                float(stripped)
+            except ValueError as exc:
+                raise ParseError(f"{p}:{lineno}: not a float: {stripped!r}") from exc
+        raise
 
 
 def _read_binary(p: Path) -> np.ndarray:
@@ -80,5 +83,6 @@ def write_indicators(path: PathLike, values: np.ndarray) -> None:
 
 
 def write_marked_indices(path: PathLike, indices: Iterable[int]) -> None:
-    ordered = sorted(int(i) for i in indices)
-    Path(path).write_text("".join(f"{i}\n" for i in ordered), encoding="utf-8")
+    ordered = np.sort(index_array(indices)).tolist()
+    text = "\n".join(map(str, ordered)) + "\n" if ordered else ""
+    Path(path).write_text(text, encoding="utf-8")

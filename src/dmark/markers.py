@@ -64,7 +64,11 @@ def mark(
         return MarkerRun(algorithm, binning_mark(iv, theta, nu, counter), None)
     if algorithm == "quickmark":
         result = quickmark(iv, theta, pivot or MedianPivot(), counter=counter)
-        return MarkerRun(algorithm, result.to_outcome(iv), result.x_star)
-    # xstar: destructive kernel on a scratch copy, then rebuild the set
-    threshold = xstar_kernel(iv.scratch_copy(), theta, counter)
-    return MarkerRun(algorithm, set_from_threshold(iv, theta, threshold), threshold)
+    elif counter is None:
+        # xstar: the same value kernel and materialise step, median rank
+        result = quickmark(iv, theta)
+    else:
+        # the counted xstar twin yields the threshold alone; rebuild the set from it
+        threshold = xstar_kernel(iv.scratch_copy(), theta, counter)
+        return MarkerRun(algorithm, set_from_threshold(iv, theta, threshold), threshold)
+    return MarkerRun(algorithm, result.to_outcome(iv), result.x_star)

@@ -1,28 +1,30 @@
 """Minimal-cardinality marking in linear time by selection-style recursion.
 
-Instead of sorting, the strategy partitions the active index range around a
-pivot value into strictly-greater, equal and strictly-smaller blocks, then
-either recurses into the greater block (it already covers the goal), stops
-inside the equal block (the pivot block closes the gap, and the cut position
-follows from one division), or recurses into the smaller block with the goal
-reduced by the mass it skips.  With a median pivot each step halves the range,
-giving worst-case linear total cost; the returned set has provably minimal
-cardinality for every valid input.
+The value kernel reorders a scratch copy of the indicators in place.  At each
+level it partitions the active range around the value of a chosen rank,
+then either recurses into the part above the rank (it already covers the
+goal), stops at the rank (the rank's value closes the gap), or recurses into
+the part below with the goal reduced by the mass it skips.  It returns the
+threshold ``x_star`` and the cut ``count``, the cardinality of the marked
+set; one materialise step turns the two into the index set.  With a median
+rank each step halves the range, giving worst-case linear total cost; the
+returned set has minimal cardinality for every input whose sums do not sit
+within rounding of the goal.
 
-Three pivot policies are provided: the deterministic (lower) median, a seeded
-random pivot (fast on average, quadratic in the worst case), and a fixed
-``q``-quantile whose cost scales with ``1 / min(q, 1 - q)``.
+Three pivot policies choose the rank: the deterministic (lower) median, a
+seeded random rank (fast on average, quadratic in the worst case), and a
+fixed ``q``-quantile whose cost scales with ``1 / min(q, 1 - q)``.
 
-The algorithm never reorders the indicator values; it permutes an index array
-only.  For a cache-friendly variant that destructively reorders a scratch
-copy of the values and returns just the threshold, see :func:`xstar_kernel`
-together with :func:`set_from_threshold`.
+The index-permuting step API (:func:`partition`, :func:`pivot_median`,
+:class:`SelectionState`) and the counted pure-Python recursion behind
+``quickmark(..., counter=...)`` remain as the instrumented reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -43,6 +45,7 @@ from .core import (
     goal_value,
     pairwise_sum,
 )
+from .oracle import is_valid_minimal_set
 
 __all__ = [
     "MedianPivot",
@@ -153,22 +156,36 @@ class PartitionOutcome:
 
 @dataclass(frozen=True, eq=False)
 class QuickMarkResult:
-    """Final permutation, cut position and threshold of a selection run.
+    """Marked set and threshold of a selection run.
 
-    The marked set is ``perm[:n]``; ``x_star`` is the smallest marked value.
-    ``x_star`` is a property of the instance alone, independent of the pivot
-    policy, even though the marked set itself need not be unique.
+    ``marked`` holds the marked indices as a read-only int64 array and
+    ``x_star`` is the smallest marked value.  ``x_star`` is a property of the
+    instance alone, independent of the pivot policy, even though the marked
+    set itself need not be unique.  ``perm`` (marked indices, then the rest
+    in ascending order) is built when first read.
     """
 
-    perm: np.ndarray
-    n: int
+    marked: np.ndarray
     x_star: float
+    n_total: int
+
+    @property
+    def n(self) -> int:
+        return int(self.marked.size)
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        rest = np.ones(self.n_total, dtype=bool)
+        rest[self.marked] = False
+        perm = np.concatenate((self.marked, np.flatnonzero(rest)))
+        perm.setflags(write=False)
+        return perm
 
     def marked_indices(self) -> np.ndarray:
-        return self.perm[: self.n].copy()
+        return self.marked.copy()
 
     def to_outcome(self, x: IndicatorInput) -> MarkingOutcome:
-        return MarkingOutcome.from_marked(x, self.perm[: self.n])
+        return MarkingOutcome.trusted(as_indicators(x), self.marked)
 
 
 def _verify_admissible(values, perm, lo, hi, v, theta, tol) -> None:
@@ -310,67 +327,106 @@ def quickmark(
 ) -> QuickMarkResult:
     """Minimal-cardinality marking by pivot-partition recursion.
 
-    Without a counter the partitions and rank selections run vectorized;
-    with one, a faithful pure-Python path counts every element comparison.
-    ``check_invariants`` re-verifies the partial ordering, goal consistency
-    and partition block structure at every step (debug mode; raises
-    :class:`AdmissibilityError` on any violation, which would indicate a bug).
+    Without a counter the value kernel runs on a scratch copy and one
+    materialise step builds the set; with one, a faithful pure-Python path
+    counts every element comparison.  ``check_invariants`` re-verifies the
+    range ordering, goal consistency and goal reachability at every level,
+    and the dominance and removal-minimality of the final set (debug mode;
+    raises :class:`AdmissibilityError` on any violation, which would
+    indicate a bug).
     """
     iv = as_indicators(x)
     check_theta(theta)
-    if counter is None:
-        return _quickmark_fast(iv, theta, pivot, check_invariants)
-    return _quickmark_counted(iv, theta, pivot, counter, check_invariants)
+    if counter is not None:
+        return _quickmark_counted(iv, theta, pivot, counter, check_invariants)
+    goal = goal_value(iv, theta)
+    tol = criterion_tolerance(iv) if check_invariants else None
+    x_star, count = _select(iv.scratch_copy(), goal, pivot, tol)
+    result = QuickMarkResult(_materialise(iv.values, x_star, count), x_star, iv.n)
+    if tol is not None:
+        _verify_cut(iv, result, goal, tol)
+    return result
 
 
-def _quickmark_fast(
-    iv, theta: float, pivot: PivotStrategy, check: bool
-) -> QuickMarkResult:
-    values = iv.values
-    n_total = iv.n
-    v = goal_value(iv, theta)
-    perm = np.arange(n_total, dtype=np.int64)
-    lo, hi = 0, n_total
-    tol = criterion_tolerance(iv) if check else 0.0
+def _select(
+    a: np.ndarray, v: float, pivot: PivotStrategy, tol: float | None = None
+) -> tuple[float, int]:
+    """Destructive value kernel: threshold ``x_star`` and cut ``count``.
+
+    Reorders ``a`` in place so that ``a[:k] <= x_star == a[k] <= a[k:]`` at
+    the stopping rank ``k`` and returns ``(a[k], N - k)``: the ``count``
+    largest values carry the goal ``v`` and the ``count - 1`` largest do not.
+    The pivot policy chooses the rank at each level.  A rank at the bottom of
+    the range always stops, so rounding that leaves the residual goal above
+    the range mass cannot empty the range.  With ``tol`` every level is
+    checked against the goal with that slack.
+    """
+    n_total = int(a.size)
+    goal = v
     rng = np.random.default_rng(pivot.seed) if isinstance(pivot, RandomPivot) else None
-
+    lo, hi = 0, n_total
     while True:
-        if check:
-            _verify_admissible(values, perm, lo, hi, v, theta, tol)
+        if tol is not None:
+            _verify_level(a, lo, hi, v, goal, tol)
         m = hi - lo
-        seg_idx = perm[lo:hi]
-        seg = values[seg_idx]
-
         if isinstance(pivot, MedianPivot):
-            k = (m - 1) // 2
-            pv = float(np.partition(seg, k)[k])
+            r = (m - 1) // 2
         elif isinstance(pivot, RandomPivot):
-            pv = float(seg[rng.integers(m)])
+            r = int(rng.integers(m))
         else:
-            k = min(int(pivot.q * m), m - 1)
-            pv = float(np.partition(seg, k)[k])
+            r = min(int(pivot.q * m), m - 1)
+        k = lo + r
+        a[lo:hi].partition(r)
+        pv = float(a[k])
+        upper = float(a[k + 1 : hi].sum())
+        if upper >= v and k + 1 < hi:
+            lo = k + 1
+        elif upper + pv >= v or k == lo:
+            return pv, n_total - k
+        else:
+            v -= upper + pv
+            hi = k
 
-        gt = seg > pv
-        lt = seg < pv
-        eq = ~(gt | lt)
-        perm[lo:hi] = np.concatenate((seg_idx[gt], seg_idx[eq], seg_idx[lt]))
-        greater_end = lo + int(np.count_nonzero(gt))
-        smaller_start = greater_end + int(np.count_nonzero(eq))
-        sigma = pairwise_sum(seg[gt]) if greater_end > lo else 0.0
-        if check:
-            _verify_partition(values, perm, lo, hi, greater_end, smaller_start, pv)
 
-        if sigma >= v:
-            hi = greater_end
-            continue
-        covered = sigma + (smaller_start - greater_end) * pv
-        if covered >= v:
-            n = greater_end + _ceil_count(v - sigma, pv, smaller_start - greater_end)
-            if check:
-                _verify_termination(values, perm, n, pv, v, lo, sigma, tol)
-            return QuickMarkResult(perm=perm, n=n, x_star=pv)
-        v -= covered
-        lo = smaller_start
+def _materialise(values: np.ndarray, x_star: float, count: int) -> np.ndarray:
+    """The ``count`` marked indices of a cut, ascending and read-only.
+
+    Every index above ``x_star`` and the lowest-index ties at ``x_star``; the
+    kernel's ordering guarantees that between one and all of the ties are
+    needed, so no float decision is taken here.
+    """
+    marked = np.flatnonzero(values >= x_star)
+    surplus = marked.size - count
+    if surplus:
+        ties = np.flatnonzero(values[marked] == x_star)
+        marked = np.delete(marked, ties[ties.size - surplus :])
+    marked.setflags(write=False)
+    return marked
+
+
+def _verify_level(a, lo, hi, v, goal, tol) -> None:
+    if lo > 0 and not float(a[:lo].max()) <= float(a[lo:hi].min()):
+        raise AdmissibilityError("prefix not below the active range")
+    if hi < a.size and not float(a[lo:hi].max()) <= float(a[hi:].min()):
+        raise AdmissibilityError("suffix not above the active range")
+    if not v > 0.0:
+        raise AdmissibilityError(f"residual goal not positive: {v!r}")
+    expected = goal - (pairwise_sum(a[hi:]) if hi < a.size else 0.0)
+    if abs(v - expected) > tol:
+        raise AdmissibilityError(
+            f"residual goal {v!r} inconsistent with the fixed mass (expected {expected!r})"
+        )
+    if v > pairwise_sum(a[lo:hi]) + tol:
+        raise AdmissibilityError("residual goal exceeds the active range mass")
+
+
+def _verify_cut(iv, result, goal, tol) -> None:
+    if float(iv.values[result.marked].min()) != result.x_star:
+        raise AdmissibilityError("threshold is not the smallest marked value")
+    if not is_valid_minimal_set(iv, result.perm, 0, iv.n, goal, range(result.n), tol):
+        raise AdmissibilityError(
+            "marked set does not dominate the rest, reach the goal and stay removal-minimal"
+        )
 
 
 def _verify_termination(values, perm, n, pv, v, lo, sigma, tol) -> None:
@@ -437,7 +493,9 @@ def _quickmark_counted(
             perm_arr = np.asarray(perm, dtype=np.int64)
             if check:
                 _verify_termination(values, perm_arr, n, pv, v, lo, sigma, tol)
-            return QuickMarkResult(perm=perm_arr, n=n, x_star=pv)
+            marked = perm_arr[:n].copy()
+            marked.setflags(write=False)
+            return QuickMarkResult(marked=marked, x_star=pv, n_total=n_total)
         v -= covered
         lo = smaller_start
 
@@ -446,8 +504,9 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     """Threshold of the minimal marking, computed on a destructive scratch copy.
 
     ``x_copy`` must be a caller-owned scratch array; it is reordered in place
-    (contiguous accesses, no permutation indirection).  Returns the smallest
-    value contained in any minimal marked set; combine with
+    (contiguous accesses, no permutation indirection) by the same value
+    kernel that :func:`quickmark` runs, with the median rank.  Returns the
+    smallest value contained in any minimal marked set; combine with
     :func:`set_from_threshold` to materialize the index set.
     """
     check_theta(theta)
@@ -467,21 +526,7 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
         result = xstar_counted(a.tolist(), v, box)
         counter.add(box[0])
         return float(result)
-
-    lo, hi = 0, int(a.size)
-    while hi - lo > 1:
-        k = (lo + hi) // 2
-        a[lo:hi].partition(k - lo)
-        pv = float(a[k])
-        upper_sum = float(a[k + 1 : hi].sum())
-        if upper_sum >= v:
-            lo = k + 1
-        elif upper_sum + pv >= v:
-            return pv
-        else:
-            v -= upper_sum + pv
-            hi = k
-    return float(a[lo])
+    return _select(a, v, MedianPivot())[0]
 
 
 def set_from_threshold(
@@ -500,17 +545,17 @@ def set_from_threshold(
     v = goal_value(iv, theta)
     if not x_star > 0.0:
         raise ThresholdMismatchError(f"threshold must be positive, got {x_star!r}")
-    above = np.flatnonzero(iv.values > x_star)
-    at = np.flatnonzero(iv.values == x_star)
-    sum_above = pairwise_sum(iv.values[above]) if above.size else 0.0
+    above = iv.values > x_star
+    n_above = int(np.count_nonzero(above))
+    n_at = int(np.count_nonzero(iv.values == x_star))
+    sum_above = pairwise_sum(iv.values[above])
     if sum_above >= v:
         raise ThresholdMismatchError(
             "values above the threshold already cover the goal; threshold too small"
         )
-    if sum_above + at.size * x_star < v:
+    if sum_above + n_at * x_star < v:
         raise ThresholdMismatchError(
             "values at and above the threshold fall short of the goal"
         )
-    need = _ceil_count(v - sum_above, x_star, int(at.size))
-    marked = np.concatenate((above, at[:need]))
-    return MarkingOutcome.from_marked(iv, marked)
+    need = _ceil_count(v - sum_above, x_star, n_at)
+    return MarkingOutcome.trusted(iv, _materialise(iv.values, x_star, n_above + need))

@@ -91,4 +91,4 @@ def sort_mark(
     n = min(cut, iv.n - 1) + 1
     if counter is not None:
         counter.add(n)
-    return MarkingOutcome.from_marked(iv, sp.order[:n])
+    return MarkingOutcome.trusted(iv, sp.order[:n].copy())

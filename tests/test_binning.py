@@ -74,6 +74,24 @@ class TestLayout:
             for earlier, later in zip(nonempty, nonempty[1:]):
                 assert vals[earlier].min() > vals[later].max()
 
+    def test_deep_layout_matches_bin_definition(self, rng):
+        # nu close to 1 over 6 decades gives more than 255 bins, so the bin
+        # labels need 16 bits; each bin still holds exactly its ratio range,
+        # in ascending index order
+        nu = 0.995
+        vals = 10.0 ** rng.uniform(-6.0, 0.0, 400)
+        layout = bin_layout(vals, 0.5, nu)
+        assert layout.depth > 255
+        ratios = vals / vals.max()
+        powers = [1.0]
+        for _ in range(layout.depth + 1):
+            powers.append(powers[-1] * nu)
+        for k in range(layout.depth + 1):
+            inside = (ratios > powers[k + 1]) & (ratios <= powers[k])
+            assert np.array_equal(layout.bins[k], np.flatnonzero(inside))
+        tail = np.flatnonzero(ratios <= powers[-1])
+        assert np.array_equal(layout.bins[-1], tail)
+
     def test_within_bin_ascending_index(self, rng):
         vals = rng.random(100)
         layout = bin_layout(vals, 0.5, 0.5)
@@ -134,4 +152,4 @@ class TestBinningMark:
             counter = OpCounter()
             counted = binning_mark(vals, 0.6, 0.5, counter)
             fast = binning_mark(vals, 0.6, 0.5)
-            assert counted.marked == fast.marked
+            assert np.array_equal(counted.marked, fast.marked)

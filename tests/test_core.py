@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmark import (
+    ALGORITHM_NAMES,
     IndicatorVector,
     InvalidIndicatorsError,
     MarkingError,
@@ -15,6 +16,7 @@ from dmark import (
     criterion_tolerance,
     gen_counterexample,
     goal_value,
+    mark,
     mark_theta_one,
     satisfies_doerfler,
 )
@@ -174,6 +176,36 @@ class TestMarkingOutcome:
         marked = rng.choice(500, size=200, replace=False)
         out = MarkingOutcome.from_marked(vals, marked)
         assert abs(out.achieved_sum - float(vals[marked].sum())) <= criterion_tolerance(vals)
+
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_marked_is_read_only_int64(self, algorithm, theta):
+        out = mark([4.0, 1.0, 2.0, 3.0, 2.0], theta, algorithm).outcome
+        assert isinstance(out.marked, np.ndarray)
+        assert out.marked.dtype == np.int64
+        assert not out.marked.flags.writeable
+        with pytest.raises(ValueError):
+            out.marked[0] = 1
+
+    def test_from_marked_array_input(self):
+        caller = np.array([3, 0])
+        out = MarkingOutcome.from_marked([4, 1, 2, 3], caller)
+        assert out.marked.tolist() == [3, 0]
+        assert not out.marked.flags.writeable
+        assert caller.flags.writeable  # the caller's array is not frozen
+        with pytest.raises(MarkingError):
+            MarkingOutcome.from_marked([1.0, 2.0, 3.0], np.array([2, 0, 2]))
+        with pytest.raises(IndexError):
+            MarkingOutcome.from_marked([1.0, 2.0], np.array([0, -1]))
+        with pytest.raises(IndexError):
+            MarkingOutcome.from_marked([1.0, 2.0], np.array([2]))
+
+
+def test_satisfies_doerfler_collapses_duplicates():
+    # [0, 0] carries 4 < 5 once the duplicate collapses, not 8
+    assert satisfies_doerfler([4, 1, 2, 3], 0.5, [0, 0]) is False
+    assert satisfies_doerfler([4, 1, 2, 3], 0.5, np.array([3, 0, 3])) is True
 
 
 def test_criterion_tolerance_formula():

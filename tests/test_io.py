@@ -69,3 +69,23 @@ def test_marked_indices_written_sorted(tmp_path):
     p = tmp_path / "m.txt"
     write_marked_indices(p, [3, 0, 7])
     assert p.read_text() == "0\n3\n7\n"
+
+
+def test_marked_indices_from_array_and_empty_set(tmp_path):
+    p = tmp_path / "m.txt"
+    write_marked_indices(p, np.array([12, 3, 100], dtype=np.int64))
+    assert p.read_bytes() == b"3\n12\n100\n"
+    write_marked_indices(p, np.array([], dtype=np.int64))
+    assert p.read_bytes() == b""
+
+
+def test_text_parse_error_names_first_bad_line(tmp_path):
+    p = tmp_path / "x.txt"
+    p.write_text("1.0\n 2.5 \n3.0\n   \nx\n")
+    with pytest.raises(ParseError, match=r":4: blank line"):
+        read_indicators(p)
+    p.write_text("1.0\n2.0\n1e5x\n")
+    with pytest.raises(ParseError, match=r":3: not a float: '1e5x'"):
+        read_indicators(p)
+    p.write_text("1.0\n 2.5 \n")
+    assert read_indicators(p).values.tolist() == [1.0, 2.5]

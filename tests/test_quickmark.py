@@ -1,5 +1,7 @@
 """Selection-based minimal marking: recursion, partition, pivots, kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,13 @@ from dmark import (
     OpCounter,
     ParameterError,
     QuantilePivot,
+    QuickMarkResult,
     RandomPivot,
     SelectionState,
     ThresholdMismatchError,
     goal_value,
     is_valid_minimal_set,
+    mark,
     partition,
     pivot_median,
     quickmark,
@@ -25,6 +29,7 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
+from dmark.quickmark import _materialise, _select, _verify_cut, _verify_level
 
 dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
@@ -366,8 +371,8 @@ class TestXStarKernel:
 class TestSetFromThreshold:
     def test_examples(self):
         assert set_from_threshold([4, 1, 2, 3], 0.5, 3.0).marked_set == {0, 3}
-        assert set_from_threshold([2, 2, 2, 2], 0.5, 2.0).marked == (0, 1)
-        assert set_from_threshold([9, 1], 0.5, 9.0).marked == (0,)
+        assert set_from_threshold([2, 2, 2, 2], 0.5, 2.0).marked.tolist() == [0, 1]
+        assert set_from_threshold([9, 1], 0.5, 9.0).marked.tolist() == [0]
 
     def test_threshold_too_small(self):
         with pytest.raises(ThresholdMismatchError):
@@ -389,3 +394,126 @@ class TestSetFromThreshold:
             out = set_from_threshold(vals, theta, star)
             assert out.cardinality == sort_mark(vals, theta).cardinality
             assert satisfies_doerfler(vals, theta, out.marked)
+
+
+def boundary_instance(rng, n):
+    """Tie-heavy values over 6 decades, theta on a prefix-mass ratio or 1 ulp off.
+
+    The goal then sits within rounding of a prefix sum of the descending
+    order, where the kernel's float decisions are closest to a tie.
+    """
+    pool = np.array(
+        [float(f"{v:.1e}") for v in (10.0 ** rng.uniform(-6.0, 0.0, max(2, n // 3))).tolist()]
+    )
+    x = rng.choice(pool, size=n)
+    k = int(rng.integers(1, n + 1))
+    theta = float(np.sum(np.sort(x)[::-1][:k]) / np.sum(x))
+    theta = (theta, math.nextafter(theta, math.inf), math.nextafter(theta, 0.0))[
+        int(rng.integers(3))
+    ]
+    return x, min(theta, math.nextafter(1.0, 0.0))
+
+
+class TestBoundaryCuts:
+    def test_seeded_boundary_sweep(self, rng):
+        # cardinality may differ by one between pivot policies at these
+        # boundaries (their float sums run in different orders), so equal
+        # cardinality is asserted only for the two strategies sharing a rank
+        for _ in range(1500):
+            x, theta = boundary_instance(rng, int(rng.integers(2, 41)))
+            for piv in ALL_PIVOTS:
+                run = mark(x, theta, "quickmark", pivot=piv)
+                assert satisfies_doerfler(x, theta, run.outcome.marked)
+                quickmark(x, theta, piv, check_invariants=True)
+            xstar = mark(x, theta, "xstar")
+            assert satisfies_doerfler(x, theta, xstar.outcome.marked)
+            median = mark(x, theta, "quickmark")
+            assert xstar.outcome.cardinality == median.outcome.cardinality
+            assert xstar.threshold == median.threshold
+
+    @pytest.mark.parametrize(
+        "x,theta,piv",
+        [
+            # the bottom rank stops although rounding left the residual goal
+            # above the mass of the range (IndexError on an empty range before)
+            ([0.031, 0.39, 0.31], 0.9999999999999998, MedianPivot()),
+            ([0.0087, 3.2e-05, 4.1e-06, 0.36], 0.9999999999999998, QuantilePivot(0.3)),
+            ([0.63, 5.2e-06, 5e-05, 0.73], 0.9999999999999999, QuantilePivot(0.7)),
+            ([0.018, 0.00041, 0.048], 0.993826230989309, RandomPivot(1)),
+            # threshold and cut disagreed when rebuilt by a second float
+            # decision (ThresholdMismatchError from xstar before)
+            ([0.004, 0.0024, 0.0068, 0.0062], 0.8762886597938145, MedianPivot()),
+        ],
+    )
+    def test_known_boundary_instances(self, x, theta, piv):
+        for run in (mark(x, theta, "quickmark", pivot=piv), mark(x, theta, "xstar")):
+            assert satisfies_doerfler(x, theta, run.outcome.marked)
+        quickmark(x, theta, piv, check_invariants=True)
+
+    @pytest.mark.parametrize(
+        "x,theta,piv,expected",
+        [
+            ([0.031, 0.39, 0.31], 0.9999999999999998, MedianPivot(), (0.031, 3)),
+            ([0.0087, 3.2e-05, 4.1e-06, 0.36], 0.9999999999999998, QuantilePivot(0.3), (4.1e-06, 4)),
+        ],
+    )
+    def test_bottom_rank_stops_the_kernel(self, x, theta, piv, expected):
+        a = np.array(x)
+        assert _select(a, theta * float(np.sum(x)), piv) == expected
+        # the cut is the kernel's non-strict ordering around the threshold
+        pv, count = expected
+        k = len(x) - count
+        assert np.all(a[:k] <= pv) and a[k] == pv and np.all(a[k:] >= pv)
+
+
+class TestMaterialise:
+    def test_lowest_index_ties_fill_the_cut(self):
+        values = np.array([1.0, 3.0, 2.0, 2.0, 5.0, 2.0])
+        assert _materialise(values, 2.0, 4).tolist() == [1, 2, 3, 4]
+        assert _materialise(values, 2.0, 5).tolist() == [1, 2, 3, 4, 5]
+        assert _materialise(values, 3.0, 2).tolist() == [1, 4]
+
+    def test_result_is_read_only(self):
+        marked = _materialise(np.array([1.0, 2.0]), 2.0, 1)
+        assert marked.dtype == np.int64 and not marked.flags.writeable
+
+    def test_lazy_perm_lists_marked_then_rest(self):
+        r = quickmark([4.0, 1.0, 2.0, 3.0], 0.5)
+        assert r.marked.tolist() == [0, 3]
+        assert r.perm.tolist() == [0, 3, 1, 2]
+        assert not r.perm.flags.writeable
+
+
+class TestCheckInvariants:
+    def test_level_check_rejects_broken_states(self):
+        tol = 1e-12
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        _verify_level(a, 1, 3, 5.0 - 4.0, 5.0, tol)  # admissible
+        with pytest.raises(AdmissibilityError, match="prefix"):
+            _verify_level(np.array([3.0, 2.0, 1.0, 4.0]), 1, 3, 1.0, 5.0, tol)
+        with pytest.raises(AdmissibilityError, match="suffix"):
+            _verify_level(np.array([1.0, 4.0, 3.0, 2.0]), 1, 3, 3.0, 5.0, tol)
+        with pytest.raises(AdmissibilityError, match="inconsistent"):
+            _verify_level(a, 1, 3, 2.0, 5.0, tol)
+        with pytest.raises(AdmissibilityError, match="exceeds"):
+            _verify_level(a, 1, 3, 6.0, 10.0, tol)
+        with pytest.raises(AdmissibilityError, match="positive"):
+            _verify_level(a, 1, 3, 0.0, 4.0, tol)
+
+    def test_cut_check_rejects_broken_sets(self):
+        tol = 1e-12
+        iv = IndicatorVector([4.0, 1.0, 2.0, 3.0])
+
+        def cut(marked, x_star):
+            return QuickMarkResult(np.array(marked), x_star, iv.n)
+
+        _verify_cut(iv, cut([0, 3], 3.0), 5.0, tol)  # admissible
+        with pytest.raises(AdmissibilityError, match="smallest"):
+            _verify_cut(iv, cut([0, 3], 2.0), 5.0, tol)
+        for marked, x_star, goal in (
+            ([0, 2], 2.0, 5.0),  # unmarked 3.0 exceeds the threshold
+            ([0, 3], 3.0, 8.0),  # misses the goal
+            ([0, 3, 2], 2.0, 5.0),  # 2.0 is removable
+        ):
+            with pytest.raises(AdmissibilityError, match="removal-minimal"):
+                _verify_cut(iv, cut(marked, x_star), goal, tol)
