@@ -47,14 +47,10 @@ from .oracle import (
 )
 from .quickmark import (
     MedianPivot,
-    PartitionOutcome,
     PivotStrategy,
     QuantilePivot,
     QuickMarkResult,
     RandomPivot,
-    SelectionState,
-    partition,
-    pivot_median,
     quickmark,
     set_from_threshold,
     xstar_kernel,
@@ -81,12 +77,10 @@ __all__ = [
     "OpCounter",
     "ParameterError",
     "ParseError",
-    "PartitionOutcome",
     "PivotStrategy",
     "QuantilePivot",
     "QuickMarkResult",
     "RandomPivot",
-    "SelectionState",
     "SortedPrefix",
     "ThresholdMismatchError",
     "as_indicators",
@@ -103,8 +97,6 @@ __all__ = [
     "mark_theta_one",
     "nmin_exhaustive",
     "nmin_oracle",
-    "partition",
-    "pivot_median",
     "quickmark",
     "satisfies_doerfler",
     "set_from_threshold",

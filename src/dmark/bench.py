@@ -5,11 +5,14 @@ vectors, times each selected algorithm on a fresh copy per run, and
 aggregates the wall-clock times into min/avg/max rows.  Instance streams come
 from numpy's PCG64 generator seeded per (base seed, theta index, N, run), so
 a fixed configuration reproduces byte-identical vectors, marked sets and
-comparison counts on any platform; only the measured times vary.
+operation counts on any platform; only the measured times vary.
 
-Comparison counting (``instrument=True``) runs the counted variants on
-separate fresh copies after the timed call, so counting never distorts the
-measurements.  Timed regions are strictly sequential and single-threaded.
+Counting (``instrument=True``) reruns each algorithm with an
+:class:`~dmark.core.OpCounter` on a fresh copy after the timed call, so
+counting never distorts the measurements.  The counts are the element
+operations of the timed kernels themselves; the one exception is ``sort``,
+whose comparisons come from a counted twin of the sort.  Timed regions are
+strictly sequential and single-threaded.
 """
 
 from __future__ import annotations

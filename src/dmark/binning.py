@@ -77,24 +77,10 @@ def bin_layout(
         powers.append(powers[-1] * nu)
     ascending = np.asarray(powers[1:][::-1], dtype=np.float64)
 
-    if counter is None:
-        position = np.searchsorted(ascending, ratios, side="left")
-        bin_of = (depth + 1) - position
-    else:
-        bin_of = np.empty(iv.n, dtype=np.int64)
-        comparisons = 0
-        asc = ascending.tolist()
-        for j, r in enumerate(ratios.tolist()):
-            lo, hi = 0, len(asc)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                comparisons += 1
-                if asc[mid] < r:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            bin_of[j] = (depth + 1) - lo
-        counter.add(comparisons)
+    position = np.searchsorted(ascending, ratios, side="left")
+    if counter is not None:
+        counter.add(int(np.bincount(position, minlength=depth + 2) @ _bisect_steps(depth + 1)))
+    bin_of = (depth + 1) - position
 
     # stable integer sort groups indices by bin while keeping ascending
     # original order inside each bin; labels of 16 bits or fewer make it a
@@ -107,6 +93,26 @@ def bin_layout(
         order[offsets[k] : offsets[k + 1]] for k in range(depth + 2)
     )
     return BinLayout(depth=depth, bins=bins, max_value=m_max)
+
+
+def _bisect_steps(size: int) -> np.ndarray:
+    """Comparisons of a binary search over ``size`` sorted boundaries, per landing position.
+
+    A left bisection compares ``boundary[mid] < r``, which holds exactly when
+    ``mid`` lies below the position it returns, so its path and length are a
+    function of that position alone.
+    """
+    steps = np.zeros(size + 1, dtype=np.int64)
+    for pos in range(size + 1):
+        lo, hi = 0, size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            steps[pos] += 1
+            if mid < pos:
+                lo = mid + 1
+            else:
+                hi = mid
+    return steps
 
 
 def binning_mark(

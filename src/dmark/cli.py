@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--instrument",
         action="store_true",
-        help="also count element comparisons (separate untimed runs)",
+        help="also count the element operations of the timed kernels in separate "
+        "untimed runs (sort counts the comparisons of a counted twin)",
     )
     bench.add_argument("--format", choices=("csv", "table"), default="csv")
     bench.add_argument(

@@ -39,6 +39,7 @@ __all__ = [
     "MarkingParams",
     "MarkingOutcome",
     "as_indicators",
+    "check_indicators",
     "check_theta",
     "check_nu",
     "criterion_tolerance",
@@ -82,7 +83,12 @@ class ParseError(MarkingError):
 
 @dataclass
 class OpCounter:
-    """Accumulates element-comparison counts in instrumented runs."""
+    """Accumulates element-operation counts in instrumented runs.
+
+    The strategies count the element operations of their timed kernels; the
+    one exception is ``sort``, whose count comes from a comparison-counting
+    twin of the sort (numpy's argsort exposes no count).
+    """
 
     comparisons: int = 0
 
@@ -107,6 +113,26 @@ def check_nu(nu: float) -> None:
         raise ParameterError(f"nu must lie in (0, 1), got {nu!r}")
 
 
+def check_indicators(arr: np.ndarray) -> None:
+    """Raise :class:`InvalidIndicatorsError` unless ``arr`` is a valid indicator array.
+
+    Valid means one-dimensional, nonempty, finite, nonnegative and not all
+    zero.
+    """
+    if arr.ndim != 1:
+        raise InvalidIndicatorsError(
+            f"indicators must be one-dimensional, got shape {arr.shape}"
+        )
+    if arr.size == 0:
+        raise InvalidIndicatorsError("indicator vector must not be empty")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidIndicatorsError("indicators must be finite")
+    if np.any(arr < 0.0):
+        raise InvalidIndicatorsError("indicators must be nonnegative")
+    if not np.any(arr > 0.0):
+        raise InvalidIndicatorsError("at least one indicator must be positive")
+
+
 class IndicatorVector:
     """A nonnegative, not-all-zero vector of refinement indicators.
 
@@ -120,18 +146,7 @@ class IndicatorVector:
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]):
         arr = np.array(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise InvalidIndicatorsError(
-                f"indicators must be one-dimensional, got shape {arr.shape}"
-            )
-        if arr.size == 0:
-            raise InvalidIndicatorsError("indicator vector must not be empty")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidIndicatorsError("indicators must be finite")
-        if np.any(arr < 0.0):
-            raise InvalidIndicatorsError("indicators must be nonnegative")
-        if not np.any(arr > 0.0):
-            raise InvalidIndicatorsError("at least one indicator must be positive")
+        check_indicators(arr)
         arr.setflags(write=False)
         self.values = arr
 

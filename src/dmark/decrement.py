@@ -101,14 +101,7 @@ def _run(
     m_max = iv.max_value()
     sweeps = sweep_limit(nu)
 
-    # counting lives in a separate loop so the timed path stays clean
-    if counter is None:
-        selection, sweeps_used, total = _sweeps_plain(values, v, m_max, nu, sweeps, legacy)
-    else:
-        selection, sweeps_used, total, comparisons = _sweeps_counted(
-            values, v, m_max, nu, sweeps, legacy
-        )
-        counter.add(comparisons)
+    selection, sweeps_used, total = _sweeps(values, v, m_max, nu, sweeps, legacy, counter)
 
     state = DecrementState(
         selected_count=len(selection),
@@ -120,14 +113,22 @@ def _run(
     return MarkingOutcome.trusted(iv, np.array(selection, dtype=np.int64)), state
 
 
-def _sweeps_plain(
+def _sweeps(
     values: list[float],
     v: float,
     m_max: float,
     nu: float,
     sweeps: int,
     legacy: bool,
+    counter: OpCounter | None,
 ) -> tuple[list[int], int, float]:
+    """Run the sweeps; a ``counter`` gets the threshold and stop comparisons.
+
+    The count is derived once per sweep from the loop's own state: the sweep
+    compares every entry up to the last visited position ``i`` that was not
+    selected before it, and makes one stop test per selection (one per sweep
+    in legacy mode).
+    """
     n_total = len(values)
     selected = bytearray(n_total)
     selection: list[int] = []
@@ -138,6 +139,7 @@ def _sweeps_plain(
     for k in range(1, sweeps + 1):
         sweeps_used = k
         threshold = (1.0 - k * nu) * m_max
+        before = len(selection)
         for i in range(n_total):
             if selected[i]:
                 continue
@@ -154,6 +156,9 @@ def _sweeps_plain(
                 if not legacy and s + c >= v:
                     done = True
                     break
+        if counter is not None:
+            new = len(selection) - before
+            counter.add((i + 1) - selected[: i + 1].count(1) + new + (1 if legacy else new))
         if legacy and s + c >= v:
             done = True
         if done:
@@ -162,50 +167,3 @@ def _sweeps_plain(
     # last-ulp shortfall for theta near 1) leaves all positive entries
     # selected, which satisfies the criterion by definition.
     return selection, sweeps_used, s + c
-
-
-def _sweeps_counted(
-    values: list[float],
-    v: float,
-    m_max: float,
-    nu: float,
-    sweeps: int,
-    legacy: bool,
-) -> tuple[list[int], int, float, int]:
-    n_total = len(values)
-    selected = bytearray(n_total)
-    selection: list[int] = []
-    s = 0.0
-    c = 0.0
-    cmp = 0
-    sweeps_used = 0
-    done = False
-    for k in range(1, sweeps + 1):
-        sweeps_used = k
-        threshold = (1.0 - k * nu) * m_max
-        for i in range(n_total):
-            if selected[i]:
-                continue
-            xi = values[i]
-            cmp += 1
-            if xi > threshold:
-                selected[i] = 1
-                selection.append(i)
-                t = s + xi
-                if s >= xi:
-                    c += (s - t) + xi
-                else:
-                    c += (xi - t) + s
-                s = t
-                if not legacy:
-                    cmp += 1
-                    if s + c >= v:
-                        done = True
-                        break
-        if legacy:
-            cmp += 1
-            if s + c >= v:
-                done = True
-        if done:
-            break
-    return selection, sweeps_used, s + c, cmp

@@ -20,7 +20,7 @@ from .core import (
     mark_theta_one,
 )
 from .decrement import decrement_mark
-from .quickmark import MedianPivot, PivotStrategy, quickmark, set_from_threshold, xstar_kernel
+from .quickmark import MedianPivot, PivotStrategy, quickmark
 from .sort_mark import sort_mark
 
 __all__ = ["ALGORITHM_NAMES", "MarkerRun", "mark"]
@@ -64,11 +64,7 @@ def mark(
         return MarkerRun(algorithm, binning_mark(iv, theta, nu, counter), None)
     if algorithm == "quickmark":
         result = quickmark(iv, theta, pivot or MedianPivot(), counter=counter)
-    elif counter is None:
-        # xstar: the same value kernel and materialise step, median rank
-        result = quickmark(iv, theta)
     else:
-        # the counted xstar twin yields the threshold alone; rebuild the set from it
-        threshold = xstar_kernel(iv.scratch_copy(), theta, counter)
-        return MarkerRun(algorithm, set_from_threshold(iv, theta, threshold), threshold)
+        # xstar: the same value kernel and materialise step, median rank
+        result = quickmark(iv, theta, counter=counter)
     return MarkerRun(algorithm, result.to_outcome(iv), result.x_star)

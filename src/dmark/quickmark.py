@@ -7,7 +7,8 @@ goal), stops at the rank (the rank's value closes the gap), or recurses into
 the part below with the goal reduced by the mass it skips.  It returns the
 threshold ``x_star`` and the cut ``count``, the cardinality of the marked
 set; one materialise step turns the two into the index set.  With a median
-rank each step halves the range, giving worst-case linear total cost; the
+rank each step halves the range, and numpy's introselect partitions it in
+worst-case linear time, giving worst-case linear total cost; the
 returned set has minimal cardinality for every input whose sums do not sit
 within rounding of the goal.
 
@@ -15,9 +16,9 @@ Three pivot policies choose the rank: the deterministic (lower) median, a
 seeded random rank (fast on average, quadratic in the worst case), and a
 fixed ``q``-quantile whose cost scales with ``1 / min(q, 1 - q)``.
 
-The index-permuting step API (:func:`partition`, :func:`pivot_median`,
-:class:`SelectionState`) and the counted pure-Python recursion behind
-``quickmark(..., counter=...)`` remain as the instrumented reference.
+An :class:`~dmark.core.OpCounter` counts the element operations of this
+same kernel, the elements each level partitions plus the elements it sums,
+so the counted cost is the cost of the code that is timed.
 """
 
 from __future__ import annotations
@@ -29,17 +30,16 @@ from typing import Union
 
 import numpy as np
 
-from ._selection import partition_synced, select_rank_value, xstar_counted
 from .core import (
     EPS,
     AdmissibilityError,
     IndicatorInput,
-    InvalidIndicatorsError,
     MarkingOutcome,
     OpCounter,
     ParameterError,
     ThresholdMismatchError,
     as_indicators,
+    check_indicators,
     check_theta,
     criterion_tolerance,
     goal_value,
@@ -52,12 +52,8 @@ __all__ = [
     "RandomPivot",
     "QuantilePivot",
     "PivotStrategy",
-    "SelectionState",
-    "PartitionOutcome",
     "QuickMarkResult",
     "quickmark",
-    "partition",
-    "pivot_median",
     "xstar_kernel",
     "set_from_threshold",
 ]
@@ -91,67 +87,6 @@ class QuantilePivot:
 
 
 PivotStrategy = Union[MedianPivot, RandomPivot, QuantilePivot]
-
-
-@dataclass(eq=False)
-class SelectionState:
-    """State of the selection recursion: permutation, active range, residual goal.
-
-    ``lower``/``upper`` bound the active range as a half-open 0-based
-    interval.  A state is admissible when the permutation is partially ordered
-    around the range (everything before ``lower`` strictly exceeds everything
-    from ``lower`` on, everything from ``upper`` on is strictly below
-    everything before it) and the residual goal is positive, consistent with
-    the already-fixed prefix, and reachable within the range.
-    """
-
-    perm: np.ndarray
-    lower: int
-    upper: int
-    residual_goal: float
-
-    def __post_init__(self) -> None:
-        perm = np.asarray(self.perm, dtype=np.int64)
-        n = perm.size
-        counts = np.bincount(perm, minlength=n) if n else np.zeros(0, dtype=np.int64)
-        if counts.size != n or not np.all(counts == 1):
-            raise ParameterError("perm must be a permutation of 0..N-1")
-        if not (0 <= self.lower < self.upper <= n):
-            raise ParameterError(
-                f"invalid range [{self.lower}, {self.upper}) for N={n}"
-            )
-        if not self.residual_goal > 0.0:
-            raise ParameterError("residual goal must be positive")
-        self.perm = perm
-
-    def check_admissible(self, x: IndicatorInput, theta: float) -> None:
-        """Raise :class:`AdmissibilityError` if the state violates its invariants."""
-        iv = as_indicators(x)
-        _verify_admissible(
-            iv.values,
-            self.perm,
-            self.lower,
-            self.upper,
-            self.residual_goal,
-            theta,
-            criterion_tolerance(iv),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionOutcome:
-    """Result of a three-way partition of the active range.
-
-    In the new permutation, positions ``[lower, greater_end)`` hold values
-    strictly greater than the pivot, ``[greater_end, smaller_start)`` values
-    equal to it (at least the pivot itself), and ``[smaller_start, upper)``
-    strictly smaller values.  Outside the range the permutation is unchanged.
-    """
-
-    perm: np.ndarray
-    greater_end: int
-    smaller_start: int
-    pivot_value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,40 +123,6 @@ class QuickMarkResult:
         return MarkingOutcome.trusted(as_indicators(x), self.marked)
 
 
-def _verify_admissible(values, perm, lo, hi, v, theta, tol) -> None:
-    n = values.size
-    if lo > 0:
-        if not float(values[perm[:lo]].min()) > float(values[perm[lo:]].max()):
-            raise AdmissibilityError("prefix not strictly above active range")
-    if hi < n:
-        if not float(values[perm[:hi]].min()) > float(values[perm[hi:]].max()):
-            raise AdmissibilityError("suffix not strictly below active range")
-    if not v > 0.0:
-        raise AdmissibilityError(f"residual goal not positive: {v!r}")
-    prefix_sum = pairwise_sum(values[perm[:lo]]) if lo else 0.0
-    expected = theta * pairwise_sum(values) - prefix_sum
-    if abs(v - expected) > tol:
-        raise AdmissibilityError(
-            f"residual goal {v!r} inconsistent with prefix (expected {expected!r})"
-        )
-    if v > pairwise_sum(values[perm[lo:hi]]) + tol:
-        raise AdmissibilityError("residual goal exceeds the active range mass")
-
-
-def _verify_partition(values, perm, lo, hi, greater_end, smaller_start, pv) -> None:
-    if not (lo <= greater_end < smaller_start <= hi):
-        raise AdmissibilityError("partition block boundaries out of order")
-    seg = values[perm[lo:hi]]
-    g = greater_end - lo
-    s = smaller_start - lo
-    if g and not np.all(seg[:g] > pv):
-        raise AdmissibilityError("greater block contains non-greater value")
-    if not np.all(seg[g:s] == pv):
-        raise AdmissibilityError("pivot block contains non-pivot value")
-    if s < hi - lo and not np.all(seg[s:] < pv):
-        raise AdmissibilityError("smaller block contains non-smaller value")
-
-
 def _ceil_count(residual: float, pivot_value: float, max_count: int) -> int:
     """Smallest integer m with m * pivot_value >= residual, robust near ties.
 
@@ -245,78 +146,6 @@ def _ceil_count(residual: float, pivot_value: float, max_count: int) -> int:
     return m
 
 
-def partition(
-    x: IndicatorInput,
-    state: SelectionState,
-    p: int,
-    counter: OpCounter | None = None,
-) -> PartitionOutcome:
-    """Three-way partition of the state's active range around position ``p``.
-
-    Pure: returns a new permutation, the input state is untouched.  Each block
-    keeps the previous relative order of its members, so the result is
-    deterministic.
-    """
-    iv = as_indicators(x)
-    lo, hi = state.lower, state.upper
-    if not (lo <= p < hi):
-        raise IndexError(f"pivot position {p} outside [{lo}, {hi})")
-    perm_new = state.perm.copy()
-    seg_idx = perm_new[lo:hi]
-    seg = iv.values[seg_idx]
-    pv = float(iv.values[perm_new[p]])
-    gt = seg > pv
-    lt = seg < pv
-    eq = ~(gt | lt)
-    if counter is not None:
-        counter.add(2 * (hi - lo))
-    perm_new[lo:hi] = np.concatenate((seg_idx[gt], seg_idx[eq], seg_idx[lt]))
-    greater_end = lo + int(np.count_nonzero(gt))
-    smaller_start = greater_end + int(np.count_nonzero(eq))
-    return PartitionOutcome(
-        perm=perm_new,
-        greater_end=greater_end,
-        smaller_start=smaller_start,
-        pivot_value=pv,
-    )
-
-
-def pivot_median(
-    x: IndicatorInput,
-    perm: np.ndarray,
-    lo: int,
-    hi: int,
-    counter: OpCounter | None = None,
-) -> int:
-    """Position of a median element of ``x`` over ``perm[lo:hi]``.
-
-    The returned position holds the lower median value, so at most half the
-    range is strictly smaller and at most half strictly greater.  With a
-    counter the rank is found by median-of-medians selection (linear worst
-    case); otherwise numpy's introselect does the work.  Deterministic: among
-    equals, the first position in the range wins.
-    """
-    iv = as_indicators(x)
-    perm = np.asarray(perm, dtype=np.int64)
-    if not (0 <= lo < hi <= perm.size):
-        raise IndexError(f"invalid range [{lo}, {hi})")
-    seg = iv.values[perm[lo:hi]]
-    k = (hi - lo - 1) // 2
-    if counter is None:
-        pv = np.partition(seg, k)[k]
-        return lo + int(np.flatnonzero(seg == pv)[0])
-    box = [0]
-    pv = select_rank_value(seg.tolist(), k, box)
-    pos = lo
-    for val in seg.tolist():
-        box[0] += 1
-        if val == pv:
-            break
-        pos += 1
-    counter.add(box[0])
-    return pos
-
-
 def quickmark(
     x: IndicatorInput,
     theta: float,
@@ -327,21 +156,19 @@ def quickmark(
 ) -> QuickMarkResult:
     """Minimal-cardinality marking by pivot-partition recursion.
 
-    Without a counter the value kernel runs on a scratch copy and one
-    materialise step builds the set; with one, a faithful pure-Python path
-    counts every element comparison.  ``check_invariants`` re-verifies the
-    range ordering, goal consistency and goal reachability at every level,
-    and the dominance and removal-minimality of the final set (debug mode;
-    raises :class:`AdmissibilityError` on any violation, which would
-    indicate a bug).
+    The value kernel runs on a scratch copy and one materialise step builds
+    the set; a ``counter`` counts the kernel's element operations.
+    ``check_invariants`` re-verifies the range ordering, goal consistency and
+    goal reachability at every level, and the dominance and
+    removal-minimality of the final set (debug mode; raises
+    :class:`AdmissibilityError` on any violation, which would indicate a
+    bug).
     """
     iv = as_indicators(x)
     check_theta(theta)
-    if counter is not None:
-        return _quickmark_counted(iv, theta, pivot, counter, check_invariants)
     goal = goal_value(iv, theta)
     tol = criterion_tolerance(iv) if check_invariants else None
-    x_star, count = _select(iv.scratch_copy(), goal, pivot, tol)
+    x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
     result = QuickMarkResult(_materialise(iv.values, x_star, count), x_star, iv.n)
     if tol is not None:
         _verify_cut(iv, result, goal, tol)
@@ -349,7 +176,11 @@ def quickmark(
 
 
 def _select(
-    a: np.ndarray, v: float, pivot: PivotStrategy, tol: float | None = None
+    a: np.ndarray,
+    v: float,
+    pivot: PivotStrategy,
+    tol: float | None = None,
+    counter: OpCounter | None = None,
 ) -> tuple[float, int]:
     """Destructive value kernel: threshold ``x_star`` and cut ``count``.
 
@@ -359,7 +190,8 @@ def _select(
     The pivot policy chooses the rank at each level.  A rank at the bottom of
     the range always stops, so rounding that leaves the residual goal above
     the range mass cannot empty the range.  With ``tol`` every level is
-    checked against the goal with that slack.
+    checked against the goal with that slack.  A ``counter`` gets, per level,
+    the elements partitioned plus the elements summed above the rank.
     """
     n_total = int(a.size)
     goal = v
@@ -379,6 +211,8 @@ def _select(
         a[lo:hi].partition(r)
         pv = float(a[k])
         upper = float(a[k + 1 : hi].sum())
+        if counter is not None:
+            counter.add(m + (hi - k - 1))
         if upper >= v and k + 1 < hi:
             lo = k + 1
         elif upper + pv >= v or k == lo:
@@ -429,104 +263,20 @@ def _verify_cut(iv, result, goal, tol) -> None:
         )
 
 
-def _verify_termination(values, perm, n, pv, v, lo, sigma, tol) -> None:
-    marked_vals = values[perm[:n]]
-    x_min = float(marked_vals.min())
-    if x_min != pv:
-        raise AdmissibilityError("terminating pivot is not the smallest marked value")
-    local = pairwise_sum(values[perm[lo:n]])
-    if local + tol < v:
-        raise AdmissibilityError("marked range does not reach the residual goal")
-    if local - pv >= v + tol:
-        raise AdmissibilityError("marked range is not minimal (one value removable)")
-
-
-def _quickmark_counted(
-    iv, theta: float, pivot: PivotStrategy, counter: OpCounter, check: bool
-) -> QuickMarkResult:
-    values = iv.values
-    n_total = iv.n
-    v = goal_value(iv, theta)
-    perm = list(range(n_total))
-    xp = values.tolist()
-    lo, hi = 0, n_total
-    box = [0]
-    tol = criterion_tolerance(iv) if check else 0.0
-    rng = np.random.default_rng(pivot.seed) if isinstance(pivot, RandomPivot) else None
-
-    while True:
-        if check:
-            _verify_admissible(
-                values, np.asarray(perm, dtype=np.int64), lo, hi, v, theta, tol
-            )
-        m = hi - lo
-        if isinstance(pivot, RandomPivot):
-            pv = xp[lo + int(rng.integers(m))]
-        else:
-            k = (m - 1) // 2 if isinstance(pivot, MedianPivot) else min(int(pivot.q * m), m - 1)
-            pv = select_rank_value(xp[lo:hi], k, box)
-
-        greater_end, smaller_start = partition_synced(perm, xp, lo, hi, pv, box)
-        sigma = 0.0
-        for j in range(lo, greater_end):
-            sigma += xp[j]
-        if check:
-            _verify_partition(
-                values,
-                np.asarray(perm, dtype=np.int64),
-                lo,
-                hi,
-                greater_end,
-                smaller_start,
-                pv,
-            )
-
-        box[0] += 1
-        if sigma >= v:
-            hi = greater_end
-            continue
-        covered = sigma + (smaller_start - greater_end) * pv
-        box[0] += 1
-        if covered >= v:
-            n = greater_end + _ceil_count(v - sigma, pv, smaller_start - greater_end)
-            counter.add(box[0])
-            perm_arr = np.asarray(perm, dtype=np.int64)
-            if check:
-                _verify_termination(values, perm_arr, n, pv, v, lo, sigma, tol)
-            marked = perm_arr[:n].copy()
-            marked.setflags(write=False)
-            return QuickMarkResult(marked=marked, x_star=pv, n_total=n_total)
-        v -= covered
-        lo = smaller_start
-
-
 def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = None) -> float:
     """Threshold of the minimal marking, computed on a destructive scratch copy.
 
     ``x_copy`` must be a caller-owned scratch array; it is reordered in place
     (contiguous accesses, no permutation indirection) by the same value
-    kernel that :func:`quickmark` runs, with the median rank.  Returns the
+    kernel that :func:`quickmark` runs, with the median rank, and a
+    ``counter`` counts that kernel's element operations.  Returns the
     smallest value contained in any minimal marked set; combine with
     :func:`set_from_threshold` to materialize the index set.
     """
     check_theta(theta)
     a = np.asarray(x_copy, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise InvalidIndicatorsError("scratch must be a nonempty 1-d float64 array")
-    if not np.all(np.isfinite(a)):
-        raise InvalidIndicatorsError("indicators must be finite")
-    if np.any(a < 0.0):
-        raise InvalidIndicatorsError("indicators must be nonnegative")
-    if not np.any(a > 0.0):
-        raise InvalidIndicatorsError("at least one indicator must be positive")
-
-    v = theta * pairwise_sum(a)
-    if counter is not None:
-        box = [0]
-        result = xstar_counted(a.tolist(), v, box)
-        counter.add(box[0])
-        return float(result)
-    return _select(a, v, MedianPivot())[0]
+    check_indicators(a)
+    return _select(a, theta * pairwise_sum(a), MedianPivot(), counter=counter)[0]
 
 
 def set_from_threshold(

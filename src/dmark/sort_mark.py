@@ -56,6 +56,12 @@ def sorted_prefix(x: IndicatorInput, counter: OpCounter | None = None) -> Sorted
 
 
 def _counted_sort_desc(values: list[float], counter: OpCounter) -> list[int]:
+    """The descending stable order by the interpreter's sort, counting comparisons.
+
+    This is the package's one counted twin of a timed kernel, kept on purpose:
+    ``np.argsort`` exposes no comparison count, and this count is the only
+    witness that sorting grows log-linearly while selection stays linear.
+    """
     box = [0]
 
     class _Desc:

@@ -105,8 +105,8 @@ def test_oracle_self_validation():
 
 
 def test_threshold_invariance():
-    # x* is bitwise identical across pivot policies and across the
-    # permutation-based and destructive implementations
+    # x* is bitwise identical across pivot policies and between quickmark
+    # and the destructive xstar_kernel
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     pivots = (MedianPivot(), RandomPivot(11), RandomPivot(17), QuantilePivot(0.3))

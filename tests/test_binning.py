@@ -153,3 +153,29 @@ class TestBinningMark:
             counted = binning_mark(vals, 0.6, 0.5, counter)
             fast = binning_mark(vals, 0.6, 0.5)
             assert np.array_equal(counted.marked, fast.marked)
+
+    @pytest.mark.parametrize(
+        "seed,n,theta,nu,kind,depth,count",
+        [
+            (11, 100, 0.5, 0.5, "uniform", 2, 234),
+            (12, 1000, 0.3, 0.3, "uniform", 0, 1219),
+            (13, 2000, 0.9, 0.7, "uniform", 8, 7854),
+            (14, 500, 0.6, 0.5, "ties", 2, 1147),
+            # 16-bit bin labels
+            (15, 1000, 0.5, 0.99, "decades", 405, 9403),
+        ],
+    )
+    def test_pinned_counts(self, seed, n, theta, nu, kind, depth, count):
+        # literal counts: the bisection-step table must equal one count per
+        # comparison of a per-element bisection, plus depth steps and the cut
+        rng = np.random.default_rng(seed)
+        if kind == "ties":
+            vals = rng.choice([0.25, 0.5, 1.0, 2.0], size=n)
+        elif kind == "decades":
+            vals = 10.0 ** rng.uniform(-12.0, 0.0, n)
+        else:
+            vals = rng.random(n)
+        assert binning_depth(vals, theta, nu) == depth
+        counter = OpCounter()
+        binning_mark(vals, theta, nu, counter)
+        assert counter.comparisons == count

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dmark import (
@@ -105,6 +106,35 @@ def test_counted_path_matches_plain(rng):
         b = decrement_mark(vals, 0.4, 0.5)
         assert a.marked.tolist() == b.marked.tolist()
         assert counter.comparisons > 0
+
+
+@pytest.mark.parametrize(
+    "seed,n,theta,nu,ties,count,legacy_count",
+    [
+        (1, 100, 0.5, 0.5, False, 98, 101),
+        (2, 1000, 0.3, 0.3, False, 769, 1001),
+        (3, 500, 0.9, 0.1, False, 2800, 2483),
+        (4, 2000, 0.6, 0.7, False, 2223, 2001),
+        (5, 300, 0.5, 0.5, True, 347, 301),
+    ],
+)
+def test_pinned_counts(seed, n, theta, nu, ties, count, legacy_count):
+    # literal counts: the per-sweep derivation must equal one count per
+    # threshold comparison and one per stop test
+    rng = np.random.default_rng(seed)
+    vals = rng.choice([0.25, 0.5, 1.0, 2.0], size=n) if ties else rng.random(n)
+    for legacy, expected in ((False, count), (True, legacy_count)):
+        counter = OpCounter()
+        decrement_mark(vals, theta, nu, legacy_sweep_termination=legacy, counter=counter)
+        assert counter.comparisons == expected
+
+
+def test_pinned_counts_on_witness():
+    x, _ = gen_counterexample(2, 0.5, 0.5)
+    for legacy, expected in ((False, 52), (True, 43)):
+        counter = OpCounter()
+        decrement_mark(x, 0.5, 0.5, legacy_sweep_termination=legacy, counter=counter)
+        assert counter.comparisons == expected
 
 
 @pytest.mark.parametrize("theta,nu", [(1.0, 0.5), (0.0, 0.5), (0.5, 0.0), (0.5, 1.0)])

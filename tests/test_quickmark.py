@@ -1,4 +1,4 @@
-"""Selection-based minimal marking: recursion, partition, pivots, kernel."""
+"""Selection-based minimal marking: value kernel, pivots, counts, materialise step."""
 
 import math
 
@@ -16,13 +16,10 @@ from dmark import (
     QuantilePivot,
     QuickMarkResult,
     RandomPivot,
-    SelectionState,
     ThresholdMismatchError,
     goal_value,
     is_valid_minimal_set,
     mark,
-    partition,
-    pivot_median,
     quickmark,
     satisfies_doerfler,
     set_from_threshold,
@@ -67,149 +64,6 @@ class TestQuickmarkExamples:
         out = quickmark(x, 0.5).to_outcome(x)
         assert out.cardinality == 2
         assert out.achieved_sum == 7.0
-
-
-class TestPartition:
-    def _state(self, values, lo, hi, v):
-        return SelectionState(
-            perm=np.arange(len(values)), lower=lo, upper=hi, residual_goal=v
-        )
-
-    def test_equal_heavy_segment(self):
-        # (3, 5, 5, 1) around pivot value 5: no strictly greater, two equal slots
-        x = [3.0, 5.0, 5.0, 1.0]
-        out = partition(x, self._state(x, 0, 4, 5.0), p=1)
-        assert out.greater_end == 0
-        assert out.smaller_start == 2
-        assert out.pivot_value == 5.0
-        vals = np.asarray(x)[out.perm]
-        assert vals[0] == vals[1] == 5.0
-
-    def test_all_equal_segment(self):
-        x = [7.0, 7.0, 7.0]
-        out = partition(x, self._state(x, 0, 3, 1.0), p=2)
-        assert out.greater_end == 0
-        assert out.smaller_start == 3
-
-    def test_decreasing_with_max_pivot(self):
-        x = [9.0, 7.0, 5.0, 3.0]
-        out = partition(x, self._state(x, 0, 4, 1.0), p=0)
-        assert out.greater_end == 0
-        assert out.smaller_start == 1
-
-    def test_pivot_block_never_empty(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(1, 40))
-            vals = rng.choice([0.5, 1.0, 2.0, 4.0], size=n)
-            state = self._state(vals, 0, n, 0.1)
-            p = int(rng.integers(n))
-            out = partition(vals, state, p)
-            assert out.smaller_start > out.greater_end
-
-    def test_classes_and_outside_untouched(self, rng):
-        vals = rng.choice([0.25, 0.5, 1.0, 2.0], size=20)
-        vals[0] = 4.0  # strictly largest prefix
-        vals[19] = 0.125  # strictly smallest suffix
-        perm = np.arange(20)
-        state = SelectionState(perm=perm, lower=1, upper=19, residual_goal=1.0)
-        out = partition(vals, state, p=5)
-        pv = out.pivot_value
-        seg = vals[out.perm[1:19]]
-        g, s = out.greater_end - 1, out.smaller_start - 1
-        assert np.all(seg[:g] > pv)
-        assert np.all(seg[g:s] == pv)
-        assert np.all(seg[s:] < pv)
-        assert out.perm[0] == 0 and out.perm[19] == 19
-        assert np.array_equal(perm, np.arange(20))  # input state untouched
-
-    def test_pivot_out_of_range(self):
-        x = [1.0, 2.0, 3.0]
-        state = self._state(x, 0, 2, 1.0)
-        with pytest.raises(IndexError):
-            partition(x, state, p=2)
-
-
-class TestPivotMedian:
-    def test_small_segment(self):
-        # (7, 1, 4): one smaller and one greater than 4
-        p = pivot_median([7.0, 1.0, 4.0], np.arange(3), 0, 3)
-        assert p == 2
-
-    def test_all_equal(self):
-        vals = [5.0, 5.0, 5.0, 5.0]
-        p = pivot_median(vals, np.arange(4), 0, 4)
-        assert vals[p] == 5.0
-
-    def test_rank_conditions_on_distinct_values(self, rng):
-        vals = rng.permutation(25).astype(np.float64) + 1.0
-        perm = np.arange(25)
-        p = pivot_median(vals, perm, 0, 25)
-        pv = vals[perm[p]]
-        smaller = int(np.count_nonzero(vals < pv))
-        greater = int(np.count_nonzero(vals > pv))
-        assert smaller <= 25 / 2
-        assert greater <= 25 / 2
-
-    def test_rank_conditions_on_subrange(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(2, 60))
-            vals = rng.random(n)
-            perm = rng.permutation(n)
-            lo = int(rng.integers(0, n - 1))
-            hi = int(rng.integers(lo + 1, n + 1))
-            p = pivot_median(vals, perm, lo, hi)
-            assert lo <= p < hi
-            seg = vals[perm[lo:hi]]
-            pv = vals[perm[p]]
-            m = hi - lo
-            assert int(np.count_nonzero(seg < pv)) <= m / 2
-            assert int(np.count_nonzero(seg > pv)) <= m / 2
-
-    def test_counted_variant_same_value(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(1, 80))
-            vals = rng.choice([0.25, 0.5, 1.0, 2.0], size=n)
-            perm = np.arange(n)
-            counter = OpCounter()
-            p_fast = pivot_median(vals, perm, 0, n)
-            p_counted = pivot_median(vals, perm, 0, n, counter)
-            assert vals[p_fast] == vals[p_counted]
-            assert counter.comparisons > 0
-
-
-class TestSelectionState:
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ParameterError):
-            SelectionState(perm=np.array([0, 0, 2]), lower=0, upper=3, residual_goal=1.0)
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ParameterError):
-            SelectionState(perm=np.arange(3), lower=2, upper=2, residual_goal=1.0)
-
-    def test_rejects_nonpositive_goal(self):
-        with pytest.raises(ParameterError):
-            SelectionState(perm=np.arange(3), lower=0, upper=3, residual_goal=0.0)
-
-    def test_check_admissible_accepts_initial_call(self):
-        x = [4.0, 1.0, 2.0, 3.0]
-        state = SelectionState(
-            perm=np.arange(4), lower=0, upper=4, residual_goal=goal_value(x, 0.5)
-        )
-        state.check_admissible(x, 0.5)
-
-    def test_check_admissible_rejects_unordered_prefix(self):
-        x = [1.0, 4.0, 2.0, 3.0]
-        state = SelectionState(
-            perm=np.arange(4), lower=1, upper=4, residual_goal=1.0
-        )
-        with pytest.raises(AdmissibilityError):
-            state.check_admissible(x, 0.5)
-
-    def test_check_admissible_rejects_wrong_goal(self):
-        x = [4.0, 1.0, 2.0, 3.0]
-        state = SelectionState(perm=np.arange(4), lower=0, upper=4, residual_goal=1.0)
-        with pytest.raises(AdmissibilityError):
-            state.check_admissible(x, 0.5)
 
 
 class TestEquivalenceWithSort:
@@ -309,18 +163,13 @@ class TestInstrumentedPath:
                 quickmark(vals, 0.5, QuantilePivot(q), counter=counter)
                 assert counter.comparisons <= median_max * n * factor
 
-    def test_partition_cost_linear(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 300))
-            vals = rng.random(n)
-            if not vals.any():
-                vals[0] = 1.0
-            state = SelectionState(
-                perm=np.arange(n), lower=0, upper=n, residual_goal=0.1
-            )
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    def test_median_counts_between_2n_and_4n(self, n):
+        # the halving ranges partition about 2N elements and sum about N
+        for seed in range(3):
             counter = OpCounter()
-            partition(vals, state, int(rng.integers(n)), counter)
-            assert counter.comparisons <= 4 * n
+            quickmark(np.random.default_rng(seed).random(n), 0.5, counter=counter)
+            assert 2 * n <= counter.comparisons <= 4 * n
 
 
 class TestXStarKernel:
