@@ -5,16 +5,19 @@ returns an index set whose entries carry at least ``theta`` of the total
 indicator mass.  The package provides:
 
 * :func:`dmark.quickmark.quickmark` - minimal cardinality at worst-case
-  linear cost (the recommended strategy), plus the destructive
-  :func:`dmark.quickmark.xstar_kernel` variant,
+  linear cost (the recommended strategy); its destructive kernel alone,
+  :func:`dmark.quickmark.xstar_kernel`, returns just the threshold,
 * :func:`dmark.sort_mark.sort_mark` - minimal cardinality via a full sort
   (log-linear reference and oracle),
 * :func:`dmark.binning.binning_mark` - quasi-minimal at linear cost,
 * :func:`dmark.decrement.decrement_mark` - linear cost, no cardinality
-  guarantee (historical reference),
+  guarantee (historical reference).
 
-together with verification oracles (:mod:`dmark.oracle`), file formats
-(:mod:`dmark.io`) and a benchmark harness (:mod:`dmark.bench`, CLI ``dmark``).
+Every strategy returns a :class:`dmark.core.MarkingOutcome`, whose
+``threshold`` is set when the selection kernel decided the cut, and
+:func:`dmark.markers.mark` runs any of them by name.  The package also has
+verification oracles (:mod:`dmark.oracle`), file formats (:mod:`dmark.io`)
+and a benchmark harness (:mod:`dmark.bench`, CLI ``dmark``).
 """
 
 from .binning import BinLayout, bin_layout, binning_depth, binning_mark
@@ -29,7 +32,6 @@ from .core import (
     OpCounter,
     ParameterError,
     ParseError,
-    ThresholdMismatchError,
     as_indicators,
     criterion_tolerance,
     goal_value,
@@ -49,10 +51,8 @@ from .quickmark import (
     MedianPivot,
     PivotStrategy,
     QuantilePivot,
-    QuickMarkResult,
     RandomPivot,
     quickmark,
-    set_from_threshold,
     xstar_kernel,
 )
 from .sort_mark import SortedPrefix, sort_mark, sorted_prefix
@@ -79,10 +79,8 @@ __all__ = [
     "ParseError",
     "PivotStrategy",
     "QuantilePivot",
-    "QuickMarkResult",
     "RandomPivot",
     "SortedPrefix",
-    "ThresholdMismatchError",
     "as_indicators",
     "bin_layout",
     "binning_depth",
@@ -99,7 +97,6 @@ __all__ = [
     "nmin_oracle",
     "quickmark",
     "satisfies_doerfler",
-    "set_from_threshold",
     "sort_mark",
     "sorted_prefix",
     "xstar_kernel",

@@ -1,18 +1,20 @@
 """Instrumented benchmark harness for the marking strategies.
 
 For every cell of a (theta, N) grid the harness draws seeded uniform(0, 1)
-vectors, times each selected algorithm on a fresh copy per run, and
+vectors, validates a fresh :class:`~dmark.core.IndicatorVector` copy per
+algorithm untimed, times one :func:`~dmark.markers.mark` call on it, and
 aggregates the wall-clock times into min/avg/max rows.  Instance streams come
 from numpy's PCG64 generator seeded per (base seed, theta index, N, run), so
 a fixed configuration reproduces byte-identical vectors, marked sets and
 operation counts on any platform; only the measured times vary.
 
-Counting (``instrument=True``) reruns each algorithm with an
-:class:`~dmark.core.OpCounter` on a fresh copy after the timed call, so
-counting never distorts the measurements.  The counts are the element
-operations of the timed kernels themselves; the one exception is ``sort``,
-whose comparisons come from a counted twin of the sort.  Timed regions are
-strictly sequential and single-threaded.
+Every algorithm, ``xstar`` included, is thus timed end to end, from the
+validated vector to the marked index set.  Counting (``instrument=True``)
+reruns the same ``mark`` call with an :class:`~dmark.core.OpCounter` after
+the timed call, so counting never distorts the measurements.  The counts
+are the element operations of the timed kernels themselves; the one
+exception is ``sort``, whose comparisons come from a counted twin of the
+sort.  Timed regions are strictly sequential and single-threaded.
 """
 
 from __future__ import annotations
@@ -22,16 +24,12 @@ import io as _io
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .binning import binning_mark
 from .core import IndicatorVector, OpCounter, ParameterError, check_nu, check_theta
-from .decrement import decrement_mark
-from .markers import ALGORITHM_NAMES
-from .quickmark import MedianPivot, quickmark, xstar_kernel
-from .sort_mark import sort_mark
+from .markers import ALGORITHM_NAMES, mark
 
 __all__ = [
     "DEFAULT_THETA_GRID",
@@ -108,38 +106,6 @@ def instance_vector(seed: int, theta_index: int, n: int, run: int) -> np.ndarray
     return np.random.default_rng(ss).random(n)
 
 
-def _timed_callable(algorithm: str, vec: np.ndarray, theta: float, nu: float) -> Callable[[], object]:
-    """Bind the algorithm to fresh inputs; all copying happens here, untimed."""
-    if algorithm == "xstar":
-        scratch = vec.copy()
-        return lambda: xstar_kernel(scratch, theta)
-    iv = IndicatorVector(vec)
-    if algorithm == "sort":
-        return lambda: sort_mark(iv, theta)
-    if algorithm == "decrement":
-        return lambda: decrement_mark(iv, theta, nu)
-    if algorithm == "binning":
-        return lambda: binning_mark(iv, theta, nu)
-    return lambda: quickmark(iv, theta, MedianPivot())
-
-
-def _count_comparisons(algorithm: str, vec: np.ndarray, theta: float, nu: float) -> int:
-    counter = OpCounter()
-    if algorithm == "xstar":
-        xstar_kernel(vec.copy(), theta, counter)
-    else:
-        iv = IndicatorVector(vec)
-        if algorithm == "sort":
-            sort_mark(iv, theta, counter)
-        elif algorithm == "decrement":
-            decrement_mark(iv, theta, nu, counter=counter)
-        elif algorithm == "binning":
-            binning_mark(iv, theta, nu, counter)
-        else:
-            quickmark(iv, theta, MedianPivot(), counter=counter)
-    return counter.comparisons
-
-
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """Execute the grid; cells that fail to allocate are reported and skipped."""
     records: list[BenchRecord] = []
@@ -162,15 +128,15 @@ def _run_cell(
     for run in range(1, config.runs + 1):
         vec = instance_vector(config.seed, theta_index, n, run)
         for algorithm in config.algorithms:
-            fn = _timed_callable(algorithm, vec, theta, config.nu)
+            iv = IndicatorVector(vec)
             t0 = time.perf_counter()
-            fn()
+            mark(iv, theta, algorithm, nu=config.nu)
             seconds = time.perf_counter() - t0
-            comparisons = (
-                _count_comparisons(algorithm, vec, theta, config.nu)
-                if config.instrument
-                else 0
-            )
+            comparisons = 0
+            if config.instrument:
+                counter = OpCounter()
+                mark(iv, theta, algorithm, nu=config.nu, counter=counter)
+                comparisons = counter.comparisons
             records.append(
                 BenchRecord(
                     algorithm=algorithm,

@@ -10,9 +10,9 @@ total indicator mass::
 Every marking strategy in this package returns such a set; they differ in
 cardinality guarantees and cost.  All indices are 0-based.
 
-Whole-vector sums are computed with numpy's pairwise summation; incremental
-running sums inside the algorithms use Neumaier compensation where boundary
-behaviour matters.  The verification predicate :func:`satisfies_doerfler` is
+Whole-vector sums are computed with numpy's pairwise summation; the one
+incremental running sum, that of the decrement strategy, inlines Neumaier
+compensation.  The verification predicate :func:`satisfies_doerfler` is
 the only place where a floating-point slack is applied.
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "InvalidIndicatorsError",
     "ParameterError",
     "AdmissibilityError",
-    "ThresholdMismatchError",
     "InstanceTooLargeError",
     "ParseError",
     "OpCounter",
@@ -67,10 +66,6 @@ class AdmissibilityError(MarkingError):
 
     This signals an implementation bug, not bad user input.
     """
-
-
-class ThresholdMismatchError(MarkingError):
-    """A supplied threshold value is inconsistent with the given instance."""
 
 
 class InstanceTooLargeError(MarkingError):
@@ -224,12 +219,15 @@ class MarkingOutcome:
 
     ``marked`` is a read-only int64 array in the order its producer chose
     (ascending for the threshold strategies, descending value for ``sort``,
-    selection order for ``decrement``).
+    selection order for ``decrement``).  ``threshold`` is the smallest marked
+    value when the selection kernel (``quickmark``, ``xstar``) decided the
+    cut, and ``None`` for every other strategy.
     """
 
     marked: np.ndarray
     achieved_sum: float
     cardinality: int
+    threshold: float | None = None
 
     @classmethod
     def from_marked(cls, x: IndicatorInput, indices: Iterable[int]) -> "MarkingOutcome":
@@ -287,26 +285,3 @@ def mark_theta_one(x: IndicatorInput) -> MarkingOutcome:
     """The unique minimal marking for ``theta == 1``: all strictly positive entries."""
     iv = as_indicators(x)
     return MarkingOutcome.trusted(iv, np.flatnonzero(iv.values > 0.0))
-
-
-class NeumaierSum:
-    """Compensated running sum; ``value`` is the corrected accumulation."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, value: float) -> None:
-        s = self._s
-        t = s + value
-        if abs(s) >= abs(value):
-            self._c += (s - t) + value
-        else:
-            self._c += (value - t) + s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c

@@ -30,11 +30,15 @@ ALGORITHM_NAMES = ("sort", "decrement", "binning", "quickmark", "xstar")
 
 @dataclass(frozen=True)
 class MarkerRun:
-    """Outcome of one marking call, plus the threshold when one exists."""
+    """Outcome of one marking call under the name of its strategy."""
 
     algorithm: str
     outcome: MarkingOutcome
-    threshold: Optional[float]
+
+    @property
+    def threshold(self) -> Optional[float]:
+        """The kernel's threshold for ``quickmark``/``xstar``, else ``None``."""
+        return self.outcome.threshold
 
 
 def mark(
@@ -54,17 +58,16 @@ def mark(
     iv = as_indicators(x)
     check_theta(theta, allow_one=True)
     if theta == 1.0:
-        return MarkerRun(algorithm, mark_theta_one(iv), None)
-
-    if algorithm == "sort":
-        return MarkerRun(algorithm, sort_mark(iv, theta, counter), None)
-    if algorithm == "decrement":
-        return MarkerRun(algorithm, decrement_mark(iv, theta, nu, counter=counter), None)
-    if algorithm == "binning":
-        return MarkerRun(algorithm, binning_mark(iv, theta, nu, counter), None)
-    if algorithm == "quickmark":
-        result = quickmark(iv, theta, pivot or MedianPivot(), counter=counter)
+        outcome = mark_theta_one(iv)
+    elif algorithm == "sort":
+        outcome = sort_mark(iv, theta, counter)
+    elif algorithm == "decrement":
+        outcome = decrement_mark(iv, theta, nu, counter=counter)
+    elif algorithm == "binning":
+        outcome = binning_mark(iv, theta, nu, counter)
+    elif algorithm == "quickmark":
+        outcome = quickmark(iv, theta, pivot or MedianPivot(), counter=counter)
     else:
         # xstar: the same value kernel and materialise step, median rank
-        result = quickmark(iv, theta, counter=counter)
-    return MarkerRun(algorithm, result.to_outcome(iv), result.x_star)
+        outcome = quickmark(iv, theta, counter=counter)
+    return MarkerRun(algorithm, outcome)

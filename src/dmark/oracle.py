@@ -1,10 +1,10 @@
 """Independent verification machinery.
 
 Provides the minimal-cardinality oracle, a brute-force subset-enumeration
-oracle for small instances, the local-minimal-set membership predicate used
-by the selection recursion's analysis, and a generator for the witness family
-on which threshold-decrement marking exceeds any fixed multiple of the
-minimal cardinality.
+oracle for small instances, the minimal-set membership predicate that checks
+the selection kernel's cut, and a generator for the witness family on which
+threshold-decrement marking exceeds any fixed multiple of the minimal
+cardinality.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from .core import (
     InstanceTooLargeError,
     MarkingError,
     ParameterError,
+    _index_mask,
     as_indicators,
     check_nu,
     check_theta,
     criterion_tolerance,
     goal_value,
+    index_array,
     pairwise_sum,
 )
 from .sort_mark import sort_mark
@@ -77,38 +79,27 @@ def nmin_exhaustive(x: IndicatorInput, theta: float) -> int:
 
 def is_valid_minimal_set(
     x: IndicatorInput,
-    perm: np.ndarray,
-    lo: int,
-    hi: int,
+    marked: Iterable[int],
     v: float,
-    candidate: Iterable[int],
     tol: float | None = None,
 ) -> bool:
-    """Membership test for the family of locally minimal sets on [lo, hi).
+    """Membership test for the family of minimal sets of goal ``v``.
 
-    ``candidate`` contains positions into ``perm`` (not original indices).
-    True iff every member dominates every non-member of the range and the
-    member sum reaches ``v`` while dropping any single member falls below it.
-    Comparisons of sums use the criterion tolerance.
+    ``marked`` holds original indices; duplicates collapse.  True iff every
+    member dominates every non-member and the member sum reaches ``v`` while
+    dropping any single member falls below it.  Comparisons of sums use the
+    criterion tolerance.  An empty set is never valid; an index out of range
+    raises :class:`IndexError`.
     """
     iv = as_indicators(x)
-    perm = np.asarray(perm, dtype=np.int64)
-    if not (0 <= lo < hi <= perm.size):
-        raise IndexError(f"invalid range [{lo}, {hi})")
-    cand = sorted(set(int(j) for j in candidate))
-    if not cand:
+    mask = _index_mask(iv.n, index_array(marked))
+    member_vals = iv.values[mask]
+    if not member_vals.size:
         return False
-    if cand[0] < lo or cand[-1] >= hi:
-        raise IndexError("candidate position outside the range")
     if tol is None:
         tol = criterion_tolerance(iv)
 
-    cand_arr = np.asarray(cand, dtype=np.int64)
-    member_vals = iv.values[perm[cand_arr]]
-    mask = np.zeros(hi - lo, dtype=bool)
-    mask[cand_arr - lo] = True
-    rest_vals = iv.values[perm[lo:hi][~mask]]
-
+    rest_vals = iv.values[~mask]
     if rest_vals.size and member_vals.min() < rest_vals.max():
         return False
     total = pairwise_sum(member_vals)

@@ -23,21 +23,17 @@ so the counted cost is the cost of the code that is timed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .core import (
-    EPS,
     AdmissibilityError,
     IndicatorInput,
     MarkingOutcome,
     OpCounter,
     ParameterError,
-    ThresholdMismatchError,
     as_indicators,
     check_indicators,
     check_theta,
@@ -52,10 +48,8 @@ __all__ = [
     "RandomPivot",
     "QuantilePivot",
     "PivotStrategy",
-    "QuickMarkResult",
     "quickmark",
     "xstar_kernel",
-    "set_from_threshold",
 ]
 
 
@@ -89,63 +83,6 @@ class QuantilePivot:
 PivotStrategy = Union[MedianPivot, RandomPivot, QuantilePivot]
 
 
-@dataclass(frozen=True, eq=False)
-class QuickMarkResult:
-    """Marked set and threshold of a selection run.
-
-    ``marked`` holds the marked indices as a read-only int64 array and
-    ``x_star`` is the smallest marked value.  ``x_star`` is a property of the
-    instance alone, independent of the pivot policy, even though the marked
-    set itself need not be unique.  ``perm`` (marked indices, then the rest
-    in ascending order) is built when first read.
-    """
-
-    marked: np.ndarray
-    x_star: float
-    n_total: int
-
-    @property
-    def n(self) -> int:
-        return int(self.marked.size)
-
-    @cached_property
-    def perm(self) -> np.ndarray:
-        rest = np.ones(self.n_total, dtype=bool)
-        rest[self.marked] = False
-        perm = np.concatenate((self.marked, np.flatnonzero(rest)))
-        perm.setflags(write=False)
-        return perm
-
-    def marked_indices(self) -> np.ndarray:
-        return self.marked.copy()
-
-    def to_outcome(self, x: IndicatorInput) -> MarkingOutcome:
-        return MarkingOutcome.trusted(as_indicators(x), self.marked)
-
-
-def _ceil_count(residual: float, pivot_value: float, max_count: int) -> int:
-    """Smallest integer m with m * pivot_value >= residual, robust near ties.
-
-    When the division lands within a few ulps of an integer, the quotient is
-    re-derived by direct multiplication so rounding cannot shift the cut by
-    one.
-    """
-    q = residual / pivot_value
-    m = math.ceil(q)
-    nearest = round(q)
-    if abs(q - nearest) <= 4.0 * EPS * max(1.0, abs(q)):
-        m = int(nearest)
-        while m * pivot_value < residual:
-            m += 1
-        while m > 1 and (m - 1) * pivot_value >= residual:
-            m -= 1
-    if m < 1:
-        m = 1
-    if m > max_count:
-        m = max_count
-    return m
-
-
 def quickmark(
     x: IndicatorInput,
     theta: float,
@@ -153,11 +90,12 @@ def quickmark(
     *,
     counter: OpCounter | None = None,
     check_invariants: bool = False,
-) -> QuickMarkResult:
+) -> MarkingOutcome:
     """Minimal-cardinality marking by pivot-partition recursion.
 
     The value kernel runs on a scratch copy and one materialise step builds
-    the set; a ``counter`` counts the kernel's element operations.
+    the set; the outcome's ``threshold`` is the kernel's ``x_star``, and a
+    ``counter`` counts the kernel's element operations.
     ``check_invariants`` re-verifies the range ordering, goal consistency and
     goal reachability at every level, and the dominance and
     removal-minimality of the final set (debug mode; raises
@@ -169,10 +107,11 @@ def quickmark(
     goal = goal_value(iv, theta)
     tol = criterion_tolerance(iv) if check_invariants else None
     x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
-    result = QuickMarkResult(_materialise(iv.values, x_star, count), x_star, iv.n)
+    marked = _materialise(iv.values, x_star, count)
+    outcome = MarkingOutcome(marked, pairwise_sum(iv.values[marked]), int(marked.size), x_star)
     if tol is not None:
-        _verify_cut(iv, result, goal, tol)
-    return result
+        _verify_cut(iv, outcome, goal, tol)
+    return outcome
 
 
 def _select(
@@ -254,10 +193,10 @@ def _verify_level(a, lo, hi, v, goal, tol) -> None:
         raise AdmissibilityError("residual goal exceeds the active range mass")
 
 
-def _verify_cut(iv, result, goal, tol) -> None:
-    if float(iv.values[result.marked].min()) != result.x_star:
+def _verify_cut(iv, outcome, goal, tol) -> None:
+    if float(iv.values[outcome.marked].min()) != outcome.threshold:
         raise AdmissibilityError("threshold is not the smallest marked value")
-    if not is_valid_minimal_set(iv, result.perm, 0, iv.n, goal, range(result.n), tol):
+    if not is_valid_minimal_set(iv, outcome.marked, goal, tol):
         raise AdmissibilityError(
             "marked set does not dominate the rest, reach the goal and stay removal-minimal"
         )
@@ -270,42 +209,11 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     (contiguous accesses, no permutation indirection) by the same value
     kernel that :func:`quickmark` runs, with the median rank, and a
     ``counter`` counts that kernel's element operations.  Returns the
-    smallest value contained in any minimal marked set; combine with
-    :func:`set_from_threshold` to materialize the index set.
+    smallest value contained in any minimal marked set.  The threshold alone
+    does not fix the cut among ties in floating point; :func:`quickmark`
+    returns the index set that the kernel's cut decides.
     """
     check_theta(theta)
     a = np.asarray(x_copy, dtype=np.float64)
     check_indicators(a)
     return _select(a, theta * pairwise_sum(a), MedianPivot(), counter=counter)[0]
-
-
-def set_from_threshold(
-    x: IndicatorInput, theta: float, x_star: float
-) -> MarkingOutcome:
-    """Materialize the minimal marked set from its threshold value.
-
-    Takes every index with value strictly above ``x_star`` plus the smallest
-    number of indices with value exactly ``x_star`` (lowest original indices
-    first) needed to reach the goal.  Raises
-    :class:`ThresholdMismatchError` when ``x_star`` cannot have come from the
-    same instance and parameter.
-    """
-    iv = as_indicators(x)
-    check_theta(theta)
-    v = goal_value(iv, theta)
-    if not x_star > 0.0:
-        raise ThresholdMismatchError(f"threshold must be positive, got {x_star!r}")
-    above = iv.values > x_star
-    n_above = int(np.count_nonzero(above))
-    n_at = int(np.count_nonzero(iv.values == x_star))
-    sum_above = pairwise_sum(iv.values[above])
-    if sum_above >= v:
-        raise ThresholdMismatchError(
-            "values above the threshold already cover the goal; threshold too small"
-        )
-    if sum_above + n_at * x_star < v:
-        raise ThresholdMismatchError(
-            "values at and above the threshold fall short of the goal"
-        )
-    need = _ceil_count(v - sum_above, x_star, n_at)
-    return MarkingOutcome.trusted(iv, _materialise(iv.values, x_star, n_above + need))

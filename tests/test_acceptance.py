@@ -58,8 +58,8 @@ def test_minimality_equivalence():
         for vals, theta in _suite_instances(rng, 10_000, 5000):
             r = quickmark(vals, theta)
             n_sort = sort_mark(vals, theta).cardinality
-            assert r.n == n_sort, (checked, r.n, n_sort, theta)
-            assert satisfies_doerfler(vals, theta, r.marked_indices())
+            assert r.cardinality == n_sort, (checked, r.cardinality, n_sort, theta)
+            assert satisfies_doerfler(vals, theta, r.marked)
             checked += 1
     except AssertionError:
         ok = False
@@ -114,7 +114,7 @@ def test_threshold_invariance():
     ok = True
     try:
         for vals, theta in _suite_instances(rng, 1000, 400):
-            stars = {quickmark(vals, theta, piv).x_star for piv in pivots}
+            stars = {quickmark(vals, theta, piv).threshold for piv in pivots}
             stars.add(xstar_kernel(vals.copy(), theta))
             assert len(stars) == 1, (checked, stars)
             checked += 1

@@ -70,8 +70,8 @@ class TestDeterminism:
         # marked sets are a function of the instance stream alone
         vec = instance_vector(42, 0, 1000, 1)
         assert np.array_equal(
-            quickmark(vec, 0.5).marked_indices(),
-            quickmark(instance_vector(42, 0, 1000, 1), 0.5).marked_indices(),
+            quickmark(vec, 0.5).marked,
+            quickmark(instance_vector(42, 0, 1000, 1), 0.5).marked,
         )
 
     def test_uninstrumented_runs_report_zero_comparisons(self):

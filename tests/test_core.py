@@ -188,6 +188,15 @@ class TestMarkingOutcome:
         with pytest.raises(ValueError):
             out.marked[0] = 1
 
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_threshold_set_by_the_kernel_only(self, algorithm, theta):
+        run = mark([4.0, 1.0, 2.0, 3.0, 2.0], theta, algorithm)
+        assert isinstance(run.outcome, MarkingOutcome)
+        assert run.threshold is run.outcome.threshold
+        kernel = algorithm in ("quickmark", "xstar") and theta < 1.0
+        assert run.threshold == (3.0 if kernel else None)
+
     def test_from_marked_array_input(self):
         caller = np.array([3, 0])
         out = MarkingOutcome.from_marked([4, 1, 2, 3], caller)

@@ -61,19 +61,21 @@ class TestNminExhaustive:
 class TestIsValidMinimalSet:
     def test_examples(self):
         x = [4.0, 1.0, 2.0, 3.0]
-        perm = np.arange(4)
-        assert is_valid_minimal_set(x, perm, 0, 4, 5.0, [0, 3]) is True
-        # removing position 2 still meets the goal, so not removal-minimal
-        assert is_valid_minimal_set(x, perm, 0, 4, 5.0, [0, 2, 3]) is False
-        # members do not dominate the non-member at position 0
-        assert is_valid_minimal_set(x, perm, 0, 4, 5.0, [1, 2]) is False
+        assert is_valid_minimal_set(x, [0, 3], 5.0) is True
+        assert is_valid_minimal_set(x, np.array([3, 0]), 5.0) is True
+        # removing index 2 still meets the goal, so not removal-minimal
+        assert is_valid_minimal_set(x, [0, 2, 3], 5.0) is False
+        # members do not dominate the non-member at index 0
+        assert is_valid_minimal_set(x, [1, 2], 5.0) is False
 
     def test_empty_candidate(self):
-        assert is_valid_minimal_set([1.0, 2.0], np.arange(2), 0, 2, 1.0, []) is False
+        assert is_valid_minimal_set([1.0, 2.0], [], 1.0) is False
 
     def test_candidate_outside_range(self):
         with pytest.raises(IndexError):
-            is_valid_minimal_set([1.0, 2.0, 3.0], np.arange(3), 1, 3, 1.0, [0])
+            is_valid_minimal_set([1.0, 2.0, 3.0], [2, 3], 1.0)
+        with pytest.raises(IndexError):
+            is_valid_minimal_set([1.0, 2.0, 3.0], [-1], 1.0)
 
     def test_quickmark_output_passes(self, rng):
         for _ in range(200):
@@ -83,8 +85,7 @@ class TestIsValidMinimalSet:
                 vals[0] = 1.0
             theta = float(rng.uniform(0.05, 0.95))
             r = quickmark(vals, theta)
-            v = goal_value(vals, theta)
-            assert is_valid_minimal_set(vals, r.perm, 0, n, v, range(r.n))
+            assert is_valid_minimal_set(vals, r.marked, goal_value(vals, theta))
 
 
 class TestCounterexampleGenerator:

@@ -1,6 +1,7 @@
 """Selection-based minimal marking: value kernel, pivots, counts, materialise step."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,19 +11,17 @@ from hypothesis import strategies as st
 from dmark import (
     AdmissibilityError,
     IndicatorVector,
+    MarkingOutcome,
     MedianPivot,
     OpCounter,
     ParameterError,
     QuantilePivot,
-    QuickMarkResult,
     RandomPivot,
-    ThresholdMismatchError,
     goal_value,
     is_valid_minimal_set,
     mark,
     quickmark,
     satisfies_doerfler,
-    set_from_threshold,
     sort_mark,
     xstar_kernel,
 )
@@ -39,19 +38,19 @@ ALL_PIVOTS = (MedianPivot(), RandomPivot(1), RandomPivot(99), QuantilePivot(0.3)
 class TestQuickmarkExamples:
     def test_basic(self):
         r = quickmark([4, 1, 2, 3], 0.5)
-        assert r.n == 2
-        assert set(r.marked_indices().tolist()) == {0, 3}
-        assert r.x_star == 3.0
+        assert r.cardinality == 2
+        assert set(r.marked.tolist()) == {0, 3}
+        assert r.threshold == 3.0
 
     def test_all_equal(self):
         r = quickmark([2, 2, 2, 2], 0.5)
-        assert r.n == 2
-        assert r.x_star == 2.0
+        assert r.cardinality == 2
+        assert r.threshold == 2.0
 
     def test_single_positive(self):
         r = quickmark([1.0] + [0.0] * 9, 0.7)
-        assert r.n == 1
-        assert r.x_star == 1.0
+        assert r.cardinality == 1
+        assert r.threshold == 1.0
 
     def test_theta_bounds(self):
         with pytest.raises(ParameterError):
@@ -61,7 +60,8 @@ class TestQuickmarkExamples:
 
     def test_outcome_conversion(self):
         x = [4, 1, 2, 3]
-        out = quickmark(x, 0.5).to_outcome(x)
+        out = quickmark(x, 0.5)
+        assert isinstance(out, MarkingOutcome)
         assert out.cardinality == 2
         assert out.achieved_sum == 7.0
 
@@ -74,22 +74,20 @@ class TestEquivalenceWithSort:
             n = int(rng.integers(10, 201))
             vals = rng.random(n)
             theta = float(thetas[trial % 9])
-            assert quickmark(vals, theta).n == sort_mark(vals, theta).cardinality
+            assert quickmark(vals, theta).cardinality == sort_mark(vals, theta).cardinality
 
     @given(dyadic_lists, dyadic_thetas)
     @settings(max_examples=150, deadline=None)
     def test_dyadic_exact_equivalence(self, xs, theta):
         r = quickmark(xs, theta, check_invariants=True)
-        assert r.n == sort_mark(xs, theta).cardinality
-        assert satisfies_doerfler(xs, theta, r.marked_indices())
+        assert r.cardinality == sort_mark(xs, theta).cardinality
+        assert satisfies_doerfler(xs, theta, r.marked)
 
     @given(dyadic_lists, dyadic_thetas)
     @settings(max_examples=100, deadline=None)
     def test_output_is_locally_minimal(self, xs, theta):
         r = quickmark(xs, theta)
-        n_total = len(xs)
-        v = goal_value(xs, theta)
-        assert is_valid_minimal_set(xs, r.perm, 0, n_total, v, range(r.n))
+        assert is_valid_minimal_set(xs, r.marked, goal_value(xs, theta))
 
 
 class TestThresholdInvariance:
@@ -109,25 +107,29 @@ class TestThresholdInvariance:
                     vals[0] = 0.5
             theta = float(rng.uniform(0.05, 0.95))
             iv = IndicatorVector(vals)
-            stars = [quickmark(iv, theta, p).x_star for p in ALL_PIVOTS]
+            stars = [quickmark(iv, theta, p).threshold for p in ALL_PIVOTS]
             stars.append(xstar_kernel(iv.scratch_copy(), theta))
             assert len(set(stars)) == 1, (trial, stars)
 
     def test_x_star_is_min_marked_value(self, rng):
+        cases = []
         for _ in range(200):
             vals = rng.random(int(rng.integers(1, 150)))
             if not vals.any():
                 vals[0] = 1.0
-            theta = float(rng.uniform(0.05, 0.95))
-            r = quickmark(vals, theta)
-            assert r.x_star == float(vals[r.marked_indices()].min())
+            cases.append((vals, float(rng.uniform(0.05, 0.95))))
+        cases += [boundary_instance(rng, int(rng.integers(2, 41))) for _ in range(500)]
+        for vals, theta in cases:
+            r = quickmark(vals, theta, check_invariants=True)
+            assert r.threshold == float(vals[r.marked].min())
+            assert r.threshold == xstar_kernel(vals.copy(), theta)
 
     def test_random_pivot_deterministic_per_seed(self, rng):
         vals = rng.random(200)
         a = quickmark(vals, 0.5, RandomPivot(seed=5))
         b = quickmark(vals, 0.5, RandomPivot(seed=5))
-        assert a.n == b.n and a.x_star == b.x_star
-        assert np.array_equal(a.perm, b.perm)
+        assert a.cardinality == b.cardinality and a.threshold == b.threshold
+        assert np.array_equal(a.marked, b.marked)
 
 
 class TestInstrumentedPath:
@@ -142,8 +144,8 @@ class TestInstrumentedPath:
                 counter = OpCounter()
                 counted = quickmark(vals, theta, piv, counter=counter, check_invariants=True)
                 fast = quickmark(vals, theta, piv)
-                assert counted.n == fast.n
-                assert counted.x_star == fast.x_star
+                assert counted.cardinality == fast.cardinality
+                assert counted.threshold == fast.threshold
                 assert counter.comparisons > 0
 
     def test_quantile_cost_scales_with_min_q(self, rng):
@@ -193,7 +195,7 @@ class TestXStarKernel:
             if not vals.any():
                 vals[0] = 1.0
             theta = float(rng.uniform(0.05, 0.95))
-            assert xstar_kernel(vals.copy(), theta) == quickmark(vals, theta).x_star
+            assert xstar_kernel(vals.copy(), theta) == quickmark(vals, theta).threshold
 
     def test_counted_matches_fast(self, rng):
         for _ in range(100):
@@ -218,20 +220,7 @@ class TestXStarKernel:
 
 
 class TestSetFromThreshold:
-    def test_examples(self):
-        assert set_from_threshold([4, 1, 2, 3], 0.5, 3.0).marked_set == {0, 3}
-        assert set_from_threshold([2, 2, 2, 2], 0.5, 2.0).marked.tolist() == [0, 1]
-        assert set_from_threshold([9, 1], 0.5, 9.0).marked.tolist() == [0]
-
-    def test_threshold_too_small(self):
-        with pytest.raises(ThresholdMismatchError):
-            set_from_threshold([4, 1, 2, 3], 0.5, 1.0)
-
-    def test_threshold_falls_short(self):
-        with pytest.raises(ThresholdMismatchError):
-            set_from_threshold([4, 1, 2, 3], 0.5, 10.0)
-        with pytest.raises(ThresholdMismatchError):
-            set_from_threshold([4, 1, 2, 3], 0.5, 4.0)
+    """The xstar set is minimal: its cut is the kernel's, not rebuilt from x_star."""
 
     def test_cardinality_matches_oracle(self, rng):
         for _ in range(300):
@@ -239,8 +228,7 @@ class TestSetFromThreshold:
             if not vals.any():
                 vals[0] = 1.0
             theta = float(rng.uniform(0.05, 0.95))
-            star = xstar_kernel(vals.copy(), theta)
-            out = set_from_threshold(vals, theta, star)
+            out = mark(vals, theta, "xstar").outcome
             assert out.cardinality == sort_mark(vals, theta).cardinality
             assert satisfies_doerfler(vals, theta, out.marked)
 
@@ -290,7 +278,7 @@ class TestBoundaryCuts:
             ([0.63, 5.2e-06, 5e-05, 0.73], 0.9999999999999999, QuantilePivot(0.7)),
             ([0.018, 0.00041, 0.048], 0.993826230989309, RandomPivot(1)),
             # threshold and cut disagreed when rebuilt by a second float
-            # decision (ThresholdMismatchError from xstar before)
+            # decision (xstar raised a threshold-mismatch error before)
             ([0.004, 0.0024, 0.0068, 0.0062], 0.8762886597938145, MedianPivot()),
         ],
     )
@@ -326,12 +314,6 @@ class TestMaterialise:
         marked = _materialise(np.array([1.0, 2.0]), 2.0, 1)
         assert marked.dtype == np.int64 and not marked.flags.writeable
 
-    def test_lazy_perm_lists_marked_then_rest(self):
-        r = quickmark([4.0, 1.0, 2.0, 3.0], 0.5)
-        assert r.marked.tolist() == [0, 3]
-        assert r.perm.tolist() == [0, 3, 1, 2]
-        assert not r.perm.flags.writeable
-
 
 class TestCheckInvariants:
     def test_level_check_rejects_broken_states(self):
@@ -354,7 +336,7 @@ class TestCheckInvariants:
         iv = IndicatorVector([4.0, 1.0, 2.0, 3.0])
 
         def cut(marked, x_star):
-            return QuickMarkResult(np.array(marked), x_star, iv.n)
+            return replace(MarkingOutcome.from_marked(iv, marked), threshold=x_star)
 
         _verify_cut(iv, cut([0, 3], 3.0), 5.0, tol)  # admissible
         with pytest.raises(AdmissibilityError, match="smallest"):
