@@ -31,6 +31,10 @@ from .core import (
 
 __all__ = ["BinLayout", "binning_depth", "bin_layout", "binning_mark"]
 
+# size of binning_mark's first prefix-sum chunk (each later one doubles): up to
+# this size it makes one gather and one cumsum, as a whole-array prefix would
+_FIRST_CHUNK = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class BinLayout:
@@ -126,9 +130,16 @@ def binning_mark(
     iv = as_indicators(x)
     layout = bin_layout(iv, theta, nu, counter)
     concatenated = np.concatenate(layout.bins)
-    prefix = np.cumsum(iv.values[concatenated])
     v = goal_value(iv, theta)
-    cut = int(np.searchsorted(prefix, v, side="left"))
+    # prefix sums of the concatenation in doubling chunks, up to the chunk
+    # that reaches the goal; cumsum adds sequentially, so continuing from the
+    # carry gives the floats of one cumsum over the whole concatenation
+    start, stop = 0, _FIRST_CHUNK
+    prefix = np.cumsum(iv.values[concatenated[:stop]])
+    while prefix[-1] < v and stop < iv.n:
+        start, stop = stop, 2 * stop
+        prefix = np.cumsum(np.concatenate((prefix[-1:], iv.values[concatenated[start:stop]])))[1:]
+    cut = start + int(np.searchsorted(prefix, v, side="left"))
     n = min(cut, iv.n - 1) + 1
     if counter is not None:
         counter.add(n)

@@ -7,6 +7,7 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -93,6 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, and
+    # building the tree costs more than marking a small file
+    return build_parser()
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = BenchConfig(
         theta_grid=tuple(args.theta) if args.theta else DEFAULT_THETA_GRID,
@@ -129,8 +137,7 @@ def _cmd_mark(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "bench":
             return _cmd_bench(args)

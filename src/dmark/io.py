@@ -5,7 +5,10 @@ Two interchangeable on-disk formats, selected by extension:
 * ``.txt``  - text, one decimal float per line
 * ``.f64``  - binary, little-endian IEEE-754 doubles
 
-Marked indices are written 0-based, one per line, in ascending order.
+Marked indices are written as ASCII decimal, 0-based, one per line with an
+LF terminator, in ascending order; an empty set writes an empty file.  The
+bytes are those of ``"".join(f"{i}\\n" for i in sorted(indices))``, the same
+as earlier releases wrote.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import IndicatorVector, ParseError, index_array
+from .core import IndicatorVector, MarkingError, ParseError, index_array
 
 __all__ = ["read_indicators", "write_indicators", "write_marked_indices"]
 
@@ -65,7 +68,8 @@ def _read_binary(p: Path) -> np.ndarray:
         raise ParseError(f"{p}: {exc}") from exc
     if len(raw) % 8 != 0:
         raise ParseError(f"{p}: size {len(raw)} is not a multiple of 8 bytes")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    # read-only view of the bytes; IndicatorVector copies it into native order
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def write_indicators(path: PathLike, values: np.ndarray) -> None:
@@ -83,6 +87,52 @@ def write_indicators(path: PathLike, values: np.ndarray) -> None:
 
 
 def write_marked_indices(path: PathLike, indices: Iterable[int]) -> None:
-    ordered = np.sort(index_array(indices)).tolist()
-    text = "\n".join(map(str, ordered)) + "\n" if ordered else ""
-    Path(path).write_text(text, encoding="utf-8")
+    """Write the indices in ascending order, one decimal per line.
+
+    Raises :class:`MarkingError` for a negative index.
+    """
+    idx = index_array(indices)
+    # the threshold strategies already produce ascending sets
+    if (idx[1:] < idx[:-1]).any():
+        idx = np.sort(idx)
+    if idx.size and idx[0] < 0:
+        raise MarkingError(f"marked index {int(idx[0])} is negative")
+    Path(path).write_bytes(_decimal_lines(idx))
+
+
+# "00", "01", ..., "99" as 2-byte units, so one store writes two digits
+_DIGIT_PAIRS = np.frombuffer(
+    "".join(f"{i:02d}" for i in range(100)).encode("ascii"), dtype=np.uint16
+)
+# 10**1 .. 10**18: the entries below 10**d have at most d digits (int64 has at most 19)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _decimal_lines(idx: np.ndarray) -> np.ndarray:
+    """The bytes of ``f"{i}\\n"`` for each entry of an ascending nonnegative int64 array.
+
+    Entries with ``d`` digits form one contiguous block, written as an
+    ``(n_d, d + 1)`` byte matrix: digits right to left, two per division by
+    100, and LF in the last column.
+    """
+    # edges[d - 1]:edges[d] holds the entries with d digits
+    edges = [0, *np.searchsorted(idx, _POWERS_OF_TEN).tolist(), idx.size]
+    out = np.empty(sum((edges[d] - edges[d - 1]) * (d + 1) for d in range(1, 20)), dtype=np.uint8)
+    offset = 0
+    for d in range(1, 20):
+        lo, hi = edges[d - 1], edges[d]
+        if lo == hi:
+            continue
+        block = out[offset : offset + (hi - lo) * (d + 1)].reshape(hi - lo, d + 1)
+        offset += block.size
+        block[:, d] = ord("\n")
+        # unsigned division is cheaper, and 32 bits cheaper still
+        q = idx[lo:hi].astype(np.uint32 if d <= 9 else np.uint64)
+        col = d
+        while col >= 2:
+            q, r = np.divmod(q, 100)
+            block[:, col - 2 : col].view(np.uint16)[:, 0] = _DIGIT_PAIRS[r]
+            col -= 2
+        if col == 1:
+            block[:, 0] = q + ord("0")
+    return out

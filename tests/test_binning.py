@@ -154,6 +154,19 @@ class TestBinningMark:
             fast = binning_mark(vals, 0.6, 0.5)
             assert np.array_equal(counted.marked, fast.marked)
 
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000, 70000])
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 0.97, math.nextafter(1.0, 0.0)])
+    def test_cut_equals_whole_concatenation_prefix(self, rng, n, theta):
+        # reference: one cumsum over the whole bin concatenation, cut at the
+        # first prefix that reaches the goal, all of it when none does
+        for vals in (rng.random(n), rng.lognormal(0.0, 2.5, n)):
+            layout = bin_layout(vals, theta, 0.5)
+            concatenated = np.concatenate(layout.bins)
+            prefix = np.cumsum(vals[concatenated])
+            cut = int(np.searchsorted(prefix, theta * np.sum(vals), side="left"))
+            expected = concatenated[: min(cut, n - 1) + 1]
+            assert np.array_equal(binning_mark(vals, theta, 0.5).marked, expected)
+
     @pytest.mark.parametrize(
         "seed,n,theta,nu,kind,depth,count",
         [

@@ -6,8 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from dmark import mark
+from dmark.bench import DEFAULT_ALGORITHMS
 from dmark.cli import main
 from dmark.io import write_indicators
+from dmark.markers import ALGORITHM_NAMES
 
 
 @pytest.fixture
@@ -118,6 +121,20 @@ class TestMark:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_large_binary_file_every_algorithm(self, tmp_path, rng):
+        x = rng.random(10**5)
+        src = tmp_path / "ind.f64"
+        write_indicators(src, x)
+        out = tmp_path / "m.txt"
+        for algorithm in ALGORITHM_NAMES:
+            code = main(
+                ["mark", "--input", str(src), "--theta", "0.5", "--algorithm", algorithm,
+                 "--output", str(out)]
+            )
+            assert code == 0
+            expected = np.sort(mark(x, 0.5, algorithm).outcome.marked)
+            assert np.array_equal(np.loadtxt(out, dtype=np.int64), expected)
+
 
 class TestBench:
     def test_csv_to_stdout(self, capsys):
@@ -199,6 +216,41 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--format", "yaml"])
         assert exc.value.code == 2
+
+
+def test_repeated_calls_share_no_parser_state(indicator_file, tmp_path, capsys):
+    grid = ["--n", "200", "--theta", "0.5", "--runs", "1"]
+
+    def algorithms_in_csv():
+        rows = capsys.readouterr().out.splitlines()[1:]
+        return {row.split(",")[0] for row in rows}
+
+    assert main(["bench", "--algorithm", "sort", "--algorithm", "xstar", *grid]) == 0
+    assert algorithms_in_csv() == {"sort", "xstar"}
+    assert main(["bench", *grid]) == 0
+    assert algorithms_in_csv() == set(DEFAULT_ALGORITHMS)
+    out = tmp_path / "m.txt"
+    code = main(["mark", "--input", str(indicator_file), "--theta", "0.5", "--output", str(out)])
+    assert code == 0
+    assert out.read_text() == "0\n3\n"
+    report = capsys.readouterr().out
+    assert "algorithm=quickmark" in report
+    assert "cardinality=2" in report
+
+
+def test_mark_in_a_fresh_process(tmp_path):
+    src = tmp_path / "x.f64"
+    write_indicators(src, np.array([4.0, 1.0, 2.0, 3.0]))
+    out = tmp_path / "m.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmark.cli", "mark", "--input", str(src), "--output", str(out),
+         "--theta", "0.5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == b"0\n3\n"
+    assert "cardinality=2" in proc.stdout
 
 
 def test_console_entry_point():
