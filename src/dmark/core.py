@@ -10,10 +10,12 @@ total indicator mass::
 Every marking strategy in this package returns such a set; they differ in
 cardinality guarantees and cost.  All indices are 0-based.
 
-Whole-vector sums are computed with numpy's pairwise summation; the one
-incremental running sum, that of the decrement strategy, inlines Neumaier
-compensation.  The verification predicate :func:`satisfies_doerfler` is
-the only place where a floating-point slack is applied.
+Whole-vector sums are computed with numpy's pairwise summation, once per
+:class:`IndicatorVector`.  The decrement strategy stops at the first prefix
+of its selection whose correctly rounded sum reaches the goal, with
+``math.fsum`` settling the prefixes within rounding of it.  The verification
+predicate :func:`satisfies_doerfler` is the only place where a
+floating-point slack is applied.
 """
 
 from __future__ import annotations
@@ -134,16 +136,18 @@ class IndicatorVector:
     The entries are the summands of the marking criterion.  Callers that work
     with squared estimator contributions must square before constructing the
     vector; the library never squares on its own.
-    The stored array is an immutable float64 copy of the input.
+    The stored array is an immutable float64 copy of the input, so its sum
+    is computed on the first call of :meth:`total` and kept.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_total")
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]):
         arr = np.array(values, dtype=np.float64)
         check_indicators(arr)
         arr.setflags(write=False)
         self.values = arr
+        self._total: float | None = None
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -153,7 +157,9 @@ class IndicatorVector:
         return int(self.values.size)
 
     def total(self) -> float:
-        return pairwise_sum(self.values)
+        if self._total is None:
+            self._total = pairwise_sum(self.values)
+        return self._total
 
     def max_value(self) -> float:
         return float(self.values.max())

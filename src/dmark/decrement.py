@@ -8,20 +8,26 @@ marking criterion at cost O(N / nu), but its cardinality can exceed any fixed
 multiple of the minimum (see :mod:`dmark.oracle` for a witness family), so
 this routine is kept as a reference only.
 
-The running sum is updated incrementally with Neumaier compensation so that
-termination decisions match exact arithmetic on the stored floats.
+Each sweep is one numpy pass: a mask of its candidates and a ``cumsum`` of
+their values.  The sweep stops at the first prefix whose correctly rounded
+sum ``fl(sum of the selected doubles)`` reaches the goal; the float prefix
+sums decide unless they lie within their error bound of the goal, and
+``math.fsum`` settles those few positions.  The stop therefore depends only
+on the selected set, not on the order of summation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .core import (
+    EPS,
     IndicatorInput,
+    IndicatorVector,
     MarkingOutcome,
     OpCounter,
     as_indicators,
@@ -38,7 +44,9 @@ class DecrementState:
     """Final sweep state, exposed for verification.
 
     ``selection`` lists the selected indices in selection order; the threshold
-    in sweep ``k`` is ``(1 - k*nu) * max_value``.
+    in sweep ``k`` is ``(1 - k*nu) * max_value``.  ``running_sum`` is the
+    float ``cumsum`` of the selection in selection order; the stop test
+    itself decides on the correctly rounded sum.
     """
 
     selected_count: int
@@ -51,7 +59,8 @@ class DecrementState:
 def sweep_limit(nu: float) -> int:
     """``ceil(1/nu)`` evaluated exactly on the binary value of ``nu``."""
     check_nu(nu)
-    return math.ceil(Fraction(1) / Fraction(nu))
+    num, den = nu.as_integer_ratio()
+    return -(-den // num)
 
 
 def decrement_mark(
@@ -69,8 +78,8 @@ def decrement_mark(
     to marking everything on constant vectors and exists solely to demonstrate
     the failure mode; it is not a supported strategy.
     """
-    outcome, _ = _run(x, theta, nu, legacy_sweep_termination, counter)
-    return outcome
+    iv, selection, _, _ = _run(x, theta, nu, legacy_sweep_termination, counter)
+    return MarkingOutcome.trusted(iv, selection)
 
 
 def decrement_trace(
@@ -81,8 +90,16 @@ def decrement_trace(
     legacy_sweep_termination: bool = False,
 ) -> DecrementState:
     """Run the sweep and return the final state instead of the outcome."""
-    _, state = _run(x, theta, nu, legacy_sweep_termination, None)
-    return state
+    iv, selection, sweeps_used, running_sum = _run(
+        x, theta, nu, legacy_sweep_termination, None
+    )
+    return DecrementState(
+        selected_count=int(selection.size),
+        selection=tuple(selection.tolist()),
+        max_value=iv.max_value(),
+        sweeps_used=sweeps_used,
+        running_sum=running_sum,
+    )
 
 
 def _run(
@@ -91,79 +108,105 @@ def _run(
     nu: float,
     legacy: bool,
     counter: OpCounter | None,
-) -> tuple[MarkingOutcome, DecrementState]:
+) -> tuple[IndicatorVector, np.ndarray, int, float]:
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
-
-    values = iv.values.tolist()
-    v = goal_value(iv, theta)
-    m_max = iv.max_value()
-    sweeps = sweep_limit(nu)
-
-    selection, sweeps_used, total = _sweeps(values, v, m_max, nu, sweeps, legacy, counter)
-
-    state = DecrementState(
-        selected_count=len(selection),
-        selection=tuple(selection),
-        max_value=m_max,
-        sweeps_used=sweeps_used,
-        running_sum=total,
+    selection, sweeps_used, running_sum = _sweeps(
+        iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu), legacy, counter
     )
-    return MarkingOutcome.trusted(iv, np.array(selection, dtype=np.int64)), state
+    return iv, selection, sweeps_used, running_sum
 
 
 def _sweeps(
-    values: list[float],
+    x: np.ndarray,
     v: float,
     m_max: float,
     nu: float,
     sweeps: int,
     legacy: bool,
     counter: OpCounter | None,
-) -> tuple[list[int], int, float]:
-    """Run the sweeps; a ``counter`` gets the threshold and stop comparisons.
+) -> tuple[np.ndarray, int, float]:
+    """Run the sweeps; return the selection, the sweeps used and the running sum.
 
-    The count is derived once per sweep from the loop's own state: the sweep
-    compares every entry up to the last visited position ``i`` that was not
-    selected before it, and makes one stop test per selection (one per sweep
-    in legacy mode).
+    The thresholds ``t_k`` do not increase and a sweep that does not stop
+    takes all its candidates, so the candidates of sweep ``k`` are the
+    entries in ``(t_k, t_{k-1}]`` (``t_0 = inf``), in index order.  A
+    ``counter`` gets, per sweep, the free entries up to the last position
+    visited (one threshold comparison each) plus one stop test per
+    selection (one per sweep in legacy mode).
     """
-    n_total = len(values)
-    selected = bytearray(n_total)
-    selection: list[int] = []
-    s = 0.0
-    c = 0.0
-    sweeps_used = 0
-    done = False
+    parts: list[np.ndarray] = []
+    taken = 0
+    running = 0.0
+    above_prev = np.zeros(x.size, dtype=bool)
     for k in range(1, sweeps + 1):
-        sweeps_used = k
-        threshold = (1.0 - k * nu) * m_max
-        before = len(selection)
-        for i in range(n_total):
-            if selected[i]:
-                continue
-            xi = values[i]
-            if xi > threshold:
-                selected[i] = 1
-                selection.append(i)
-                t = s + xi
-                if s >= xi:
-                    c += (s - t) + xi
-                else:
-                    c += (xi - t) + s
-                s = t
-                if not legacy and s + c >= v:
-                    done = True
-                    break
+        above = x > (1.0 - k * nu) * m_max
+        # above_prev is a subset of above, so xor keeps (t_k, t_{k-1}]
+        candidates = np.flatnonzero(above ^ above_prev)
+        prefix = np.cumsum(x[candidates])
+        prefix += running
+        stop = candidates.size
+        if math.isfinite(v) and candidates.size:
+            first = candidates.size - 1 if legacy else 0
+            stop = first + _first_reaching(
+                prefix[first:], v, taken + candidates.size,
+                lambda j: _exact_sum(x, parts + [candidates[: first + j + 1]]),
+            )
+        if legacy or stop == candidates.size:
+            take, last = candidates.size, x.size - 1
+        else:
+            take, last = stop + 1, int(candidates[stop])
         if counter is not None:
-            new = len(selection) - before
-            counter.add((i + 1) - selected[: i + 1].count(1) + new + (1 if legacy else new))
-        if legacy and s + c >= v:
-            done = True
-        if done:
-            break
-    # Exhausting the sweeps without reaching the goal (possible only through
-    # last-ulp shortfall for theta near 1) leaves all positive entries
-    # selected, which satisfies the criterion by definition.
-    return selection, sweeps_used, s + c
+            free = last + 1 - int(np.count_nonzero(above_prev[: last + 1]))
+            counter.add(free + (1 if legacy else take))
+        parts.append(candidates[:take])
+        taken += take
+        if take:
+            running = float(prefix[take - 1])
+        if stop < candidates.size:
+            return np.concatenate(parts), k, running
+        above_prev = above
+    # Exhausting the sweeps without reaching the goal (only through last-ulp
+    # shortfall for theta near 1, or an overflowed goal) selects every entry
+    # above the last threshold, which satisfies the criterion by definition.
+    return np.concatenate(parts), sweeps, running
+
+
+def _first_reaching(
+    prefix: np.ndarray, v: float, m: int, exact_sum: Callable[[int], float]
+) -> int:
+    """Position of the first prefix whose correctly rounded sum reaches ``v``.
+
+    ``prefix`` holds float running sums of at most ``m`` nonnegative
+    summands each, so each lies within a relative ``m * eps / 2`` of its
+    exact sum.  Positions whose float sums lie more than ``2 * (m + 1) * eps``
+    away from ``v`` are decided by the float sum alone; the window between
+    is settled by ``exact_sum(j)``, the correctly rounded sum up to ``j``.
+    The sum before ``prefix[0]`` is taken to fall short of ``v``.  Returns
+    ``len(prefix)`` when no prefix reaches ``v``.
+    """
+    slack = 2.0 * (m + 1) * EPS
+    below, above = v * (1.0 - slack), v * (1.0 + slack)
+    pos = int(np.searchsorted(prefix, v, side="left"))
+    # an overflowed upper bound clears nothing: a float sum of inf may round up
+    clear_above = pos == prefix.size or (above != math.inf and prefix[pos] >= above)
+    if clear_above and (pos == 0 or prefix[pos - 1] < below):
+        return pos
+    lo = int(np.searchsorted(prefix, below, side="left"))
+    hi = prefix.size if above == math.inf else int(np.searchsorted(prefix, above, side="left"))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if exact_sum(mid) >= v:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
+    """Correctly rounded sum of ``x`` over the index arrays ``parts``."""
+    try:
+        return math.fsum(x[np.concatenate(parts)].tolist())
+    except OverflowError:  # the exact sum exceeds the largest double
+        return math.inf

@@ -121,6 +121,47 @@ class TestMark:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algorithm,lines",
+        [
+            ("quickmark", ["cardinality=2", "achieved_sum=1.0", "x_star=0.3"]),
+            ("sort", ["cardinality=2", "achieved_sum=1.0"]),
+            ("binning", ["cardinality=2", "achieved_sum=0.8999999999999999"]),
+            ("decrement", ["cardinality=3", "achieved_sum=1.0"]),
+        ],
+    )
+    def test_report_lines(self, tmp_path, capsys, algorithm, lines):
+        src = tmp_path / "ind.txt"
+        src.write_text("0.1\n0.2\n0.3\n0.7\n0.05\n")
+        out = tmp_path / "m.txt"
+        code = main(
+            ["mark", "--input", str(src), "--theta", "0.65", "--algorithm", algorithm,
+             "--output", str(out)]
+        )
+        assert code == 0
+        expected = [
+            f"algorithm={algorithm}",
+            "n=5",
+            "theta=0.65",
+            "goal_value=0.8775000000000001",
+            *lines,
+            f"output={out}",
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_goal_value_is_theta_times_numpy_sum(self, tmp_path, capsys, rng):
+        x = rng.lognormal(0.0, 2.5, 10**4)
+        src = tmp_path / "ind.f64"
+        write_indicators(src, x)
+        for algorithm in ALGORITHM_NAMES:
+            code = main(
+                ["mark", "--input", str(src), "--theta", "0.37", "--algorithm", algorithm,
+                 "--output", str(tmp_path / "m.txt")]
+            )
+            assert code == 0
+            report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+            assert float(report["goal_value"]) == 0.37 * np.sum(x)
+
     def test_large_binary_file_every_algorithm(self, tmp_path, rng):
         x = rng.random(10**5)
         src = tmp_path / "ind.f64"

@@ -13,6 +13,7 @@ from dmark import (
     MarkingOutcome,
     MarkingParams,
     ParameterError,
+    binning_mark,
     criterion_tolerance,
     gen_counterexample,
     goal_value,
@@ -20,6 +21,7 @@ from dmark import (
     mark_theta_one,
     satisfies_doerfler,
 )
+from dmark import core
 
 nonneg_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=40
@@ -47,6 +49,19 @@ class TestIndicatorVector:
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidIndicatorsError):
             IndicatorVector(bad)
+
+    def test_total_is_summed_once(self, monkeypatch, rng):
+        # binning_depth and goal_value both read the total of one vector
+        x = rng.random(1000)
+        sizes = []
+        pairwise_sum = core.pairwise_sum
+        monkeypatch.setattr(
+            core, "pairwise_sum", lambda a: sizes.append(a.size) or pairwise_sum(a)
+        )
+        iv = IndicatorVector(x)
+        binning_mark(iv, 0.5, 0.5)
+        assert sizes.count(x.size) == 1
+        assert iv.total() == np.sum(x)
 
     def test_values_are_immutable(self):
         iv = IndicatorVector([1.0, 2.0])

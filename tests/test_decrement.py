@@ -1,11 +1,14 @@
 """Threshold-decrement marking: sweep semantics, cost and the witness family."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import KINDS, instance
 from dmark import (
+    MarkingError,
     OpCounter,
     ParameterError,
     decrement_mark,
@@ -15,6 +18,7 @@ from dmark import (
     satisfies_doerfler,
 )
 from dmark.decrement import sweep_limit
+from test_quickmark import boundary_instance
 
 
 def test_hand_executed_example():
@@ -141,3 +145,130 @@ def test_pinned_counts_on_witness():
 def test_parameter_validation(theta, nu):
     with pytest.raises(ParameterError):
         decrement_mark([1.0, 2.0], theta, nu)
+
+
+def test_sweep_limit_matches_fraction(rng):
+    edges = [
+        math.nextafter(0.5, 0.0),
+        math.nextafter(0.5, 1.0),
+        0.1,
+        1 / 3,
+        2.0**-40,
+        math.nextafter(1.0, 0.0),
+    ]
+    for nu in edges + rng.uniform(0.0, 1.0, 10_000).tolist():
+        if nu == 0.0:
+            continue
+        assert sweep_limit(nu) == math.ceil(Fraction(1) / Fraction(nu)), nu
+
+
+def _correctly_rounded_sum(values):
+    try:
+        return math.fsum(values)
+    except OverflowError:  # the exact sum exceeds the largest double
+        return math.inf
+
+
+def reference_decrement(x, theta, nu, legacy=False):
+    """The per-element sweep loop with the stop test ``fsum(selected) >= v``.
+
+    Returns the selection in order, the sweeps used and the operation count:
+    per sweep, the free entries up to the last visited position plus one stop
+    test per selection (one per sweep in legacy mode).
+    """
+    values = np.asarray(x, dtype=np.float64).tolist()
+    v = theta * float(np.sum(values))
+    m_max = max(values)
+    sweeps = sweep_limit(nu)
+    selected = [False] * len(values)
+    selection = []
+    count = 0
+
+    def reached():
+        return math.isfinite(v) and _correctly_rounded_sum(values[j] for j in selection) >= v
+
+    for k in range(1, sweeps + 1):
+        threshold = (1.0 - k * nu) * m_max
+        new = 0
+        done = False
+        for i, xi in enumerate(values):
+            if selected[i]:
+                continue
+            if xi > threshold:
+                selected[i] = True
+                selection.append(i)
+                new += 1
+                if not legacy and reached():
+                    done = True
+                    break
+        count += (i + 1) - sum(selected[: i + 1]) + new + (1 if legacy else new)
+        if legacy and reached():
+            done = True
+        if done:
+            return selection, k, count
+    return selection, sweeps, count
+
+
+def _assert_matches_reference(x, theta, nu, legacy):
+    selection, sweeps_used, count = reference_decrement(x, theta, nu, legacy)
+    counter = OpCounter()
+    out = decrement_mark(x, theta, nu, legacy_sweep_termination=legacy, counter=counter)
+    state = decrement_trace(x, theta, nu, legacy_sweep_termination=legacy)
+    assert out.marked.tolist() == selection
+    assert list(state.selection) == selection
+    assert state.sweeps_used == sweeps_used
+    assert counter.comparisons == count
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("legacy", [False, True])
+def test_matches_reference_loop(rng, nu, legacy):
+    # at nu = 0.3 the last threshold is negative, so thetas near 1 select zeros
+    for trial in range(60):
+        x = instance(rng, int(rng.integers(1, 120)), KINDS[trial % len(KINDS)])
+        theta = float(rng.choice([rng.uniform(0.05, 0.95), math.nextafter(1.0, 0.0)]))
+        _assert_matches_reference(x, theta, nu, legacy)
+
+
+def test_matches_reference_loop_on_boundary_instances(rng):
+    for trial in range(300):
+        x, theta = boundary_instance(rng, int(rng.integers(2, 60)))
+        _assert_matches_reference(x, theta, 0.5, bool(trial % 2))
+
+
+def test_exact_fallback_decides_witness(monkeypatch):
+    # the witness's float prefix sums land within rounding of the goal 2.5,
+    # so the stop is settled by math.fsum; the cardinalities stay 9 and 16
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+    for c, cardinality in ((1, 9), (2, 16)):
+        x, _ = gen_counterexample(c, 0.5, 0.5)
+        calls.clear()
+        assert decrement_mark(x, 0.5, 0.5).cardinality == cardinality
+        assert calls
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.45, 0.9])
+def test_overflowed_goal_marks_every_positive_entry(theta):
+    # the sum overflows, so the goal is inf and no sweep stops
+    x = [1e308, 1e308, 1e307]
+    try:
+        out = decrement_mark(x, theta, 0.5)
+        state = decrement_trace(x, theta, 0.5, legacy_sweep_termination=True)
+    except MarkingError:
+        pytest.fail("the overflowed goal is a valid input")
+    assert sorted(out.marked.tolist()) == [0, 1, 2]
+    assert sorted(state.selection) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.9])
+def test_counted_cost_is_linear(nu):
+    rng = np.random.default_rng(7)
+    per_element = []
+    for n in (10**3, 10**4, 10**5, 10**6):
+        counter = OpCounter()
+        decrement_mark(rng.random(n), 0.5, nu, counter=counter)
+        per_element.append(counter.comparisons / n)
+    assert max(per_element) <= sweep_limit(nu) + 1
+    assert max(per_element) / min(per_element) <= 2
