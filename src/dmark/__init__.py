@@ -9,7 +9,7 @@ indicator mass.  The package provides:
   :func:`dmark.quickmark.xstar_kernel`, returns just the threshold,
 * :func:`dmark.sort_mark.sort_mark` - minimal cardinality via a full sort
   (log-linear reference and oracle),
-* :func:`dmark.binning.binning_mark` - quasi-minimal at linear cost,
+* :func:`dmark.binning.binning_mark` - quasi-minimal at O(N log K + K) cost,
 * :func:`dmark.decrement.decrement_mark` - linear cost, no cardinality
   guarantee (historical reference).
 
@@ -20,7 +20,7 @@ verification oracles (:mod:`dmark.oracle`), file formats (:mod:`dmark.io`)
 and a benchmark harness (:mod:`dmark.bench`, CLI ``dmark``).
 """
 
-from .binning import BinLayout, bin_layout, binning_depth, binning_mark
+from .binning import bin_layout, binning_depth, binning_mark
 from .core import (
     AdmissibilityError,
     IndicatorVector,
@@ -28,7 +28,6 @@ from .core import (
     InvalidIndicatorsError,
     MarkingError,
     MarkingOutcome,
-    MarkingParams,
     OpCounter,
     ParameterError,
     ParseError,
@@ -55,7 +54,7 @@ from .quickmark import (
     quickmark,
     xstar_kernel,
 )
-from .sort_mark import SortedPrefix, sort_mark, sorted_prefix
+from .sort_mark import sort_mark, sorted_prefix
 
 __version__ = "0.1.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "__version__",
     "ALGORITHM_NAMES",
     "AdmissibilityError",
-    "BinLayout",
     "CounterexampleSpec",
     "DecrementState",
     "IndicatorVector",
@@ -72,7 +70,6 @@ __all__ = [
     "MarkerRun",
     "MarkingError",
     "MarkingOutcome",
-    "MarkingParams",
     "MedianPivot",
     "OpCounter",
     "ParameterError",
@@ -80,7 +77,6 @@ __all__ = [
     "PivotStrategy",
     "QuantilePivot",
     "RandomPivot",
-    "SortedPrefix",
     "as_indicators",
     "bin_layout",
     "binning_depth",

@@ -1,16 +1,16 @@
-"""Quasi-minimal linear-cost marking by geometric binning.
+"""Quasi-minimal marking by geometric binning.
 
-Indicators are grouped by their ratio to the maximum into geometrically
-shrinking ranges ``nu**(k+1) < x/max <= nu**k`` for ``k = 0, ..., K``, with a
-tail bin collecting the rest.  Concatenating the bins approximates a
-descending sort well enough that cutting the concatenation at the goal value
-yields a set of cardinality at most ``ceil(N_min / nu)`` at cost O(N + K).
+Indicators are labelled by their ratio to the maximum, with geometrically
+shrinking ranges ``nu**(k+1) < x/max <= nu**k`` for ``k = 0, ..., K`` and a
+tail label for the rest.  Walking the bins in order, each in ascending
+index order, approximates a descending sort well enough that cutting the
+walk at the goal value yields a set of cardinality at most
+``ceil(N_min / nu)``.  Labelling bisects the ``K + 1`` boundaries, so the
+cost is O(N log K + K).
 
-Bin boundaries are compared on the exact powers of ``nu`` (computed by
-repeated multiplication, never through logarithms), so boundary values land
-deterministically: a ratio equal to ``nu**k`` belongs to bin ``k``, one equal
-to ``nu**(k+1)`` to bin ``k+1``.  Within a bin, indices stay in ascending
-original order.
+Bin boundaries are the exact powers of ``nu`` (repeated multiplication,
+never logarithms): a ratio equal to ``nu**k`` belongs to bin ``k``, one
+equal to ``nu**(k+1)`` to bin ``k+1``.
 """
 
 from __future__ import annotations
@@ -23,29 +23,29 @@ from .core import (
     IndicatorInput,
     MarkingOutcome,
     OpCounter,
+    _exact_sum,
+    _first_reaching,
     as_indicators,
     check_nu,
     check_theta,
     goal_value,
+    overflow_guard,
 )
 
 __all__ = ["BinLayout", "binning_depth", "bin_layout", "binning_mark"]
 
-# size of binning_mark's first prefix-sum chunk (each later one doubles): up to
-# this size it makes one gather and one cumsum, as a whole-array prefix would
-_FIRST_CHUNK = 1024
-
 
 @dataclass(frozen=True, eq=False)
 class BinLayout:
-    """Partition of the index set into geometric bins plus a tail.
+    """Bin label of every index: geometric bins plus a tail.
 
-    ``bins[k]`` for ``k <= depth`` holds the indices with ratio in
-    ``(nu**(k+1), nu**k]``; ``bins[depth + 1]`` is the tail.
+    ``labels[i] == k`` for ``k <= depth`` when index ``i`` has ratio in
+    ``(nu**(k+1), nu**k]``, and ``depth + 1`` for the tail.  The labels use
+    the narrowest unsigned integer type that holds ``depth + 1``.
     """
 
     depth: int
-    bins: tuple[np.ndarray, ...]
+    labels: np.ndarray
     max_value: float
 
 
@@ -84,19 +84,8 @@ def bin_layout(
     position = np.searchsorted(ascending, ratios, side="left")
     if counter is not None:
         counter.add(int(np.bincount(position, minlength=depth + 2) @ _bisect_steps(depth + 1)))
-    bin_of = (depth + 1) - position
-
-    # stable integer sort groups indices by bin while keeping ascending
-    # original order inside each bin; labels of 16 bits or fewer make it a
-    # linear-time radix sort
-    bin_of = bin_of.astype(np.min_scalar_type(depth + 1))
-    order = np.argsort(bin_of, kind="stable")
-    counts = np.bincount(bin_of, minlength=depth + 2)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    bins = tuple(
-        order[offsets[k] : offsets[k + 1]] for k in range(depth + 2)
-    )
-    return BinLayout(depth=depth, bins=bins, max_value=m_max)
+    labels = ((depth + 1) - position).astype(np.min_scalar_type(depth + 1))
+    return BinLayout(depth=depth, labels=labels, max_value=m_max)
 
 
 def _bisect_steps(size: int) -> np.ndarray:
@@ -122,25 +111,34 @@ def _bisect_steps(size: int) -> np.ndarray:
 def binning_mark(
     x: IndicatorInput, theta: float, nu: float, counter: OpCounter | None = None
 ) -> MarkingOutcome:
-    """Mark by cutting the bin concatenation at the goal value.
+    """Mark by cutting the bin walk at the goal value, without ordering the bins.
 
-    The result satisfies the criterion with cardinality at most
-    ``ceil(N_min / nu)``.
+    The bin masses give the cut bin, the first whose correctly rounded prefix
+    mass reaches the goal, and the cut inside it is the first index-order
+    prefix that reaches it, by the stop rule decrement shares (see
+    :mod:`dmark.core`); when none does, every index is marked.  ``marked``
+    is ascending, with cardinality at most ``ceil(N_min / nu)``.
     """
     iv = as_indicators(x)
     layout = bin_layout(iv, theta, nu, counter)
-    concatenated = np.concatenate(layout.bins)
+    values, labels = iv.values, layout.labels
     v = goal_value(iv, theta)
-    # prefix sums of the concatenation in doubling chunks, up to the chunk
-    # that reaches the goal; cumsum adds sequentially, so continuing from the
-    # carry gives the floats of one cumsum over the whole concatenation
-    start, stop = 0, _FIRST_CHUNK
-    prefix = np.cumsum(iv.values[concatenated[:stop]])
-    while prefix[-1] < v and stop < iv.n:
-        start, stop = stop, 2 * stop
-        prefix = np.cumsum(np.concatenate((prefix[-1:], iv.values[concatenated[start:stop]])))[1:]
-    cut = start + int(np.searchsorted(prefix, v, side="left"))
-    n = min(cut, iv.n - 1) + 1
+    # bincount adds each bin in index order; with the cumsums no float sum
+    # below has more than this many additions
+    m = iv.n + layout.depth + 2
+    with overflow_guard(iv.n, iv.max_value()):
+        masses = np.cumsum(np.bincount(labels, weights=values))
+        j = _first_reaching(
+            masses, v, m, lambda k: _exact_sum(values, [np.flatnonzero(labels <= k)])
+        )
+        members = np.flatnonzero(labels == j)
+        prefix = np.cumsum(values[members]) + (masses[j - 1] if j else 0.0)
+    taken = labels < j
+    stop = _first_reaching(
+        prefix, v, m, lambda i: _exact_sum(values, [np.flatnonzero(taken), members[: i + 1]])
+    )
+    taken[members[: stop + 1]] = True
+    marked = np.flatnonzero(taken)
     if counter is not None:
-        counter.add(n)
-    return MarkingOutcome.trusted(iv, concatenated[:n].copy())
+        counter.add(marked.size)
+    return MarkingOutcome.trusted(iv, marked)

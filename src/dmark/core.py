@@ -11,21 +11,25 @@ Every marking strategy in this package returns such a set; they differ in
 cardinality guarantees and cost.  All indices are 0-based.
 
 Whole-vector sums are computed with numpy's pairwise summation, once per
-:class:`IndicatorVector`.  The decrement strategy stops at the first prefix
-of its selection whose correctly rounded sum reaches the goal, with
-``math.fsum`` settling the prefixes within rounding of it.  The verification
-predicate :func:`satisfies_doerfler` is the only place where a
-floating-point slack is applied.
+:class:`IndicatorVector`.  The decrement and binning strategies share one
+stop rule: the first prefix of their walk whose correctly rounded sum
+reaches the goal, with ``math.fsum`` settling the prefixes within rounding
+of it.  The verification predicate :func:`satisfies_doerfler` is the only
+place where a floating-point slack is applied.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
+_SUM_LIMIT = float(np.finfo(np.float64).max) / 2
+_NO_GUARD = nullcontext()
 
 __all__ = [
     "EPS",
@@ -37,7 +41,6 @@ __all__ = [
     "ParseError",
     "OpCounter",
     "IndicatorVector",
-    "MarkingParams",
     "MarkingOutcome",
     "as_indicators",
     "check_indicators",
@@ -98,6 +101,54 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(np.sum(values))
 
 
+def overflow_guard(n: int, max_value: float) -> AbstractContextManager:
+    """Context that lets float sums of ``n`` entries up to ``max_value`` overflow quietly.
+
+    Such sums stay below ``2 * n * max_value``; unless that reaches the
+    largest double the guard is a no-op, far cheaper than ``np.errstate``.
+    """
+    return np.errstate(over="ignore") if n * max_value >= _SUM_LIMIT else _NO_GUARD
+
+
+def _first_reaching(
+    prefix: np.ndarray, v: float, m: int, exact_sum: Callable[[int], float]
+) -> int:
+    """Position of the first prefix whose correctly rounded sum reaches ``v``.
+
+    ``prefix`` holds float running sums of at most ``m`` nonnegative
+    summands each, so each lies within a relative ``m * eps / 2`` of its
+    exact sum.  Positions whose float sums lie more than ``2 * (m + 1) * eps``
+    away from ``v`` are decided by the float sum alone; the window between
+    is settled by ``exact_sum(j)``, the correctly rounded sum up to ``j``.
+    The sum before ``prefix[0]`` is taken to fall short of ``v``.  Returns
+    ``len(prefix)`` when no prefix reaches ``v``.
+    """
+    slack = 2.0 * (m + 1) * EPS
+    below, above = v * (1.0 - slack), v * (1.0 + slack)
+    pos = int(np.searchsorted(prefix, v, side="left"))
+    # an overflowed upper bound clears nothing: a float sum of inf may round up
+    clear_above = pos == prefix.size or (above != math.inf and prefix[pos] >= above)
+    if clear_above and (pos == 0 or prefix[pos - 1] < below):
+        return pos
+    lo = int(np.searchsorted(prefix, below, side="left"))
+    hi = prefix.size if above == math.inf else int(np.searchsorted(prefix, above, side="left"))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if exact_sum(mid) >= v:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
+    """Correctly rounded sum of ``x`` over the index arrays ``parts``."""
+    try:
+        return math.fsum(x[np.concatenate(parts)].tolist())
+    except OverflowError:  # the exact sum exceeds the largest double
+        return math.inf
+
+
 def check_theta(theta: float, *, allow_one: bool = False) -> None:
     hi_ok = theta <= 1.0 if allow_one else theta < 1.0
     if not (0.0 < theta and hi_ok):
@@ -110,11 +161,11 @@ def check_nu(nu: float) -> None:
         raise ParameterError(f"nu must lie in (0, 1), got {nu!r}")
 
 
-def check_indicators(arr: np.ndarray) -> None:
+def check_indicators(arr: np.ndarray) -> float:
     """Raise :class:`InvalidIndicatorsError` unless ``arr`` is a valid indicator array.
 
     Valid means one-dimensional, nonempty, finite, nonnegative and not all
-    zero.
+    zero.  Returns the largest entry.
     """
     if arr.ndim != 1:
         raise InvalidIndicatorsError(
@@ -122,12 +173,15 @@ def check_indicators(arr: np.ndarray) -> None:
         )
     if arr.size == 0:
         raise InvalidIndicatorsError("indicator vector must not be empty")
-    if not np.all(np.isfinite(arr)):
+    # a NaN entry makes both extremes NaN
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidIndicatorsError("indicators must be finite")
-    if np.any(arr < 0.0):
+    if lo < 0.0:
         raise InvalidIndicatorsError("indicators must be nonnegative")
-    if not np.any(arr > 0.0):
+    if hi == 0.0:
         raise InvalidIndicatorsError("at least one indicator must be positive")
+    return hi
 
 
 class IndicatorVector:
@@ -136,15 +190,15 @@ class IndicatorVector:
     The entries are the summands of the marking criterion.  Callers that work
     with squared estimator contributions must square before constructing the
     vector; the library never squares on its own.
-    The stored array is an immutable float64 copy of the input, so its sum
-    is computed on the first call of :meth:`total` and kept.
+    The stored array is an immutable float64 copy of the input, so its
+    maximum (from validation) and its sum (on first use) are kept.
     """
 
-    __slots__ = ("values", "_total")
+    __slots__ = ("values", "_max", "_total")
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]):
         arr = np.array(values, dtype=np.float64)
-        check_indicators(arr)
+        self._max = check_indicators(arr)
         arr.setflags(write=False)
         self.values = arr
         self._total: float | None = None
@@ -158,11 +212,12 @@ class IndicatorVector:
 
     def total(self) -> float:
         if self._total is None:
-            self._total = pairwise_sum(self.values)
+            with overflow_guard(self.n, self._max):
+                self._total = pairwise_sum(self.values)
         return self._total
 
     def max_value(self) -> float:
-        return float(self.values.max())
+        return self._max
 
     def scratch_copy(self) -> np.ndarray:
         """A mutable copy for destructive kernels; the vector itself stays intact."""
@@ -180,27 +235,6 @@ def as_indicators(x: IndicatorInput) -> IndicatorVector:
     if isinstance(x, IndicatorVector):
         return x
     return IndicatorVector(x)
-
-
-@dataclass(frozen=True)
-class MarkingParams:
-    """Validated marking parameters.
-
-    ``theta`` in (0, 1]; ``theta == 1`` is served by the dedicated
-    positive-support path.  ``nu`` in (0, 1) is used only by the decrement and
-    binning strategies.
-    """
-
-    theta: float
-    nu: float = 0.5
-
-    def __post_init__(self) -> None:
-        check_theta(self.theta, allow_one=True)
-        check_nu(self.nu)
-
-    @property
-    def full_marking(self) -> bool:
-        return self.theta == 1.0
 
 
 def index_array(indices: Iterable[int]) -> np.ndarray:
@@ -224,10 +258,11 @@ class MarkingOutcome:
     """A marked index set together with its achieved sum and cardinality.
 
     ``marked`` is a read-only int64 array in the order its producer chose
-    (ascending for the threshold strategies, descending value for ``sort``,
-    selection order for ``decrement``).  ``threshold`` is the smallest marked
-    value when the selection kernel (``quickmark``, ``xstar``) decided the
-    cut, and ``None`` for every other strategy.
+    (ascending for ``quickmark``, ``xstar``, ``binning`` and ``theta == 1``,
+    descending value for ``sort``, selection order for ``decrement``).
+    ``threshold`` is the smallest marked value when the selection kernel
+    (``quickmark``, ``xstar``) decided the cut, and ``None`` for every other
+    strategy.
     """
 
     marked: np.ndarray
@@ -252,7 +287,8 @@ class MarkingOutcome:
         not checked, and it is made read-only.
         """
         idx.setflags(write=False)
-        return cls(idx, pairwise_sum(iv.values[idx]), int(idx.size))
+        with overflow_guard(iv.n, iv.max_value()):
+            return cls(idx, pairwise_sum(iv.values[idx]), int(idx.size))
 
     @property
     def marked_set(self) -> frozenset[int]:
@@ -283,7 +319,8 @@ def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -
     check_theta(theta, allow_one=True)
     # the mask collapses duplicates and sums in ascending index order
     mask = _index_mask(iv.n, index_array(marked))
-    marked_sum = pairwise_sum(iv.values[mask])
+    with overflow_guard(iv.n, iv.max_value()):
+        marked_sum = pairwise_sum(iv.values[mask])
     return marked_sum >= goal_value(iv, theta) - criterion_tolerance(iv)
 
 

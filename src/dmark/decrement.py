@@ -10,30 +10,30 @@ this routine is kept as a reference only.
 
 Each sweep is one numpy pass: a mask of its candidates and a ``cumsum`` of
 their values.  The sweep stops at the first prefix whose correctly rounded
-sum ``fl(sum of the selected doubles)`` reaches the goal; the float prefix
-sums decide unless they lie within their error bound of the goal, and
-``math.fsum`` settles those few positions.  The stop therefore depends only
-on the selected set, not on the order of summation.
+sum ``fl(sum of the selected doubles)`` reaches the goal, by the stop rule
+that binning shares (see :mod:`dmark.core`), so the stop depends only on
+the selected set, not on the order of summation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import (
-    EPS,
     IndicatorInput,
     IndicatorVector,
     MarkingOutcome,
     OpCounter,
+    _exact_sum,
+    _first_reaching,
     as_indicators,
     check_nu,
     check_theta,
     goal_value,
+    overflow_guard,
 )
 
 __all__ = ["DecrementState", "decrement_mark", "decrement_trace", "sweep_limit"]
@@ -112,9 +112,10 @@ def _run(
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
-    selection, sweeps_used, running_sum = _sweeps(
-        iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu), legacy, counter
-    )
+    with overflow_guard(iv.n, iv.max_value()):
+        selection, sweeps_used, running_sum = _sweeps(
+            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu), legacy, counter
+        )
     return iv, selection, sweeps_used, running_sum
 
 
@@ -171,42 +172,3 @@ def _sweeps(
     # shortfall for theta near 1, or an overflowed goal) selects every entry
     # above the last threshold, which satisfies the criterion by definition.
     return np.concatenate(parts), sweeps, running
-
-
-def _first_reaching(
-    prefix: np.ndarray, v: float, m: int, exact_sum: Callable[[int], float]
-) -> int:
-    """Position of the first prefix whose correctly rounded sum reaches ``v``.
-
-    ``prefix`` holds float running sums of at most ``m`` nonnegative
-    summands each, so each lies within a relative ``m * eps / 2`` of its
-    exact sum.  Positions whose float sums lie more than ``2 * (m + 1) * eps``
-    away from ``v`` are decided by the float sum alone; the window between
-    is settled by ``exact_sum(j)``, the correctly rounded sum up to ``j``.
-    The sum before ``prefix[0]`` is taken to fall short of ``v``.  Returns
-    ``len(prefix)`` when no prefix reaches ``v``.
-    """
-    slack = 2.0 * (m + 1) * EPS
-    below, above = v * (1.0 - slack), v * (1.0 + slack)
-    pos = int(np.searchsorted(prefix, v, side="left"))
-    # an overflowed upper bound clears nothing: a float sum of inf may round up
-    clear_above = pos == prefix.size or (above != math.inf and prefix[pos] >= above)
-    if clear_above and (pos == 0 or prefix[pos - 1] < below):
-        return pos
-    lo = int(np.searchsorted(prefix, below, side="left"))
-    hi = prefix.size if above == math.inf else int(np.searchsorted(prefix, above, side="left"))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exact_sum(mid) >= v:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
-def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
-    """Correctly rounded sum of ``x`` over the index arrays ``parts``."""
-    try:
-        return math.fsum(x[np.concatenate(parts)].tolist())
-    except OverflowError:  # the exact sum exceeds the largest double
-        return math.inf

@@ -29,6 +29,7 @@ from .core import (
     criterion_tolerance,
     goal_value,
     index_array,
+    overflow_guard,
     pairwise_sum,
 )
 from .sort_mark import sort_mark
@@ -102,7 +103,8 @@ def is_valid_minimal_set(
     rest_vals = iv.values[~mask]
     if rest_vals.size and member_vals.min() < rest_vals.max():
         return False
-    total = pairwise_sum(member_vals)
+    with overflow_guard(iv.n, iv.max_value()):
+        total = pairwise_sum(member_vals)
     if total < v - tol:
         return False
     if total - float(member_vals.min()) >= v + tol:

@@ -39,6 +39,7 @@ from .core import (
     check_theta,
     criterion_tolerance,
     goal_value,
+    overflow_guard,
     pairwise_sum,
 )
 from .oracle import is_valid_minimal_set
@@ -106,11 +107,12 @@ def quickmark(
     check_theta(theta)
     goal = goal_value(iv, theta)
     tol = criterion_tolerance(iv) if check_invariants else None
-    x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
-    marked = _materialise(iv.values, x_star, count)
-    outcome = MarkingOutcome(marked, pairwise_sum(iv.values[marked]), int(marked.size), x_star)
-    if tol is not None:
-        _verify_cut(iv, outcome, goal, tol)
+    with overflow_guard(iv.n, iv.max_value()):
+        x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
+        marked = _materialise(iv.values, x_star, count)
+        outcome = MarkingOutcome(marked, pairwise_sum(iv.values[marked]), int(marked.size), x_star)
+        if tol is not None:
+            _verify_cut(iv, outcome, goal, tol)
     return outcome
 
 
@@ -215,5 +217,5 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     """
     check_theta(theta)
     a = np.asarray(x_copy, dtype=np.float64)
-    check_indicators(a)
-    return _select(a, theta * pairwise_sum(a), MedianPivot(), counter=counter)[0]
+    with overflow_guard(a.size, check_indicators(a)):
+        return _select(a, theta * pairwise_sum(a), MedianPivot(), counter=counter)[0]

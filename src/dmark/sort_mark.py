@@ -22,6 +22,7 @@ from .core import (
     as_indicators,
     check_theta,
     goal_value,
+    overflow_guard,
 )
 
 __all__ = ["SortedPrefix", "sorted_prefix", "sort_mark"]
@@ -51,7 +52,8 @@ def sorted_prefix(x: IndicatorInput, counter: OpCounter | None = None) -> Sorted
         order = np.argsort(-iv.values, kind="stable")
     else:
         order = np.asarray(_counted_sort_desc(iv.values.tolist(), counter), dtype=np.int64)
-    prefix = np.cumsum(iv.values[order])
+    with overflow_guard(iv.n, iv.max_value()):
+        prefix = np.cumsum(iv.values[order])
     return SortedPrefix(order=order, prefix_sums=prefix)
 
 

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import KINDS, instance
 from dmark import (
     OpCounter,
     ParameterError,
@@ -15,6 +18,13 @@ from dmark import (
     nmin_oracle,
     satisfies_doerfler,
 )
+from test_decrement import _correctly_rounded_sum
+from test_quickmark import boundary_instance
+
+
+def _bins(layout):
+    """The indices of each bin, tail last, in ascending index order."""
+    return [np.flatnonzero(layout.labels == k) for k in range(layout.depth + 2)]
 
 
 class TestDepth:
@@ -41,19 +51,19 @@ class TestLayout:
         # into the second bin, 0.25 into the tail
         layout = bin_layout([4, 1, 2, 3], 0.5, 0.5)
         assert layout.depth == 1
-        assert set(layout.bins[0].tolist()) == {0, 3}
-        assert set(layout.bins[1].tolist()) == {2}
-        assert set(layout.bins[2].tolist()) == {1}
+        assert set(np.flatnonzero(layout.labels == 0).tolist()) == {0, 3}
+        assert set(np.flatnonzero(layout.labels == 1).tolist()) == {2}
+        assert set(np.flatnonzero(layout.labels == 2).tolist()) == {1}
 
     def test_exact_boundary_values(self):
         # ratio exactly nu**k belongs to bin k, exactly nu**(k+1) to bin k+1
         vals = [1.0, 0.5, 0.25, 0.125]
         layout = bin_layout(vals, 0.5, 0.5)
         assert layout.depth == 2
-        assert layout.bins[0].tolist() == [0]
-        assert layout.bins[1].tolist() == [1]
-        assert layout.bins[2].tolist() == [2]
-        assert layout.bins[3].tolist() == [3]
+        assert np.flatnonzero(layout.labels == 0).tolist() == [0]
+        assert np.flatnonzero(layout.labels == 1).tolist() == [1]
+        assert np.flatnonzero(layout.labels == 2).tolist() == [2]
+        assert np.flatnonzero(layout.labels == 3).tolist() == [3]
 
     def test_bins_partition_indices(self, rng):
         for _ in range(30):
@@ -61,7 +71,7 @@ class TestLayout:
             if not vals.any():
                 vals[0] = 1.0
             layout = bin_layout(vals, 0.5, 0.5)
-            combined = np.concatenate(layout.bins)
+            combined = np.concatenate(_bins(layout))
             assert sorted(combined.tolist()) == list(range(len(vals)))
 
     def test_earlier_bins_strictly_exceed_later(self, rng):
@@ -70,7 +80,7 @@ class TestLayout:
             if not vals.any():
                 vals[0] = 1.0
             layout = bin_layout(vals, 0.3, 0.5)
-            nonempty = [b for b in layout.bins if b.size]
+            nonempty = [b for b in _bins(layout) if b.size]
             for earlier, later in zip(nonempty, nonempty[1:]):
                 assert vals[earlier].min() > vals[later].max()
 
@@ -88,14 +98,14 @@ class TestLayout:
             powers.append(powers[-1] * nu)
         for k in range(layout.depth + 1):
             inside = (ratios > powers[k + 1]) & (ratios <= powers[k])
-            assert np.array_equal(layout.bins[k], np.flatnonzero(inside))
+            assert np.array_equal(np.flatnonzero(layout.labels == k), np.flatnonzero(inside))
         tail = np.flatnonzero(ratios <= powers[-1])
-        assert np.array_equal(layout.bins[-1], tail)
+        assert np.array_equal(np.flatnonzero(layout.labels == layout.depth + 1), tail)
 
     def test_within_bin_ascending_index(self, rng):
         vals = rng.random(100)
         layout = bin_layout(vals, 0.5, 0.5)
-        for b in layout.bins:
+        for b in _bins(layout):
             assert np.all(np.diff(b) > 0) or b.size <= 1
 
 
@@ -158,14 +168,15 @@ class TestBinningMark:
     @pytest.mark.parametrize("theta", [0.05, 0.5, 0.97, math.nextafter(1.0, 0.0)])
     def test_cut_equals_whole_concatenation_prefix(self, rng, n, theta):
         # reference: one cumsum over the whole bin concatenation, cut at the
-        # first prefix that reaches the goal, all of it when none does
+        # first prefix that reaches the goal, all of it when none does; the
+        # marked set is ascending, not in concatenation order
         for vals in (rng.random(n), rng.lognormal(0.0, 2.5, n)):
             layout = bin_layout(vals, theta, 0.5)
-            concatenated = np.concatenate(layout.bins)
+            concatenated = np.concatenate(_bins(layout))
             prefix = np.cumsum(vals[concatenated])
             cut = int(np.searchsorted(prefix, theta * np.sum(vals), side="left"))
             expected = concatenated[: min(cut, n - 1) + 1]
-            assert np.array_equal(binning_mark(vals, theta, 0.5).marked, expected)
+            assert np.array_equal(binning_mark(vals, theta, 0.5).marked, np.sort(expected))
 
     @pytest.mark.parametrize(
         "seed,n,theta,nu,kind,depth,count",
@@ -192,3 +203,67 @@ class TestBinningMark:
         counter = OpCounter()
         binning_mark(vals, theta, nu, counter)
         assert counter.comparisons == count
+
+
+# two significant digits over six decades, as in boundary_instance
+two_digit_values = st.builds(
+    lambda m, e: float(f"{m}e{e}"), st.integers(10, 99), st.integers(-7, -1)
+)
+
+
+def reference_binning(x, theta, nu):
+    """Walk the bins in order, each in index order, up to the first prefix
+    whose correctly rounded sum reaches the goal; all indices when none does.
+
+    Bins come from a linear scan of the powers of ``nu``, not a bisection.
+    """
+    values = np.asarray(x, dtype=np.float64).tolist()
+    v = theta * float(np.sum(values))
+    m_max = max(values)
+    depth = binning_depth(x, theta, nu)
+    powers = [1.0]
+    for _ in range(depth + 1):
+        powers.append(powers[-1] * nu)
+
+    def label(value):
+        ratio = value / m_max
+        return next((k for k in range(depth + 1) if ratio > powers[k + 1]), depth + 1)
+
+    walk = sorted(range(len(values)), key=lambda i: (label(values[i]), i))
+    for stop in range(1, len(walk) + 1):
+        if _correctly_rounded_sum(values[i] for i in walk[:stop]) >= v:
+            return sorted(walk[:stop])
+    return list(range(len(values)))
+
+
+class TestReferenceWalk:
+    def test_matches_reference_on_random_instances(self, rng):
+        for trial in range(200):
+            x = instance(rng, int(rng.integers(1, 150)), KINDS[trial % len(KINDS)])
+            theta = float(rng.choice([rng.uniform(0.05, 0.95), math.nextafter(1.0, 0.0)]))
+            nu = float(rng.choice([0.1, 0.3, 0.5, 0.9]))
+            assert binning_mark(x, theta, nu).marked.tolist() == reference_binning(x, theta, nu)
+
+    def test_matches_reference_on_boundary_instances(self, rng):
+        for _ in range(300):
+            x, theta = boundary_instance(rng, int(rng.integers(2, 60)))
+            assert binning_mark(x, theta, 0.5).marked.tolist() == reference_binning(x, theta, 0.5)
+
+    @given(
+        st.lists(two_digit_values, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80)
+        ),
+        st.integers(1, 80),
+        st.sampled_from([None, 0.0, math.inf]),
+        st.sampled_from([0.1, 0.3, 0.5, 0.9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_ties(self, xs, k, toward, nu):
+        # theta on the ratio of a descending prefix or one ulp off, where the
+        # walk's sums sit within rounding of the goal
+        x = np.array(xs)
+        theta = float(np.sum(np.sort(x)[::-1][:k]) / np.sum(x))
+        if toward is not None:
+            theta = math.nextafter(theta, toward)
+        theta = min(theta, math.nextafter(1.0, 0.0))
+        assert binning_mark(x, theta, nu).marked.tolist() == reference_binning(x, theta, nu)

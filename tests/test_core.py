@@ -1,5 +1,7 @@
 """Domain types, goal value, criterion predicate and the theta=1 path."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +13,21 @@ from dmark import (
     InvalidIndicatorsError,
     MarkingError,
     MarkingOutcome,
-    MarkingParams,
     ParameterError,
     binning_mark,
     criterion_tolerance,
+    decrement_mark,
     gen_counterexample,
     goal_value,
     mark,
     mark_theta_one,
+    quickmark,
     satisfies_doerfler,
+    sort_mark,
+    xstar_kernel,
 )
 from dmark import core
+from dmark.core import check_nu, check_theta
 
 nonneg_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=40
@@ -48,6 +54,21 @@ class TestIndicatorVector:
     )
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidIndicatorsError):
+            IndicatorVector(bad)
+
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            ([1.0, np.nan], "finite"),
+            ([np.nan, -1.0], "finite"),
+            ([1.0, -np.inf], "finite"),
+            ([2.0, -1e-300], "nonnegative"),
+            ([0.0, -0.0], "positive"),
+        ],
+    )
+    def test_rejection_names_the_violated_condition(self, bad, reason):
+        # validation reads only the extremes; NaN makes both of them NaN
+        with pytest.raises(InvalidIndicatorsError, match=reason):
             IndicatorVector(bad)
 
     def test_total_is_summed_once(self, monkeypatch, rng):
@@ -82,20 +103,23 @@ class TestIndicatorVector:
 
 
 class TestMarkingParams:
+    # theta and nu are validated by check_theta and check_nu at every entry
     def test_valid(self):
-        p = MarkingParams(theta=0.5, nu=0.3)
-        assert not p.full_marking
-        assert MarkingParams(theta=1.0).full_marking
+        check_theta(0.5)
+        check_nu(0.3)
+        check_theta(1.0, allow_one=True)
+        with pytest.raises(ParameterError):
+            check_theta(1.0)
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5])
     def test_bad_theta(self, theta):
         with pytest.raises(ParameterError):
-            MarkingParams(theta=theta)
+            check_theta(theta, allow_one=True)
 
     @pytest.mark.parametrize("nu", [0.0, 1.0, -0.2])
     def test_bad_nu(self, nu):
         with pytest.raises(ParameterError):
-            MarkingParams(theta=0.5, nu=nu)
+            check_nu(nu)
 
 
 class TestGoalValue:
@@ -235,3 +259,36 @@ def test_satisfies_doerfler_collapses_duplicates():
 def test_criterion_tolerance_formula():
     vals = [1.0, 3.0, 2.0]
     assert criterion_tolerance(vals) == 4.0 * 3 * np.finfo(np.float64).eps * 3.0
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.45, 0.9])
+def test_overflowing_sum_raises_no_warning(theta):
+    # the total overflows to inf; every entry point still answers, with the
+    # same set through mark() and directly, and no numpy warning escapes
+    x = [1e308, 1e308, 1e307]
+    direct = {
+        "sort": lambda: sort_mark(x, theta).marked,
+        "decrement": lambda: decrement_mark(x, theta, 0.5).marked,
+        "binning": lambda: binning_mark(x, theta, 0.5).marked,
+        "quickmark": lambda: quickmark(x, theta).marked,
+        "xstar": lambda: np.flatnonzero(np.array(x) >= xstar_kernel(np.array(x), theta)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ALGORITHM_NAMES:
+            marked = mark(x, theta, name).outcome.marked
+            assert sorted(marked.tolist()) == sorted(direct[name]().tolist())
+            assert satisfies_doerfler(x, theta, marked)
+
+
+@given(
+    st.lists(st.floats(0.0, 1.7e308), min_size=1, max_size=12).filter(lambda xs: max(xs) > 0),
+    st.sampled_from([0.3, 0.45, 0.9]),
+)
+@settings(max_examples=80, deadline=None)
+def test_huge_entries_raise_no_warning(xs, theta):
+    # sums near and beyond the largest double, whether or not they overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ALGORITHM_NAMES:
+            assert satisfies_doerfler(xs, theta, mark(xs, theta, name).outcome.marked)
