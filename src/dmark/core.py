@@ -87,7 +87,7 @@ class OpCounter:
 
     The strategies count the element operations of their timed kernels; the
     one exception is ``sort``, whose count comes from a comparison-counting
-    twin of the sort (numpy's argsort exposes no count).
+    twin of the sort (numpy's sort exposes no count).
     """
 
     comparisons: int = 0
@@ -253,13 +253,30 @@ def _index_mask(n: int, idx: np.ndarray) -> np.ndarray:
     return mask
 
 
+def materialise(values: np.ndarray, x_star: float, count: int) -> np.ndarray:
+    """The ``count`` marked indices of a cut, ascending and read-only.
+
+    Every index above ``x_star`` and the lowest-index ties at ``x_star``; the
+    cut (the kernel's partition or the sorted values) guarantees that between
+    one and all of the ties are needed, so no float decision is taken here.
+    """
+    marked = (values >= x_star).nonzero()[0]
+    surplus = marked.size - count
+    if surplus:
+        drop = values[marked] == x_star
+        drop[drop.nonzero()[0][:-surplus]] = False  # the lowest-index ties stay
+        marked = marked[~drop]
+    marked.setflags(write=False)
+    return marked
+
+
 @dataclass(frozen=True, eq=False)
 class MarkingOutcome:
     """A marked index set together with its achieved sum and cardinality.
 
-    ``marked`` is a read-only int64 array in the order its producer chose
-    (ascending for ``quickmark``, ``xstar``, ``binning`` and ``theta == 1``,
-    descending value for ``sort``, selection order for ``decrement``).
+    ``marked`` is a read-only int64 array, in selection order for
+    ``decrement`` and ascending for every other strategy; the minimal ones
+    take the lowest-index ties at their cut value through :func:`materialise`.
     ``threshold`` is the smallest marked value when the selection kernel
     (``quickmark``, ``xstar``) decided the cut, and ``None`` for every other
     strategy.
@@ -289,10 +306,6 @@ class MarkingOutcome:
         idx.setflags(write=False)
         with overflow_guard(iv.n, iv.max_value()):
             return cls(idx, pairwise_sum(iv.values[idx]), int(idx.size))
-
-    @property
-    def marked_set(self) -> frozenset[int]:
-        return frozenset(self.marked.tolist())
 
 
 def criterion_tolerance(x: IndicatorInput) -> float:

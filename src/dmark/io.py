@@ -92,7 +92,7 @@ def write_marked_indices(path: PathLike, indices: Iterable[int]) -> None:
     Raises :class:`MarkingError` for a negative index.
     """
     idx = index_array(indices)
-    # the threshold strategies already produce ascending sets
+    # every strategy but decrement already produces an ascending set
     if (idx[1:] < idx[:-1]).any():
         idx = np.sort(idx)
     if idx.size and idx[0] < 0:

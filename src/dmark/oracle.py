@@ -105,11 +105,9 @@ def is_valid_minimal_set(
         return False
     with overflow_guard(iv.n, iv.max_value()):
         total = pairwise_sum(member_vals)
-    if total < v - tol:
-        return False
-    if total - float(member_vals.min()) >= v + tol:
-        return False
-    return True
+        # not ``total - min``, which reads inf on an overflowed total
+        reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))
+    return not (total < v - tol or reduced >= v + tol)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .core import (
     check_theta,
     criterion_tolerance,
     goal_value,
+    materialise,
     overflow_guard,
     pairwise_sum,
 )
@@ -109,7 +110,7 @@ def quickmark(
     tol = criterion_tolerance(iv) if check_invariants else None
     with overflow_guard(iv.n, iv.max_value()):
         x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
-        marked = _materialise(iv.values, x_star, count)
+        marked = materialise(iv.values, x_star, count)
         outcome = MarkingOutcome(marked, pairwise_sum(iv.values[marked]), int(marked.size), x_star)
         if tol is not None:
             _verify_cut(iv, outcome, goal, tol)
@@ -137,10 +138,11 @@ def _select(
     n_total = int(a.size)
     goal = v
     rng = np.random.default_rng(pivot.seed) if isinstance(pivot, RandomPivot) else None
-    lo, hi = 0, n_total
+    # an inf (overflowed) goal keeps the mass fixed above ``hi`` here, not in ``v``
+    lo, hi, fixed = 0, n_total, 0.0
     while True:
         if tol is not None:
-            _verify_level(a, lo, hi, v, goal, tol)
+            _verify_level(a, lo, hi, v, goal, tol, fixed)
         m = hi - lo
         if isinstance(pivot, MedianPivot):
             r = (m - 1) // 2
@@ -151,35 +153,22 @@ def _select(
         k = lo + r
         a[lo:hi].partition(r)
         pv = float(a[k])
-        upper = float(a[k + 1 : hi].sum())
+        upper = fixed + float(a[k + 1 : hi].sum())
         if counter is not None:
             counter.add(m + (hi - k - 1))
         if upper >= v and k + 1 < hi:
             lo = k + 1
         elif upper + pv >= v or k == lo:
             return pv, n_total - k
+        elif v == np.inf:
+            fixed = upper + pv
+            hi = k
         else:
             v -= upper + pv
             hi = k
 
 
-def _materialise(values: np.ndarray, x_star: float, count: int) -> np.ndarray:
-    """The ``count`` marked indices of a cut, ascending and read-only.
-
-    Every index above ``x_star`` and the lowest-index ties at ``x_star``; the
-    kernel's ordering guarantees that between one and all of the ties are
-    needed, so no float decision is taken here.
-    """
-    marked = np.flatnonzero(values >= x_star)
-    surplus = marked.size - count
-    if surplus:
-        ties = np.flatnonzero(values[marked] == x_star)
-        marked = np.delete(marked, ties[ties.size - surplus :])
-    marked.setflags(write=False)
-    return marked
-
-
-def _verify_level(a, lo, hi, v, goal, tol) -> None:
+def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
     if lo > 0 and not float(a[:lo].max()) <= float(a[lo:hi].min()):
         raise AdmissibilityError("prefix not below the active range")
     if hi < a.size and not float(a[lo:hi].max()) <= float(a[hi:].min()):
@@ -191,7 +180,7 @@ def _verify_level(a, lo, hi, v, goal, tol) -> None:
         raise AdmissibilityError(
             f"residual goal {v!r} inconsistent with the fixed mass (expected {expected!r})"
         )
-    if v > pairwise_sum(a[lo:hi]) + tol:
+    if v > fixed + pairwise_sum(a[lo:hi]) + tol:
         raise AdmissibilityError("residual goal exceeds the active range mass")
 
 

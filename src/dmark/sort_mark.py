@@ -5,8 +5,8 @@ descending order, accumulate prefix sums and cut at the first prefix reaching
 the goal value.  The returned cardinality is provably minimal, which makes
 this routine the correctness oracle for the linear-time selection strategy.
 
-Ties are broken by ascending original index (stable sort), so outputs are
-deterministic.
+Only the values are sorted; the shared materialise step marks the cut, ties
+by ascending index, so outputs are deterministic and ascending.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .core import (
     as_indicators,
     check_theta,
     goal_value,
+    materialise,
     overflow_guard,
 )
 
@@ -30,56 +31,49 @@ __all__ = ["SortedPrefix", "sorted_prefix", "sort_mark"]
 
 @dataclass(frozen=True, eq=False)
 class SortedPrefix:
-    """Descending order permutation and its prefix sums.
+    """Indicator values in descending order and their prefix sums.
 
     ``prefix_sums[i]`` is the sum of the ``i + 1`` largest entries, accumulated
     left to right.
     """
 
-    order: np.ndarray
+    values: np.ndarray
     prefix_sums: np.ndarray
 
 
 def sorted_prefix(x: IndicatorInput, counter: OpCounter | None = None) -> SortedPrefix:
-    """Sort descending (ties by ascending index) and accumulate prefix sums.
+    """Sort the values descending and accumulate prefix sums.
 
-    With a counter, sorting runs through the interpreter's comparison sort so
-    element comparisons can be counted; without one, numpy's stable argsort is
-    used.  Both produce the identical permutation.
+    With a counter the interpreter's comparison sort runs, so that its
+    comparisons are counted; numpy's sort gives the identical values.
     """
     iv = as_indicators(x)
     if counter is None:
-        order = np.argsort(-iv.values, kind="stable")
+        desc = np.sort(iv.values)[::-1]
     else:
-        order = np.asarray(_counted_sort_desc(iv.values.tolist(), counter), dtype=np.int64)
+        desc = np.array(_counted_sort_desc(iv.values.tolist(), counter))
     with overflow_guard(iv.n, iv.max_value()):
-        prefix = np.cumsum(iv.values[order])
-    return SortedPrefix(order=order, prefix_sums=prefix)
+        prefix = np.cumsum(desc)
+    return SortedPrefix(values=desc, prefix_sums=prefix)
 
 
-def _counted_sort_desc(values: list[float], counter: OpCounter) -> list[int]:
-    """The descending stable order by the interpreter's sort, counting comparisons.
+def _counted_sort_desc(values: list[float], counter: OpCounter) -> list[float]:
+    """The values in descending order by the interpreter's sort, counting comparisons.
 
     This is the package's one counted twin of a timed kernel, kept on purpose:
-    ``np.argsort`` exposes no comparison count, and this count is the only
+    ``np.sort`` exposes no comparison count, and this count is the only
     witness that sorting grows log-linearly while selection stays linear.
     """
     box = [0]
 
-    class _Desc:
-        __slots__ = ("v",)
-
-        def __init__(self, v: float) -> None:
-            self.v = v
-
-        def __lt__(self, other: "_Desc") -> bool:
+    class _Desc(float):
+        def __lt__(self, other: float) -> bool:
             box[0] += 1
-            return self.v > other.v
+            return float.__gt__(self, other)
 
-    keys = [_Desc(v) for v in values]
-    order = sorted(range(len(values)), key=keys.__getitem__)
+    desc = sorted(map(_Desc, values))
     counter.add(box[0])
-    return order
+    return desc
 
 
 def sort_mark(
@@ -99,4 +93,4 @@ def sort_mark(
     n = min(cut, iv.n - 1) + 1
     if counter is not None:
         counter.add(n)
-    return MarkingOutcome.trusted(iv, sp.order[:n].copy())
+    return MarkingOutcome.trusted(iv, materialise(iv.values, float(sp.values[n - 1]), n))

@@ -268,7 +268,7 @@ def test_theta_one_support():
             n = int(rng.integers(1, 300))
             vals = instance(rng, n, "sparse")
             out = mark_theta_one(vals)
-            assert out.marked_set == set(np.flatnonzero(vals > 0).tolist())
+            assert set(out.marked.tolist()) == set(np.flatnonzero(vals > 0).tolist())
     except AssertionError:
         ok = False
         raise

@@ -112,13 +112,13 @@ class TestLayout:
 class TestBinningMark:
     def test_example(self):
         out = binning_mark([4, 1, 2, 3], 0.5, 0.5)
-        assert out.marked_set == {0, 3}
+        assert set(out.marked.tolist()) == {0, 3}
         assert out.cardinality == 2
 
     def test_all_equal(self):
         out = binning_mark([2, 2, 2, 2], 0.5, 0.5)
         assert out.cardinality == 2
-        assert out.marked_set == {0, 1}
+        assert set(out.marked.tolist()) == {0, 1}
 
     def test_satisfies_and_quasi_minimal(self, rng):
         # 100 seeded uniform instances at N=1000

@@ -25,7 +25,8 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
-from dmark.quickmark import _materialise, _select, _verify_cut, _verify_level
+from dmark.core import materialise
+from dmark.quickmark import _select, _verify_cut, _verify_level
 
 dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
@@ -306,12 +307,13 @@ class TestBoundaryCuts:
 class TestMaterialise:
     def test_lowest_index_ties_fill_the_cut(self):
         values = np.array([1.0, 3.0, 2.0, 2.0, 5.0, 2.0])
-        assert _materialise(values, 2.0, 4).tolist() == [1, 2, 3, 4]
-        assert _materialise(values, 2.0, 5).tolist() == [1, 2, 3, 4, 5]
-        assert _materialise(values, 3.0, 2).tolist() == [1, 4]
+        assert materialise(values, 2.0, 4).tolist() == [1, 2, 3, 4]
+        assert materialise(values, 2.0, 3).tolist() == [1, 2, 4]
+        assert materialise(values, 2.0, 5).tolist() == [1, 2, 3, 4, 5]
+        assert materialise(values, 3.0, 2).tolist() == [1, 4]
 
     def test_result_is_read_only(self):
-        marked = _materialise(np.array([1.0, 2.0]), 2.0, 1)
+        marked = materialise(np.array([1.0, 2.0]), 2.0, 1)
         assert marked.dtype == np.int64 and not marked.flags.writeable
 
 

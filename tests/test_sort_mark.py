@@ -1,5 +1,7 @@
 """Sort-based minimal marking: examples, minimality structure, invariances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,12 @@ from dmark import (
     OpCounter,
     ParameterError,
     goal_value,
+    mark,
     satisfies_doerfler,
     sort_mark,
     sorted_prefix,
 )
+from test_quickmark import boundary_instance
 
 dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
@@ -21,7 +25,7 @@ dyadic_lists = st.lists(
 
 def test_basic_example():
     out = sort_mark([4, 1, 2, 3], 0.5)
-    assert out.marked_set == {0, 3}
+    assert set(out.marked.tolist()) == {0, 3}
     assert out.cardinality == 2
 
 
@@ -33,7 +37,7 @@ def test_tie_broken_by_ascending_index():
 
 def test_single_dominant_entry():
     out = sort_mark([1, 0, 0, 0], 0.3)
-    assert out.marked_set == {0}
+    assert set(out.marked.tolist()) == {0}
 
 
 def test_theta_one_rejected():
@@ -47,7 +51,7 @@ def test_sorted_prefix_invariants(rng):
         if not vals.any():
             vals[0] = 1.0
         sp = sorted_prefix(vals)
-        ordered = vals[sp.order]
+        ordered = sp.values
         assert np.all(ordered[:-1] >= ordered[1:])
         assert np.all(np.diff(sp.prefix_sums) >= 0)
         assert sp.prefix_sums[-1] == pytest.approx(float(vals.sum()), rel=1e-12)
@@ -112,7 +116,59 @@ def test_counted_path_matches_fast(rng):
         fast = sort_mark(vals, 0.4)
         assert np.array_equal(counted.marked, fast.marked)
         assert counter.comparisons > 0
-        # tie-heavy inputs: the two sorting routes give the identical permutation
+        # tie-heavy inputs: the two sorting routes give the identical values
         assert np.array_equal(
-            sorted_prefix(vals, OpCounter()).order, sorted_prefix(vals).order
+            sorted_prefix(vals, OpCounter()).values, sorted_prefix(vals).values
         )
+
+
+def stable_argsort_marked(x, theta):
+    """The first ``n`` indices of the stable descending index sort, ascending."""
+    n = sort_mark(x, theta).cardinality
+    return np.sort(np.argsort(-np.asarray(x), kind="stable")[:n])
+
+
+def equivalence_cases(rng):
+    for kind in ("uniform", "lognormal", "ties", "signed zeros"):
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            if kind == "uniform":
+                x = rng.random(n)
+            elif kind == "lognormal":
+                x = rng.lognormal(0.0, 2.5, n)
+            elif kind == "ties":
+                x = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=n)
+            else:
+                x = rng.choice([-0.0, 0.0, 0.5, 1.0], size=n)
+            if not np.any(x > 0):
+                x[0] = 1.0
+            yield x, float(rng.uniform(0.01, 0.99))
+    for _ in range(300):
+        yield boundary_instance(rng, int(rng.integers(2, 60)))
+
+
+def test_matches_stable_argsort_reference(rng):
+    for x, theta in equivalence_cases(rng):
+        assert sort_mark(x, theta).marked.tolist() == stable_argsort_marked(x, theta).tolist()
+
+
+def test_clamped_cut_takes_zeros_of_either_sign():
+    # the running sum of all 13 falls short of the pairwise goal, so the cut
+    # is clamped to the whole vector and its value is a zero of either sign
+    x = [0.391, 0.467, 0.824, 0.681, 0.837, 0.0, 0.691, 0.913, 0.823, 0.179, 0.748, 0.087, -0.0]
+    theta = math.nextafter(1.0, 0.0)
+    assert sorted_prefix(x).prefix_sums[-1] < goal_value(x, theta)
+    assert sort_mark(x, theta).marked.tolist() == list(range(13))
+
+
+def test_agrees_with_quickmark_where_cardinalities_agree(rng):
+    agreed = 0
+    for x, theta in equivalence_cases(rng):
+        by_sort = mark(x, theta, "sort").outcome
+        by_select = mark(x, theta, "quickmark").outcome
+        if by_sort.cardinality != by_select.cardinality:
+            continue
+        agreed += 1
+        assert np.array_equal(by_sort.marked, by_select.marked)
+        assert by_sort.achieved_sum.hex() == by_select.achieved_sum.hex()
+    assert agreed > 600
