@@ -9,7 +9,7 @@ indicator mass.  The package provides:
   :func:`dmark.quickmark.xstar_kernel`, returns just the threshold,
 * :func:`dmark.sort_mark.sort_mark` - minimal cardinality via a full sort
   (log-linear reference and oracle),
-* :func:`dmark.binning.binning_mark` - quasi-minimal at O(N log K + K) cost,
+* :func:`dmark.binning.binning_mark` - quasi-minimal at O(N + K) cost,
 * :func:`dmark.decrement.decrement_mark` - linear cost, no cardinality
   guarantee (historical reference).
 

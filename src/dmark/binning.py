@@ -5,22 +5,28 @@ shrinking ranges ``nu**(k+1) < x/max <= nu**k`` for ``k = 0, ..., K`` and a
 tail label for the rest.  Walking the bins in order, each in ascending
 index order, approximates a descending sort well enough that cutting the
 walk at the goal value yields a set of cardinality at most
-``ceil(N_min / nu)``.  Labelling bisects the ``K + 1`` boundaries, so the
-cost is O(N log K + K).
+``ceil(N_min / nu)``.  The cost is O(N + K): O(1) per entry, and the
+``K + 2`` powers of ``nu``.
 
-Bin boundaries are the exact powers of ``nu`` (repeated multiplication,
-never logarithms): a ratio equal to ``nu**k`` belongs to bin ``k``, one
-equal to ``nu**(k+1)`` to bin ``k+1``.
+Bin boundaries are the exact powers of ``nu`` (repeated multiplication): a
+ratio equal to ``nu**k`` belongs to bin ``k``, one equal to ``nu**(k+1)``
+to bin ``k+1``.  The logarithm ``log(x/max) / log(nu)`` estimates each
+label; only an entry whose estimate lies within rounding of an integer
+``c`` is compared with the power ``nu**c`` itself, so the labels are those
+of the exact boundaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    EPS,
     IndicatorInput,
+    IndicatorVector,
     MarkingOutcome,
     OpCounter,
     _exact_sum,
@@ -28,11 +34,15 @@ from .core import (
     as_indicators,
     check_nu,
     check_theta,
-    goal_value,
     overflow_guard,
 )
 
 __all__ = ["BinLayout", "binning_depth", "bin_layout", "binning_mark"]
+
+# error bound of numpy's float64 ``log`` in ulps, four times the tolerance
+# of numpy's own accuracy tests for it
+_LOG_ULPS = 4
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,58 +64,105 @@ def binning_depth(x: IndicatorInput, theta: float, nu: float) -> int:
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
+    return len(_powers(iv, theta, nu)) - 2
+
+
+def _powers(iv: IndicatorVector, theta: float, nu: float) -> list[float]:
+    """The bin boundaries ``nu**k`` for ``k = 0, ..., K + 1``, by repeated multiplication."""
     bound = (1.0 - theta) * iv.total() / iv.n
     m_max = iv.max_value()
-    depth = 0
-    power = nu
-    while power * m_max > bound:
-        depth += 1
-        power *= nu
-    return depth
+    powers = [1.0, nu]
+    while powers[-1] * m_max > bound:
+        powers.append(powers[-1] * nu)
+    return powers
 
 
 def bin_layout(
     x: IndicatorInput, theta: float, nu: float, counter: OpCounter | None = None
 ) -> BinLayout:
     iv = as_indicators(x)
-    depth = binning_depth(iv, theta, nu)
-    if counter is not None:
-        counter.add(depth + 1)
+    check_theta(theta)
+    check_nu(nu)
+    return _layout(iv, theta, nu, counter)
 
+
+def _layout(
+    iv: IndicatorVector, theta: float, nu: float, counter: OpCounter | None
+) -> BinLayout:
+    """Label every entry from its logarithm; settle the near-boundary ones exactly.
+
+    The label of a ratio ``r = x/max`` is the largest ``k <= K + 1`` with
+    ``r <= nu**k``.  Its float estimate ``log(r) / log(nu)``, at most
+    ``K + 2``, lies within ``(K + 2) * (2 * U + 2) * eps`` of the exact
+    quotient (``U`` ulps per logarithm, one rounding each for the reciprocal
+    and the product); the boundary ``nu**k``, made by ``k`` multiplications,
+    lies within ``(k + 1) * eps / |log(nu)|`` of ``k`` in the same units.
+    Twice the sum of both errors is ``delta``.  An estimate farther than
+    ``delta`` from every integer has the label as its floor; one within
+    ``delta`` of an integer ``c`` has label ``c - 1`` or ``c``, and the
+    comparison ``r > nu**c`` decides.  Ratios below ``tail``, the middle of
+    the tail bin, are lifted to it, so the logarithm stays finite.
+
+    ``delta`` reaches 1/4 only when ``(K + 2) / |log(nu)|`` exceeds about
+    ``5e14`` (``nu`` closer to 1 than ``1e-8`` at any depth under ten
+    million): the powers then drift across whole bins.  ``tail`` falls
+    below the normal doubles only for ``nu`` under about ``1e-185``.  In
+    either case the estimate only starts :func:`_walk` to the exact
+    boundaries.
+    """
+    powers = _powers(iv, theta, nu)
+    depth = len(powers) - 2
     m_max = iv.max_value()
-    ratios = iv.values / m_max
-    # ascending boundary list nu**(depth+1), ..., nu**1; built by repeated
-    # multiplication so bin membership uses the exact power values
-    powers = [1.0]
-    for _ in range(depth + 1):
-        powers.append(powers[-1] * nu)
-    ascending = np.asarray(powers[1:][::-1], dtype=np.float64)
-
-    position = np.searchsorted(ascending, ratios, side="left")
+    inv_log_nu = 1.0 / math.log(nu)
+    delta = 2.0 * (depth + 2) * EPS * (2 * _LOG_ULPS + 2 - inv_log_nu)
+    dtype = np.min_scalar_type(depth + 1)
+    tail = powers[-1] * math.sqrt(nu)
+    # one scratch array holds the ratio, its logarithm, the shifted estimate
+    # and its fraction in turn
+    est = iv.values / m_max
+    np.maximum(est, max(tail, _TINY), out=est)
+    np.log(est, out=est)
+    est *= inv_log_nu
+    if delta >= 0.25 or tail < _TINY:
+        np.minimum(est, depth + 1, out=est)
+        labels, settled = _walk(est.astype(dtype), iv.values / m_max, powers)
+    else:
+        # shifted down by delta, an estimate near c has a fraction of at
+        # least 1 - 2 * delta below c; truncation takes the floor, and gives
+        # 0 to the estimates of ratios near 1, which fall just below 0
+        est -= delta
+        labels = est.astype(dtype)
+        est -= labels
+        near = (est >= 1.0 - 2.0 * delta).nonzero()[0]
+        if near.size:
+            c = labels[near] + 1
+            labels[near] = c - (iv.values[near] / m_max > np.array(powers)[c])
+        settled = near.size
     if counter is not None:
-        counter.add(int(np.bincount(position, minlength=depth + 2) @ _bisect_steps(depth + 1)))
-    labels = ((depth + 1) - position).astype(np.min_scalar_type(depth + 1))
+        # the depth steps, an estimate and a near test per entry, and the
+        # comparisons that settle the labels
+        counter.add(depth + 1 + 2 * iv.n + settled)
     return BinLayout(depth=depth, labels=labels, max_value=m_max)
 
 
-def _bisect_steps(size: int) -> np.ndarray:
-    """Comparisons of a binary search over ``size`` sorted boundaries, per landing position.
+def _walk(labels: np.ndarray, ratios: np.ndarray, powers: list[float]) -> tuple[np.ndarray, int]:
+    """Move every label one bin per pass to the largest ``k`` with ``ratio <= powers[k]``.
 
-    A left bisection compares ``boundary[mid] < r``, which holds exactly when
-    ``mid`` lies below the position it returns, so its path and length are a
-    function of that position alone.
+    Returns the labels and the comparisons made, two per entry and pass.
+    The passes number one more than the largest distance of a start label
+    from its bin.
     """
-    steps = np.zeros(size + 1, dtype=np.int64)
-    for pos in range(size + 1):
-        lo, hi = 0, size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            steps[pos] += 1
-            if mid < pos:
-                lo = mid + 1
-            else:
-                hi = mid
-    return steps
+    bounds = np.array([*powers, -1.0])
+    k = labels.astype(np.intp)
+    compared = 0
+    while True:
+        down = ratios > bounds[k]
+        up = ratios <= bounds[k + 1]
+        compared += 2 * k.size
+        if not (down.any() or up.any()):
+            return k.astype(labels.dtype), compared
+        k += up
+        k -= down
 
 
 def binning_mark(
@@ -120,25 +177,27 @@ def binning_mark(
     is ascending, with cardinality at most ``ceil(N_min / nu)``.
     """
     iv = as_indicators(x)
-    layout = bin_layout(iv, theta, nu, counter)
+    check_theta(theta)
+    check_nu(nu)
+    layout = _layout(iv, theta, nu, counter)
     values, labels = iv.values, layout.labels
-    v = goal_value(iv, theta)
+    v = theta * iv.total()
     # bincount adds each bin in index order; with the cumsums no float sum
     # below has more than this many additions
     m = iv.n + layout.depth + 2
     with overflow_guard(iv.n, iv.max_value()):
-        masses = np.cumsum(np.bincount(labels, weights=values))
+        masses = np.bincount(labels, weights=values).cumsum()
         j = _first_reaching(
-            masses, v, m, lambda k: _exact_sum(values, [np.flatnonzero(labels <= k)])
+            masses, v, m, lambda k: _exact_sum(values, [(labels <= k).nonzero()[0]])
         )
-        members = np.flatnonzero(labels == j)
-        prefix = np.cumsum(values[members]) + (masses[j - 1] if j else 0.0)
+        members = (labels == j).nonzero()[0]
+        prefix = values[members].cumsum() + (masses[j - 1] if j else 0.0)
     taken = labels < j
     stop = _first_reaching(
-        prefix, v, m, lambda i: _exact_sum(values, [np.flatnonzero(taken), members[: i + 1]])
+        prefix, v, m, lambda i: _exact_sum(values, [taken.nonzero()[0], members[: i + 1]])
     )
     taken[members[: stop + 1]] = True
-    marked = np.flatnonzero(taken)
+    marked = taken.nonzero()[0]
     if counter is not None:
         counter.add(marked.size)
     return MarkingOutcome.trusted(iv, marked)

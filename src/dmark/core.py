@@ -98,7 +98,7 @@ class OpCounter:
 
 def pairwise_sum(values: np.ndarray) -> float:
     """Sum of a float64 array using numpy's pairwise accumulation."""
-    return float(np.sum(values))
+    return float(np.add.reduce(values))
 
 
 def overflow_guard(n: int, max_value: float) -> AbstractContextManager:
@@ -125,13 +125,13 @@ def _first_reaching(
     """
     slack = 2.0 * (m + 1) * EPS
     below, above = v * (1.0 - slack), v * (1.0 + slack)
-    pos = int(np.searchsorted(prefix, v, side="left"))
+    pos = int(prefix.searchsorted(v))
     # an overflowed upper bound clears nothing: a float sum of inf may round up
     clear_above = pos == prefix.size or (above != math.inf and prefix[pos] >= above)
     if clear_above and (pos == 0 or prefix[pos - 1] < below):
         return pos
-    lo = int(np.searchsorted(prefix, below, side="left"))
-    hi = prefix.size if above == math.inf else int(np.searchsorted(prefix, above, side="left"))
+    lo = int(prefix.searchsorted(below))
+    hi = prefix.size if above == math.inf else int(prefix.searchsorted(above))
     while lo < hi:
         mid = (lo + hi) // 2
         if exact_sum(mid) >= v:
@@ -174,7 +174,7 @@ def check_indicators(arr: np.ndarray) -> float:
     if arr.size == 0:
         raise InvalidIndicatorsError("indicator vector must not be empty")
     # a NaN entry makes both extremes NaN
-    lo, hi = float(arr.min()), float(arr.max())
+    lo, hi = float(np.minimum.reduce(arr)), float(np.maximum.reduce(arr))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidIndicatorsError("indicators must be finite")
     if lo < 0.0:

@@ -89,8 +89,9 @@ def is_valid_minimal_set(
     ``marked`` holds original indices; duplicates collapse.  True iff every
     member dominates every non-member and the member sum reaches ``v`` while
     dropping any single member falls below it.  Comparisons of sums use the
-    criterion tolerance.  An empty set is never valid; an index out of range
-    raises :class:`IndexError`.
+    criterion tolerance.  An empty set is never valid, so a single member
+    that reaches ``v`` is removal-minimal, also when ``v`` underflows to 0;
+    an index out of range raises :class:`IndexError`.
     """
     iv = as_indicators(x)
     mask = _index_mask(iv.n, index_array(marked))
@@ -107,7 +108,7 @@ def is_valid_minimal_set(
         total = pairwise_sum(member_vals)
         # not ``total - min``, which reads inf on an overflowed total
         reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))
-    return not (total < v - tol or reduced >= v + tol)
+    return not (total < v - tol or (member_vals.size > 1 and reduced >= v + tol))
 
 
 @dataclass(frozen=True)

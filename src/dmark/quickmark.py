@@ -153,7 +153,7 @@ def _select(
         k = lo + r
         a[lo:hi].partition(r)
         pv = float(a[k])
-        upper = fixed + float(a[k + 1 : hi].sum())
+        upper = fixed + float(np.add.reduce(a[k + 1 : hi]))
         if counter is not None:
             counter.add(m + (hi - k - 1))
         if upper >= v and k + 1 < hi:
@@ -173,7 +173,8 @@ def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
         raise AdmissibilityError("prefix not below the active range")
     if hi < a.size and not float(a[lo:hi].max()) <= float(a[hi:].min()):
         raise AdmissibilityError("suffix not above the active range")
-    if not v > 0.0:
+    # only a goal that underflows to 0 leaves a residual that is not positive
+    if not (v > 0.0 or goal == 0.0):
         raise AdmissibilityError(f"residual goal not positive: {v!r}")
     expected = goal - (pairwise_sum(a[hi:]) if hi < a.size else 0.0)
     if abs(v - expected) > tol:

@@ -102,6 +102,42 @@ class TestLayout:
         tail = np.flatnonzero(ratios <= powers[-1])
         assert np.array_equal(np.flatnonzero(layout.labels == layout.depth + 1), tail)
 
+    @pytest.mark.parametrize("nu", [5e-324, 1e-300, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("m_max", [1.0, 3.0, 7e-300, 1.5e300])
+    def test_labels_match_linear_scan_at_boundaries(self, rng, nu, m_max):
+        # entries max * nu**k and their one-ulp neighbours, zeros and
+        # subnormal ratios; every ratio sits on or next to a bin boundary, so
+        # the estimates of most entries fall within rounding of an integer.
+        # Below nu = 1e-185 the middle of the tail bin underflows.  A
+        # RuntimeWarning (log of 0) fails the test.
+        powers = [1.0]
+        while powers[-1] > 1e-30:
+            powers.append(powers[-1] * nu)
+        ks = set(range(min(40, len(powers)))) | set(rng.integers(0, len(powers), 150).tolist())
+        vals = [m_max, 0.0, 0.0, 5e-324, m_max * 1e-310, m_max * 2.0**-1060]
+        for k in sorted(ks):
+            v = m_max * powers[k]
+            vals += [v, math.nextafter(v, 0.0), min(math.nextafter(v, math.inf), m_max)]
+        x = np.array(vals)[rng.permutation(len(vals))]
+        layout = bin_layout(x, 0.9, nu)
+        if nu >= 0.99:
+            assert layout.depth > 255 and layout.labels.dtype == np.uint16
+        assert layout.labels.tolist() == scan_labels(x, 0.9, nu)
+
+    def test_labels_match_linear_scan_when_nu_is_nearly_one(self, rng):
+        # bins a few ulps wide: the powers of nu drift across whole bins, so
+        # the logarithm cannot place a ratio within one bin
+        deep = 0
+        for _ in range(60):
+            gap = float(10.0 ** rng.uniform(-15.0, -12.0))
+            spread = gap * float(rng.uniform(1.0, 40.0))
+            x = 1.0 - rng.uniform(0.0, spread, int(rng.integers(2, 200)))
+            theta = float(rng.uniform(1e-16, spread))
+            layout = bin_layout(x, theta, 1.0 - gap)
+            deep += layout.depth > 0
+            assert layout.labels.tolist() == scan_labels(x, theta, 1.0 - gap)
+        assert deep > 30
+
     def test_within_bin_ascending_index(self, rng):
         vals = rng.random(100)
         layout = bin_layout(vals, 0.5, 0.5)
@@ -164,6 +200,20 @@ class TestBinningMark:
             fast = binning_mark(vals, 0.6, 0.5)
             assert np.array_equal(counted.marked, fast.marked)
 
+    def test_count_per_element_independent_of_depth(self, rng):
+        # a bisection of the K + 1 boundaries costs log2(K + 2) comparisons
+        # per element; labelling from the logarithm costs the same at depth
+        # 2 as at depth ~400
+        n = 20000
+        counts = {}
+        for nu, vals in ((0.5, rng.random(n)), (0.99, 10.0 ** rng.uniform(-12.0, 0.0, n))):
+            counter = OpCounter()
+            binning_mark(vals, 0.5, nu, counter)
+            counts[nu] = (binning_depth(vals, 0.5, nu), counter.comparisons / n)
+        (shallow, per_shallow), (deep, per_deep) = counts[0.5], counts[0.99]
+        assert shallow == 2 and deep > 380
+        assert per_deep <= per_shallow + 0.1
+
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000, 70000])
     @pytest.mark.parametrize("theta", [0.05, 0.5, 0.97, math.nextafter(1.0, 0.0)])
     def test_cut_equals_whole_concatenation_prefix(self, rng, n, theta):
@@ -182,16 +232,16 @@ class TestBinningMark:
         "seed,n,theta,nu,kind,depth,count",
         [
             (11, 100, 0.5, 0.5, "uniform", 2, 234),
-            (12, 1000, 0.3, 0.3, "uniform", 0, 1219),
-            (13, 2000, 0.9, 0.7, "uniform", 8, 7854),
-            (14, 500, 0.6, 0.5, "ties", 2, 1147),
+            (12, 1000, 0.3, 0.3, "uniform", 0, 2219),
+            (13, 2000, 0.9, 0.7, "uniform", 8, 5382),
+            (14, 500, 0.6, 0.5, "ties", 2, 1508),
             # 16-bit bin labels
-            (15, 1000, 0.5, 0.99, "decades", 405, 9403),
+            (15, 1000, 0.5, 0.99, "decades", 405, 2430),
         ],
     )
     def test_pinned_counts(self, seed, n, theta, nu, kind, depth, count):
-        # literal counts: the bisection-step table must equal one count per
-        # comparison of a per-element bisection, plus depth steps and the cut
+        # literal counts: the depth steps, an estimate and a near test per
+        # element, one comparison per near element, and the cut
         rng = np.random.default_rng(seed)
         if kind == "ties":
             vals = rng.choice([0.25, 0.5, 1.0, 2.0], size=n)
@@ -211,14 +261,9 @@ two_digit_values = st.builds(
 )
 
 
-def reference_binning(x, theta, nu):
-    """Walk the bins in order, each in index order, up to the first prefix
-    whose correctly rounded sum reaches the goal; all indices when none does.
-
-    Bins come from a linear scan of the powers of ``nu``, not a bisection.
-    """
+def scan_labels(x, theta, nu):
+    """Bin label of every entry by a linear scan of the powers of ``nu``."""
     values = np.asarray(x, dtype=np.float64).tolist()
-    v = theta * float(np.sum(values))
     m_max = max(values)
     depth = binning_depth(x, theta, nu)
     powers = [1.0]
@@ -229,7 +274,19 @@ def reference_binning(x, theta, nu):
         ratio = value / m_max
         return next((k for k in range(depth + 1) if ratio > powers[k + 1]), depth + 1)
 
-    walk = sorted(range(len(values)), key=lambda i: (label(values[i]), i))
+    return [label(value) for value in values]
+
+
+def reference_binning(x, theta, nu):
+    """Walk the bins in order, each in index order, up to the first prefix
+    whose correctly rounded sum reaches the goal; all indices when none does.
+
+    Bins come from :func:`scan_labels`, not from logarithms.
+    """
+    values = np.asarray(x, dtype=np.float64).tolist()
+    v = theta * float(np.sum(values))
+    labels = scan_labels(x, theta, nu)
+    walk = sorted(range(len(values)), key=lambda i: (labels[i], i))
     for stop in range(1, len(walk) + 1):
         if _correctly_rounded_sum(values[i] for i in walk[:stop]) >= v:
             return sorted(walk[:stop])

@@ -71,6 +71,12 @@ class TestIsValidMinimalSet:
     def test_empty_candidate(self):
         assert is_valid_minimal_set([1.0, 2.0], [], 1.0) is False
 
+    def test_underflowed_goal(self):
+        # a goal of 0 is reached by one member; a second one is removable
+        assert is_valid_minimal_set([5e-324], [0], 0.0) is True
+        assert is_valid_minimal_set([5e-324, 5e-324], [0], 0.0) is True
+        assert is_valid_minimal_set([5e-324, 5e-324], [0, 1], 0.0) is False
+
     def test_candidate_outside_range(self):
         with pytest.raises(IndexError):
             is_valid_minimal_set([1.0, 2.0, 3.0], [2, 3], 1.0)

@@ -333,6 +333,14 @@ class TestCheckInvariants:
         with pytest.raises(AdmissibilityError, match="positive"):
             _verify_level(a, 1, 3, 0.0, 4.0, tol)
 
+    def test_underflowing_goal_passes_the_checks(self):
+        # 0.3 * 5e-324 rounds to a goal of 0, which the one-element set reaches
+        for piv in ALL_PIVOTS:
+            out = quickmark([5e-324], 0.3, piv, check_invariants=True)
+            assert out.marked.tolist() == [0]
+            out = quickmark([5e-324, 0.0, 5e-324], 0.1, piv, check_invariants=True)
+            assert out.marked.tolist() == [0]
+
     def test_cut_check_rejects_broken_sets(self):
         tol = 1e-12
         iv = IndicatorVector([4.0, 1.0, 2.0, 3.0])
