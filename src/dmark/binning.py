@@ -29,6 +29,8 @@ from .core import (
     IndicatorVector,
     MarkingOutcome,
     OpCounter,
+    ParameterError,
+    _TINY,
     _exact_sum,
     _first_reaching,
     as_indicators,
@@ -37,12 +39,17 @@ from .core import (
     overflow_guard,
 )
 
-__all__ = ["BinLayout", "binning_depth", "bin_layout", "binning_mark"]
+__all__ = ["BinLayout", "MAX_DEPTH", "binning_depth", "bin_layout", "binning_mark"]
+
+# the deepest layout built; a deeper one needs nu within about 1e-6 of 1,
+# its power table alone holds over a million floats, and a sort is cheaper
+MAX_DEPTH = 2**20
 
 # error bound of numpy's float64 ``log`` in ulps, four times the tolerance
 # of numpy's own accuracy tests for it
 _LOG_ULPS = 4
-_TINY = float(np.finfo(np.float64).tiny)
+# below half the smallest subnormal a product rounds to 0
+_LOG_HALF_SUBNORMAL = -1075 * math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +75,36 @@ def binning_depth(x: IndicatorInput, theta: float, nu: float) -> int:
 
 
 def _powers(iv: IndicatorVector, theta: float, nu: float) -> list[float]:
-    """The bin boundaries ``nu**k`` for ``k = 0, ..., K + 1``, by repeated multiplication."""
+    """The bin boundaries ``nu**k`` for ``k = 0, ..., K + 1``, by repeated multiplication.
+
+    ``K`` is predicted before the loop: ``nu**k * max`` falls to the bound
+    by ``k = log(bound / max) / log(nu)``, or, when the bound underflowed to
+    0, to half the smallest subnormal, where it rounds to 0.  A prediction
+    above :data:`MAX_DEPTH` raises :class:`ParameterError`.  Each rounded
+    power lies within half an ulp of ``nu`` times the one before, so for
+    ``nu`` within a few ulps of 1 the powers may fall up to twice as slowly
+    as ``nu**k``; a depth that then ends above the cap raises as well.
+    """
     bound = (1.0 - theta) * iv.total() / iv.n
     m_max = iv.max_value()
+    if bound > 0.0:
+        log_ratio = math.log(bound / m_max)
+    else:
+        log_ratio = _LOG_HALF_SUBNORMAL - math.log(m_max)
+    if log_ratio < MAX_DEPTH * math.log(nu):
+        raise _too_deep(nu)
     powers = [1.0, nu]
     while powers[-1] * m_max > bound:
         powers.append(powers[-1] * nu)
+    if len(powers) > MAX_DEPTH + 2:
+        raise _too_deep(nu)
     return powers
+
+
+def _too_deep(nu: float) -> ParameterError:
+    return ParameterError(
+        f"nu = {nu!r} needs more than {MAX_DEPTH} bins on this input; choose a smaller nu"
+    )
 
 
 def bin_layout(

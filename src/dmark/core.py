@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 _SUM_LIMIT = float(np.finfo(np.float64).max) / 2
 _NO_GUARD = nullcontext()
 
@@ -253,14 +254,18 @@ def _index_mask(n: int, idx: np.ndarray) -> np.ndarray:
     return mask
 
 
-def materialise(values: np.ndarray, x_star: float, count: int) -> np.ndarray:
+def materialise(
+    values: np.ndarray, x_star: float, count: int, above: np.ndarray | None = None
+) -> np.ndarray:
     """The ``count`` marked indices of a cut, ascending and read-only.
 
     Every index above ``x_star`` and the lowest-index ties at ``x_star``; the
     cut (the kernel's partition or the sorted values) guarantees that between
     one and all of the ties are needed, so no float decision is taken here.
+    ``above``, when the caller has it, is the ascending index array of every
+    entry at or above ``x_star``, owned by the result.
     """
-    marked = (values >= x_star).nonzero()[0]
+    marked = (values >= x_star).nonzero()[0] if above is None else above
     surplus = marked.size - count
     if surplus:
         drop = values[marked] == x_star

@@ -16,24 +16,47 @@ Three pivot policies choose the rank: the deterministic (lower) median, a
 seeded random rank (fast on average, quadratic in the worst case), and a
 fixed ``q``-quantile whose cost scales with ``1 / min(q, 1 - q)``.
 
+From ``_MIN_N`` entries on, a sampled lower bound of ``x_star`` narrows
+the kernel to the candidates above it (Floyd & Rivest's sampled selection,
+applied to the mass-weighted cut).  A strided sample of at most
+``_SAMPLE`` entries is sorted, and the rank where its mass crosses a
+``theta`` share of its own total is widened by five standard deviations of
+a sampled count; the next smaller sample value is the bound ``lo``.  (This
+ratio estimate fell back less often on heavy tails than one that scales
+the sample's mass by ``N / s``.)  One pass takes the ascending indices of
+the entries above ``lo``, the largest entries, and their float sum must
+clear the goal by the rounding bound of its ``m`` summands, so that their
+exact sum carries it.  Then ``x_star > lo``, every tie at ``x_star`` is a
+candidate, and the kernel and the materialise step run on the candidates
+alone: no scratch copy of every entry and no full-length threshold pass.
+On a smaller input, an infinite or subnormal goal, ``lo <= 0`` and
+candidates that miss the goal, the kernel runs on a scratch copy of every
+entry as before; that fallback costs one extra pass and the sort of the
+sample at most, so the worst case stays linear.
+
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel, the elements each level partitions plus the elements it sums,
-so the counted cost is the cost of the code that is timed.
+and the filter's ``N`` comparisons and ``m`` summands, so the counted cost
+is the cost of the code that is timed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .core import (
+    EPS,
     AdmissibilityError,
     IndicatorInput,
     MarkingOutcome,
     OpCounter,
     ParameterError,
+    _TINY,
+    _exact_sum,
     as_indicators,
     check_indicators,
     check_theta,
@@ -53,6 +76,11 @@ __all__ = [
     "quickmark",
     "xstar_kernel",
 ]
+
+# entries in the strided sample, and the smallest N whose mark() call the
+# sample and the filter make cheaper (crossover measured in CHANGES.md)
+_SAMPLE = 4096
+_MIN_N = 32768
 
 
 @dataclass(frozen=True)
@@ -95,12 +123,15 @@ def quickmark(
 ) -> MarkingOutcome:
     """Minimal-cardinality marking by pivot-partition recursion.
 
-    The value kernel runs on a scratch copy and one materialise step builds
-    the set; the outcome's ``threshold`` is the kernel's ``x_star``, and a
-    ``counter`` counts the kernel's element operations.
+    The value kernel runs on the candidates above a sampled lower bound of
+    ``x_star``, or on a scratch copy of every entry when the bound does not
+    hold (see the module docstring), and one materialise step builds the
+    set; the outcome's ``threshold`` is the kernel's ``x_star``, and a
+    ``counter`` counts the filter's and the kernel's element operations.
     ``check_invariants`` re-verifies the range ordering, goal consistency and
     goal reachability at every level, and the dominance and
-    removal-minimality of the final set (debug mode; raises
+    removal-minimality of the final set, and that the candidates hold every
+    entry above their bound and carry the goal exactly (debug mode; raises
     :class:`AdmissibilityError` on any violation, which would indicate a
     bug).
     """
@@ -109,12 +140,68 @@ def quickmark(
     goal = goal_value(iv, theta)
     tol = criterion_tolerance(iv) if check_invariants else None
     with overflow_guard(iv.n, iv.max_value()):
-        x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
-        marked = materialise(iv.values, x_star, count)
+        cut = _candidates(iv.values, theta, goal, tol, counter)
+        if cut is None:
+            x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
+            marked = materialise(iv.values, x_star, count)
+        else:
+            idx, scratch = cut
+            x_star, count = _select(scratch, goal, pivot, tol, counter)
+            # the candidates in index order again, in the kernel's buffer,
+            # which is released before the marked indices are allocated
+            at_least = iv.values.take(idx, out=scratch, mode="clip") >= x_star
+            del cut, scratch
+            marked = materialise(iv.values, x_star, count, idx.compress(at_least))
         outcome = MarkingOutcome(marked, pairwise_sum(iv.values[marked]), int(marked.size), x_star)
         if tol is not None:
             _verify_cut(iv, outcome, goal, tol)
     return outcome
+
+
+def _candidates(
+    values: np.ndarray,
+    theta: float,
+    goal: float,
+    tol: float | None = None,
+    counter: OpCounter | None = None,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The entries above a sampled lower bound of ``x_star``: indices and values.
+
+    Returns the ascending indices of the candidates and a fresh array of
+    their values, or ``None`` when the kernel must run on every entry: ``N``
+    below ``_MIN_N``, a goal that overflowed or is subnormal, a bound that
+    is not positive, or candidates whose float sum does not clear the goal
+    by the rounding bound ``2 * (m + 1) * eps`` of ``m`` summands (the bound
+    of ``core._first_reaching``).  With ``tol`` the candidates are checked
+    to hold every entry above the bound and to carry the goal exactly.  A
+    ``counter`` gets the ``N`` comparisons of the filter and the ``m``
+    summands.
+    """
+    n = int(values.size)
+    if n < _MIN_N or not _TINY <= goal < math.inf:
+        return None
+    sample = np.sort(values[:: -(-n // _SAMPLE)])[::-1]
+    mass = sample.cumsum()
+    # the rank where the sample's mass crosses its own theta share, widened
+    # by five standard deviations of a sampled count and a margin
+    j = int(mass.searchsorted(theta * mass[-1]))
+    j += int(5.0 * math.sqrt(j + 1.0)) + 16
+    if j >= sample.size:
+        return None
+    # the next smaller sample value, so that a tie at rank j stays whole
+    rest = sample[j:]
+    lo = float(rest[int((rest < rest[0]).argmax())])
+    if not 0.0 < lo < rest[0]:
+        return None
+    idx = (values > lo).nonzero()[0]
+    cand = values.take(idx)
+    if counter is not None:
+        counter.add(n + idx.size)
+    if not float(np.add.reduce(cand)) >= goal * (1.0 + 2.0 * (idx.size + 1) * EPS):
+        return None
+    if tol is not None:
+        _verify_candidates(values, lo, idx, goal)
+    return idx, cand
 
 
 def _select(
@@ -185,6 +272,15 @@ def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
         raise AdmissibilityError("residual goal exceeds the active range mass")
 
 
+def _verify_candidates(values, lo, idx, goal) -> None:
+    dropped = np.ones(values.size, dtype=bool)
+    dropped[idx] = False
+    if dropped.any() and not float(values[dropped].max()) <= lo:
+        raise AdmissibilityError("a dropped entry exceeds the candidate bound")
+    if not _exact_sum(values, [idx]) >= goal:
+        raise AdmissibilityError("the candidates do not carry the goal")
+
+
 def _verify_cut(iv, outcome, goal, tol) -> None:
     if float(iv.values[outcome.marked].min()) != outcome.threshold:
         raise AdmissibilityError("threshold is not the smallest marked value")
@@ -197,10 +293,12 @@ def _verify_cut(iv, outcome, goal, tol) -> None:
 def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = None) -> float:
     """Threshold of the minimal marking, computed on a destructive scratch copy.
 
-    ``x_copy`` must be a caller-owned scratch array; it is reordered in place
-    (contiguous accesses, no permutation indirection) by the same value
-    kernel that :func:`quickmark` runs, with the median rank, and a
-    ``counter`` counts that kernel's element operations.  Returns the
+    ``x_copy`` must be a caller-owned scratch array.  The same value kernel
+    that :func:`quickmark` runs, with the median rank, runs on the
+    candidates above a sampled lower bound of the threshold, or, when that
+    bound does not hold, reorders ``x_copy`` itself in place (contiguous
+    accesses, no permutation indirection); a ``counter`` counts the
+    filter's and the kernel's element operations.  Returns the
     smallest value contained in any minimal marked set.  The threshold alone
     does not fix the cut among ties in floating point; :func:`quickmark`
     returns the index set that the kernel's cut decides.
@@ -208,4 +306,6 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     check_theta(theta)
     a = np.asarray(x_copy, dtype=np.float64)
     with overflow_guard(a.size, check_indicators(a)):
-        return _select(a, theta * pairwise_sum(a), MedianPivot(), counter=counter)[0]
+        goal = theta * pairwise_sum(a)
+        cut = _candidates(a, theta, goal, counter=counter)
+        return _select(a if cut is None else cut[1], goal, MedianPivot(), counter=counter)[0]

@@ -1,6 +1,7 @@
 """Geometric binning: depth, bin boundaries, quasi-minimality and cost."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from dmark import (
     nmin_oracle,
     satisfies_doerfler,
 )
+from dmark.binning import MAX_DEPTH
 from test_decrement import _correctly_rounded_sum
 from test_quickmark import boundary_instance
 
@@ -43,6 +45,30 @@ class TestDepth:
     def test_theta_one_rejected(self):
         with pytest.raises(ParameterError):
             binning_depth([1.0], 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "x,theta,nu",
+        [
+            # the bound underflows to 0: the powers would run until
+            # nu**k * 5e-324 rounds to 0, about 6e11 of them
+            ([5e-324], 0.5, 1 - 1.18e-12),
+            ([1.0, 0.5, 0.25], 0.5, 1 - 2**-53),
+            ([3.0, 1.0, 0.0], 0.3, 1 - 2**-53),
+        ],
+    )
+    def test_too_many_bins_raise_at_once(self, x, theta, nu):
+        for call in (binning_depth, bin_layout, binning_mark):
+            start = time.perf_counter()
+            with pytest.raises(ParameterError, match="bins"):
+                call(x, theta, nu)
+            assert time.perf_counter() - start < 1.0
+
+    def test_depth_up_to_the_cap(self):
+        # bound 0.25: K = ceil(log(0.25) / log(nu)) - 1 bins below the cap
+        nu = 0.25 ** (1.0 / (MAX_DEPTH - 1000))
+        assert MAX_DEPTH - 1002 <= binning_depth([1.0, 1e-300], 0.5, nu) <= MAX_DEPTH
+        with pytest.raises(ParameterError):
+            binning_depth([1.0, 1e-300], 0.5, 0.25 ** (1.0 / (MAX_DEPTH + 1000)))
 
 
 class TestLayout:

@@ -1,5 +1,6 @@
 """Selection-based minimal marking: value kernel, pivots, counts, materialise step."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -25,8 +26,16 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
-from dmark.core import materialise
-from dmark.quickmark import _select, _verify_cut, _verify_level
+from conftest import instance
+from dmark.core import materialise, pairwise_sum
+from dmark.quickmark import (
+    _MIN_N,
+    _candidates,
+    _select,
+    _verify_candidates,
+    _verify_cut,
+    _verify_level,
+)
 
 dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
@@ -358,3 +367,107 @@ class TestCheckInvariants:
         ):
             with pytest.raises(AdmissibilityError, match="removal-minimal"):
                 _verify_cut(iv, cut(marked, x_star), goal, tol)
+
+
+def full_kernel(iv, theta, pivot=MedianPivot(), counter=None):
+    """The kernel on a scratch copy of every entry, then the materialise step."""
+    with np.errstate(over="ignore"):
+        x_star, count = _select(iv.scratch_copy(), goal_value(iv, theta), pivot, counter=counter)
+        marked = materialise(iv.values, x_star, count)
+        return marked, x_star, pairwise_sum(iv.values[marked])
+
+
+def family(rng, n, kind):
+    if kind == "lognormal":
+        return rng.lognormal(0.0, 2.5, n)
+    if kind in ("sorted", "reversed"):
+        vals = np.sort(rng.random(n))
+        return vals if kind == "sorted" else vals[::-1].copy()
+    return instance(rng, n, kind)
+
+
+def took_candidates(iv, theta):
+    return _candidates(iv.values, theta, goal_value(iv, theta)) is not None
+
+
+class TestCandidatePath:
+    """Above ``_MIN_N`` entries the kernel runs on the candidates above a sampled bound."""
+
+    FAMILIES = ("uniform", "ties", "sparse", "integers", "lognormal", "sorted", "reversed")
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_matches_full_kernel(self, rng, kind):
+        for n in (2**15, 2**16 + 3, 2**17 + 1, 2**18):
+            iv = IndicatorVector(family(rng, n, kind))
+            for theta in (0.3, 0.5, 0.7):
+                assert took_candidates(iv, theta), (kind, n, theta)
+                for piv in (MedianPivot(), RandomPivot(7), QuantilePivot(0.3)):
+                    out = quickmark(iv, theta, piv)
+                    marked, x_star, achieved = full_kernel(iv, theta, piv)
+                    assert np.array_equal(out.marked, marked), (kind, n, theta, piv)
+                    assert out.threshold == x_star
+                    assert out.achieved_sum.hex() == achieved.hex()
+                assert xstar_kernel(iv.scratch_copy(), theta) == out.threshold
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_passes_the_checks(self, rng, kind, monkeypatch):
+        checked = []
+
+        def verify(values, lo, idx, goal):
+            checked.append(idx.size)
+            _verify_candidates(values, lo, idx, goal)
+
+        # the package attribute ``quickmark`` is the function, not the module
+        module = importlib.import_module("dmark.quickmark")
+        monkeypatch.setattr(module, "_verify_candidates", verify)
+        iv = IndicatorVector(family(rng, 2**15, kind))
+        for theta in (0.3, 0.7):
+            assert took_candidates(iv, theta)
+            out = quickmark(iv, theta, check_invariants=True)
+            assert np.array_equal(out.marked, full_kernel(iv, theta)[0])
+        assert len(checked) == 2
+
+    def test_candidate_check_rejects_broken_sets(self):
+        values = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
+        _verify_candidates(values, 2.0, np.array([0, 2, 4]), 12.0)  # admissible
+        with pytest.raises(AdmissibilityError, match="exceeds the candidate bound"):
+            _verify_candidates(values, 2.0, np.array([0, 2]), 9.0)
+        with pytest.raises(AdmissibilityError, match="do not carry the goal"):
+            _verify_candidates(values, 2.0, np.array([0, 2, 4]), 12.5)
+
+    def test_counts_half_the_full_kernel_on_lognormal(self):
+        iv = IndicatorVector(np.random.default_rng(11).lognormal(0.0, 2.5, 2**17))
+        full, narrowed = OpCounter(), OpCounter()
+        full_kernel(iv, 0.5, counter=full)
+        quickmark(iv, 0.5, counter=narrowed)
+        assert took_candidates(iv, 0.5)
+        assert narrowed.comparisons <= full.comparisons / 2
+
+
+def fallback_cases():
+    n = 2**16
+    i = np.arange(n)
+    # the sample takes every stride-th entry: here exactly the few large
+    # ones, so the bound is too high and the candidates miss the goal
+    periodic = np.where(i % -(-n // 4096) == 0, 1.0 + i / n, 0.5)
+    # the sample value below the crossing rank is 0
+    sparse = (np.random.default_rng(5).random(n) < 0.05).astype(np.float64)
+    return [
+        ("periodic", periodic, 0.5),
+        ("all-equal", np.full(n, 2.0), 0.5),
+        ("mostly-zero", sparse, 0.5),
+        ("overflowing", 1e308 * (0.5 + i / (2 * n)), 0.5),
+        ("subnormal goal", 5e-324 * (1.0 + i % 1000), 0.3),
+        ("goal 0", np.where(i == 7, 5e-324, 0.0), 0.3),
+    ]
+
+
+@pytest.mark.parametrize("name,x,theta", fallback_cases())
+def test_fallback_runs_the_full_kernel(name, x, theta):
+    iv = IndicatorVector(x)
+    assert iv.n >= _MIN_N and not took_candidates(iv, theta)
+    out = quickmark(iv, theta)
+    marked, x_star, achieved = full_kernel(iv, theta)
+    assert np.array_equal(out.marked, marked) and out.threshold == x_star
+    assert out.achieved_sum == achieved
+    assert xstar_kernel(iv.scratch_copy(), theta) == x_star
