@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import instance
 from dmark import (
     AdmissibilityError,
     IndicatorVector,
@@ -26,7 +27,6 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
-from conftest import instance
 from dmark.core import materialise, pairwise_sum
 from dmark.quickmark import (
     _MIN_N,
