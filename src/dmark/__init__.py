@@ -17,7 +17,7 @@ Every strategy returns a :class:`dmark.core.MarkingOutcome`, whose
 ``threshold`` is set when the selection kernel decided the cut, and
 :func:`dmark.markers.mark` runs any of them by name.  The package also has
 verification oracles (:mod:`dmark.oracle`), file formats (:mod:`dmark.io`)
-and a benchmark harness (:mod:`dmark.bench`, CLI ``dmark``).
+and a file-marking CLI (:mod:`dmark.cli`, command ``dmark``).
 """
 
 from .binning import bin_layout, binning_depth, binning_mark

@@ -239,10 +239,16 @@ def as_indicators(x: IndicatorInput) -> IndicatorVector:
 
 
 def index_array(indices: Iterable[int]) -> np.ndarray:
-    """The indices as an int64 array (no copy for int64 arrays)."""
+    """The indices as an int64 array (no copy for int64 arrays).
+
+    Raises :class:`MarkingError` for a nonempty input without an integer
+    dtype: a cast would truncate floats and read a boolean mask as indices.
+    """
     if not isinstance(indices, np.ndarray):
-        indices = list(indices)
-    return np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(list(indices))
+    if indices.dtype.kind not in "iu" and indices.size:
+        raise MarkingError(f"marked indices must be integers, got dtype {indices.dtype}")
+    return indices.astype(np.int64, copy=False)
 
 
 def _index_mask(n: int, idx: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     IndicatorInput,
-    IndicatorVector,
     MarkingOutcome,
     OpCounter,
     _exact_sum,
@@ -43,17 +42,12 @@ __all__ = ["DecrementState", "decrement_mark", "decrement_trace", "sweep_limit"]
 class DecrementState:
     """Final sweep state, exposed for verification.
 
-    ``selection`` lists the selected indices in selection order; the threshold
-    in sweep ``k`` is ``(1 - k*nu) * max_value``.  ``running_sum`` is the
-    float ``cumsum`` of the selection in selection order; the stop test
-    itself decides on the correctly rounded sum.
+    ``outcome.marked`` lists the selected indices in selection order; the
+    threshold in sweep ``k`` is ``(1 - k*nu) * max(x)``.
     """
 
-    selected_count: int
-    selection: tuple[int, ...]
-    max_value: float
+    outcome: MarkingOutcome
     sweeps_used: int
-    running_sum: float
 
 
 def sweep_limit(nu: float) -> int:
@@ -78,7 +72,14 @@ def decrement_mark(
     to marking everything on constant vectors and exists solely to demonstrate
     the failure mode; it is not a supported strategy.
     """
-    iv, selection, _, _ = _run(x, theta, nu, legacy_sweep_termination, counter)
+    iv = as_indicators(x)
+    check_theta(theta)
+    check_nu(nu)
+    with overflow_guard(iv.n, iv.max_value()):
+        selection, _ = _sweeps(
+            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu),
+            legacy_sweep_termination, counter,
+        )
     return MarkingOutcome.trusted(iv, selection)
 
 
@@ -89,34 +90,16 @@ def decrement_trace(
     *,
     legacy_sweep_termination: bool = False,
 ) -> DecrementState:
-    """Run the sweep and return the final state instead of the outcome."""
-    iv, selection, sweeps_used, running_sum = _run(
-        x, theta, nu, legacy_sweep_termination, None
-    )
-    return DecrementState(
-        selected_count=int(selection.size),
-        selection=tuple(selection.tolist()),
-        max_value=iv.max_value(),
-        sweeps_used=sweeps_used,
-        running_sum=running_sum,
-    )
-
-
-def _run(
-    x: IndicatorInput,
-    theta: float,
-    nu: float,
-    legacy: bool,
-    counter: OpCounter | None,
-) -> tuple[IndicatorVector, np.ndarray, int, float]:
+    """Run the sweep and return the outcome with the number of sweeps used."""
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
     with overflow_guard(iv.n, iv.max_value()):
-        selection, sweeps_used, running_sum = _sweeps(
-            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu), legacy, counter
+        selection, sweeps_used = _sweeps(
+            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu),
+            legacy_sweep_termination, None,
         )
-    return iv, selection, sweeps_used, running_sum
+    return DecrementState(MarkingOutcome.trusted(iv, selection), sweeps_used)
 
 
 def _sweeps(
@@ -127,8 +110,8 @@ def _sweeps(
     sweeps: int,
     legacy: bool,
     counter: OpCounter | None,
-) -> tuple[np.ndarray, int, float]:
-    """Run the sweeps; return the selection, the sweeps used and the running sum.
+) -> tuple[np.ndarray, int]:
+    """Run the sweeps; return the selection and the sweeps used.
 
     The thresholds ``t_k`` do not increase and a sweep that does not stop
     takes all its candidates, so the candidates of sweep ``k`` are the
@@ -166,9 +149,9 @@ def _sweeps(
         if take:
             running = float(prefix[take - 1])
         if stop < candidates.size:
-            return np.concatenate(parts), k, running
+            return np.concatenate(parts), k
         above_prev = above
     # Exhausting the sweeps without reaching the goal (only through last-ulp
     # shortfall for theta near 1, or an overflowed goal) selects every entry
     # above the last threshold, which satisfies the criterion by definition.
-    return np.concatenate(parts), sweeps, running
+    return np.concatenate(parts), sweeps

@@ -13,6 +13,7 @@ from itertools import product
 import numpy as np
 
 from dmark import (
+    IndicatorVector,
     MedianPivot,
     OpCounter,
     QuantilePivot,
@@ -20,6 +21,7 @@ from dmark import (
     binning_mark,
     decrement_mark,
     gen_counterexample,
+    mark,
     mark_theta_one,
     nmin_exhaustive,
     quickmark,
@@ -27,7 +29,6 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
-from dmark.bench import BenchConfig, aggregate, run_bench
 
 from conftest import KINDS, instance
 
@@ -184,16 +185,18 @@ def test_decrement_counterexample():
 def test_linear_cost_scaling():
     # counted comparisons per element: flat for the selection strategy
     # (max/min ratio <= 2 across three decades), strictly increasing for the
-    # sort strategy; wall-clock per-element growth from the bench harness
-    # orders the same way
+    # sort strategy; wall-clock per-element growth of mark() orders the
+    # same way
     t0 = time.perf_counter()
     sizes = (10**3, 10**4, 10**5, 10**6)
     ok = True
     try:
         qm_per_el = []
         sort_per_el = []
+        vectors = {}
         for i, n in enumerate(sizes):
             vals = np.random.default_rng(1000 + i).random(n)
+            vectors[n] = IndicatorVector(vals)
             counter = OpCounter()
             quickmark(vals, 0.5, MedianPivot(), counter=counter)
             qm_per_el.append(counter.comparisons / n)
@@ -203,23 +206,22 @@ def test_linear_cost_scaling():
         assert max(qm_per_el) / min(qm_per_el) <= 2.0, qm_per_el
         assert all(a < b for a, b in zip(sort_per_el, sort_per_el[1:])), sort_per_el
 
-        # qualitative shape of the measured times via the bench harness:
-        # sorting grows strictly more per element than selection does
-        config = BenchConfig(
-            theta_grid=(0.5,),
-            n_grid=sizes,
-            runs=3,
-            seed=9,
-            algorithms=("sort", "quickmark"),
-        )
-        rows = aggregate(run_bench(config))
-        avg = {
-            (alg, n): seconds / n
-            for alg, n, _theta, stat, seconds, _c in rows
-            if stat == "avg"
+        # qualitative shape of the measured times, best of three calls on a
+        # prebuilt vector: sorting grows strictly more per element than
+        # selection does
+        def seconds_per_element(algorithm, n):
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                mark(vectors[n], 0.5, algorithm)
+                best = min(best, time.perf_counter() - start)
+            return best / n
+
+        growth = {
+            alg: seconds_per_element(alg, 10**6) / seconds_per_element(alg, 10**3)
+            for alg in ("sort", "quickmark")
         }
-        sort_growth = avg[("sort", 10**6)] / avg[("sort", 10**3)]
-        qm_growth = avg[("quickmark", 10**6)] / avg[("quickmark", 10**3)]
+        sort_growth, qm_growth = growth["sort"], growth["quickmark"]
         assert sort_growth > qm_growth, (sort_growth, qm_growth)
     except AssertionError:
         ok = False

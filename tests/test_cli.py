@@ -1,4 +1,4 @@
-"""Command-line interface: marking files, benchmarking, exit codes."""
+"""Command-line interface: marking files, exit codes."""
 
 import subprocess
 import sys
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dmark import mark
-from dmark.bench import DEFAULT_ALGORITHMS
 from dmark.cli import main
 from dmark.io import write_indicators
 from dmark.markers import ALGORITHM_NAMES
@@ -177,102 +176,18 @@ class TestMark:
             assert np.array_equal(np.loadtxt(out, dtype=np.int64), expected)
 
 
-class TestBench:
-    def test_csv_to_stdout(self, capsys):
-        code = main(
-            [
-                "bench",
-                "--algorithm",
-                "quickmark",
-                "--n",
-                "500",
-                "--theta",
-                "0.5",
-                "--runs",
-                "2",
-                "--seed",
-                "1",
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "algorithm,N,theta,stat,seconds,comparisons"
-        assert len(lines) == 4
-
-    def test_output_file_and_instrument(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(
-            [
-                "bench",
-                "--algorithm",
-                "sort",
-                "--n",
-                "200",
-                "--theta",
-                "0.25",
-                "--runs",
-                "2",
-                "--instrument",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
-        lines = out.read_text().splitlines()
-        comparisons = int(lines[1].split(",")[5])
-        assert comparisons > 0
-
-    def test_per_element_view(self, capsys):
-        code = main(
-            [
-                "bench",
-                "--algorithm",
-                "xstar",
-                "--n",
-                "300",
-                "--theta",
-                "0.5",
-                "--runs",
-                "1",
-                "--per-element",
-            ]
-        )
-        assert code == 0
-        header = capsys.readouterr().out.splitlines()[0]
-        assert header == "algorithm,N,theta,stat,ns_per_element"
-
-    def test_table_format(self, capsys):
-        code = main(
-            ["bench", "--n", "200", "--theta", "0.5", "--runs", "1", "--format", "table"]
-        )
-        assert code == 0
-        assert capsys.readouterr().out.startswith("algorithm")
-
-    def test_size_cap_exit_2(self, capsys):
-        code = main(["bench", "--n", "100000000", "--theta", "0.5", "--runs", "1"])
-        assert code == 2
-        assert "cap" in capsys.readouterr().err
-
-    def test_bad_flag_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--format", "yaml"])
-        assert exc.value.code == 2
+def test_removed_bench_command_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
 
 
 def test_repeated_calls_share_no_parser_state(indicator_file, tmp_path, capsys):
-    grid = ["--n", "200", "--theta", "0.5", "--runs", "1"]
-
-    def algorithms_in_csv():
-        rows = capsys.readouterr().out.splitlines()[1:]
-        return {row.split(",")[0] for row in rows}
-
-    assert main(["bench", "--algorithm", "sort", "--algorithm", "xstar", *grid]) == 0
-    assert algorithms_in_csv() == {"sort", "xstar"}
-    assert main(["bench", *grid]) == 0
-    assert algorithms_in_csv() == set(DEFAULT_ALGORITHMS)
     out = tmp_path / "m.txt"
-    code = main(["mark", "--input", str(indicator_file), "--theta", "0.5", "--output", str(out)])
-    assert code == 0
+    args = ["mark", "--input", str(indicator_file), "--theta", "0.5", "--output", str(out)]
+    assert main([*args, "--algorithm", "sort"]) == 0
+    assert "algorithm=sort" in capsys.readouterr().out
+    assert main(args) == 0
     assert out.read_text() == "0\n3\n"
     report = capsys.readouterr().out
     assert "algorithm=quickmark" in report

@@ -13,12 +13,14 @@ from dmark import (
     InvalidIndicatorsError,
     MarkingError,
     MarkingOutcome,
+    OpCounter,
     ParameterError,
     binning_mark,
     criterion_tolerance,
     decrement_mark,
     gen_counterexample,
     goal_value,
+    is_valid_minimal_set,
     mark,
     mark_theta_one,
     quickmark,
@@ -251,10 +253,47 @@ class TestMarkingOutcome:
             MarkingOutcome.from_marked([1.0, 2.0], np.array([2]))
 
 
+NON_INTEGER_SETS = [[0.9, 3.7], np.array([0.0, 3.0]), np.ones(4, dtype=bool), [True, False]]
+
+
+@pytest.mark.parametrize("marked", NON_INTEGER_SETS)
+def test_non_integer_index_sets_rejected(marked):
+    # a cast would read [0.9, 3.7] as {0, 3} and a boolean mask as {0, 1}
+    x = [4.0, 1.0, 2.0, 3.0]
+    with pytest.raises(MarkingError, match="integers"):
+        satisfies_doerfler(x, 0.5, marked)
+    with pytest.raises(MarkingError, match="integers"):
+        MarkingOutcome.from_marked(x, marked)
+    with pytest.raises(MarkingError, match="integers"):
+        is_valid_minimal_set(x, marked, 5.0)
+
+
+def test_integer_and_empty_index_sets_accepted():
+    x = [4.0, 1.0, 2.0, 3.0]
+    for marked in ([0, 3], np.array([0, 3], dtype=np.int32), np.array([3, 0], dtype=np.uint8)):
+        assert satisfies_doerfler(x, 0.5, marked) is True
+        assert MarkingOutcome.from_marked(x, marked).cardinality == 2
+    assert satisfies_doerfler(x, 0.5, []) is False
+    assert MarkingOutcome.from_marked(x, []).cardinality == 0
+
+
 def test_satisfies_doerfler_collapses_duplicates():
     # [0, 0] carries 4 < 5 once the duplicate collapses, not 8
     assert satisfies_doerfler([4, 1, 2, 3], 0.5, [0, 0]) is False
     assert satisfies_doerfler([4, 1, 2, 3], 0.5, np.array([3, 0, 3])) is True
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+def test_counter_through_mark_is_deterministic_and_changes_no_set(algorithm):
+    x = np.random.default_rng(42).random(1000)
+    plain = mark(x, 0.5, algorithm).outcome.marked
+    counts = []
+    for _ in range(2):
+        counter = OpCounter()
+        assert np.array_equal(mark(x, 0.5, algorithm, counter=counter).outcome.marked, plain)
+        counts.append(counter.comparisons)
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_criterion_tolerance_formula():

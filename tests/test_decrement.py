@@ -93,11 +93,12 @@ def test_trace_state_invariants(rng):
             vals[0] = 1.0
         nu = float(rng.choice([0.3, 0.5, 0.7]))
         state = decrement_trace(vals, 0.5, nu)
-        assert len(set(state.selection)) == state.selected_count
-        assert state.max_value == float(vals.max())
+        selection = state.outcome.marked
+        assert len(set(selection.tolist())) == state.outcome.cardinality
+        assert np.array_equal(selection, decrement_mark(vals, 0.5, nu).marked)
         assert 1 <= state.sweeps_used <= sweep_limit(nu)
-        expected = float(vals[list(state.selection)].sum())
-        assert state.running_sum == pytest.approx(expected, rel=1e-12)
+        expected = float(vals[selection].sum())
+        assert state.outcome.achieved_sum == pytest.approx(expected, rel=1e-12)
 
 
 def test_counted_path_matches_plain(rng):
@@ -215,7 +216,7 @@ def _assert_matches_reference(x, theta, nu, legacy):
     out = decrement_mark(x, theta, nu, legacy_sweep_termination=legacy, counter=counter)
     state = decrement_trace(x, theta, nu, legacy_sweep_termination=legacy)
     assert out.marked.tolist() == selection
-    assert list(state.selection) == selection
+    assert state.outcome.marked.tolist() == selection
     assert state.sweeps_used == sweeps_used
     assert counter.comparisons == count
 
@@ -259,7 +260,7 @@ def test_overflowed_goal_marks_every_positive_entry(theta):
     except MarkingError:
         pytest.fail("the overflowed goal is a valid input")
     assert sorted(out.marked.tolist()) == [0, 1, 2]
-    assert sorted(state.selection) == [0, 1, 2]
+    assert sorted(state.outcome.marked.tolist()) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.9])

@@ -96,6 +96,14 @@ def test_text_parse_error_names_first_bad_line(tmp_path):
     assert read_indicators(p).values.tolist() == [1.0, 2.5]
 
 
+@pytest.mark.parametrize("indices", [[0.9, 3.7], np.array([0.0, 3.0]), np.ones(4, dtype=bool)])
+def test_non_integer_indices_rejected(tmp_path, indices):
+    p = tmp_path / "m.txt"
+    with pytest.raises(MarkingError, match="integers"):
+        write_marked_indices(p, indices)
+    assert not p.exists()
+
+
 class TestMarkedIndexBytes:
     """The index file holds exactly the bytes of ``"".join(f"{i}\\n" for i in sorted(idx))``."""
 

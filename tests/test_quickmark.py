@@ -183,6 +183,21 @@ class TestInstrumentedPath:
             quickmark(np.random.default_rng(seed).random(n), 0.5, counter=counter)
             assert 2 * n <= counter.comparisons <= 4 * n
 
+    def test_theta_independence_of_quickmark_counts(self):
+        # mean counts over two seeded instances at N = 10^4 vary by at most
+        # 25% across the theta grid
+        n = 10**4
+        means = []
+        for theta_index, theta in enumerate((0.1, 0.25, 0.5, 0.75, 0.9)):
+            counts = []
+            for run in (1, 2):
+                seeds = np.random.SeedSequence(entropy=(3, theta_index, n, run))
+                counter = OpCounter()
+                quickmark(np.random.default_rng(seeds).random(n), theta, counter=counter)
+                counts.append(counter.comparisons)
+            means.append(float(np.mean(counts)))
+        assert max(means) / min(means) - 1.0 <= 0.25
+
 
 class TestXStarKernel:
     def test_example(self):
