@@ -215,7 +215,7 @@ def binning_mark(
     # bincount adds each bin in index order; with the cumsums no float sum
     # below has more than this many additions
     m = iv.n + layout.depth + 2
-    with overflow_guard(iv.n, iv.max_value()):
+    with overflow_guard(iv.total()):
         masses = np.bincount(labels, weights=values).cumsum()
         j = _first_reaching(
             masses, v, m, lambda k: _exact_sum(values, [(labels <= k).nonzero()[0]])

@@ -11,7 +11,12 @@ Every marking strategy in this package returns such a set; they differ in
 cardinality guarantees and cost.  All indices are 0-based.
 
 Whole-vector sums are computed with numpy's pairwise summation, once per
-:class:`IndicatorVector`.  The decrement and binning strategies share one
+:class:`IndicatorVector`: its validation reads the input twice, once for
+the largest entry and once for the sum.  An input that no one can write
+to, a 1-D, contiguous, native float64 array that is read-only along with
+every array it views, is adopted without a copy, and every other input is
+copied; the caller promises not to make an adopted array writeable again
+(see :class:`IndicatorVector`).  The decrement and binning strategies share one
 stop rule: the first prefix of their walk whose correctly rounded sum
 reaches the goal, with ``math.fsum`` settling the prefixes within rounding
 of it.  The verification predicate :func:`satisfies_doerfler` is the only
@@ -21,6 +26,7 @@ place where a floating-point slack is applied.
 from __future__ import annotations
 
 import math
+import struct
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
@@ -31,6 +37,10 @@ EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 _SUM_LIMIT = float(np.finfo(np.float64).max) / 2
 _NO_GUARD = nullcontext()
+_F64, _U64 = np.dtype(np.float64), np.dtype(np.uint64)
+# the bit pattern of inf, and a double's bits as an unsigned integer
+_INF_BITS = 0x7FF0000000000000
+_BITS, _DOUBLE = struct.Struct("=Q"), struct.Struct("=d")
 
 __all__ = [
     "EPS",
@@ -102,13 +112,16 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(np.add.reduce(values))
 
 
-def overflow_guard(n: int, max_value: float) -> AbstractContextManager:
-    """Context that lets float sums of ``n`` entries up to ``max_value`` overflow quietly.
+def overflow_guard(bound: float) -> AbstractContextManager:
+    """Context that lets float sums below ``2 * bound`` overflow quietly.
 
-    Such sums stay below ``2 * n * max_value``; unless that reaches the
-    largest double the guard is a no-op, far cheaper than ``np.errstate``.
+    A float sum of any ``m <= N`` nonnegative entries, in any order, stays
+    below twice ``N`` times their largest and below twice the float sum of
+    all ``N``; unless ``bound``, one of these, reaches half the largest
+    double (or overflowed) the guard is a no-op, far cheaper than
+    ``np.errstate``.
     """
-    return np.errstate(over="ignore") if n * max_value >= _SUM_LIMIT else _NO_GUARD
+    return _NO_GUARD if bound < _SUM_LIMIT else np.errstate(over="ignore")
 
 
 def _first_reaching(
@@ -185,24 +198,80 @@ def check_indicators(arr: np.ndarray) -> float:
     return hi
 
 
+def total_and_max(arr: np.ndarray) -> tuple[float, float]:
+    """The pairwise sum and the largest entry of a valid indicator array.
+
+    Raises like :func:`check_indicators`, in two read passes instead of its
+    two plus the sum.  Nonnegative doubles order like their bit patterns
+    read as unsigned integers, and a set sign bit puts a pattern above all
+    of theirs, so an unsigned maximum that is positive and below the
+    pattern of ``inf`` proves every entry finite and nonnegative, and not
+    all zero; it is the largest entry.  Any other maximum (NaN, ``inf``, a
+    negative entry, ``-0.0`` or all zeros) falls back to
+    :func:`check_indicators`, which raises with the violated condition or
+    returns the largest entry.
+    """
+    if arr.ndim != 1 or not arr.size:
+        check_indicators(arr)
+    top = int(np.maximum.reduce(arr.view(_U64)))
+    if 0 < top < _INF_BITS:
+        hi = _DOUBLE.unpack(_BITS.pack(top))[0]
+    else:
+        hi = check_indicators(arr)
+    with overflow_guard(arr.size * hi):
+        return pairwise_sum(arr), hi
+
+
+def _adoptable(values: object) -> bool:
+    """Whether ``values`` is a native float64 vector that no one can write to.
+
+    It must be 1-D, C-contiguous, aligned and read-only, and so must every
+    array in its ``base`` chain, which ends at an array that owns its data
+    or at an immutable ``bytes`` object.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype == _F64):
+        return False
+    flags = values.flags
+    if flags.writeable or not (flags.c_contiguous and flags.aligned) or values.ndim != 1:
+        return False
+    base = values.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return base is None or type(base) is bytes
+
+
 class IndicatorVector:
     """A nonnegative, not-all-zero vector of refinement indicators.
 
     The entries are the summands of the marking criterion.  Callers that work
     with squared estimator contributions must square before constructing the
     vector; the library never squares on its own.
-    The stored array is an immutable float64 copy of the input, so its
-    maximum (from validation) and its sum (on first use) are kept.
+
+    ``values`` is a read-only float64 view, so its sum and its maximum,
+    both from validation, are kept.  A 1-D, C-contiguous, aligned,
+    native float64 array that is read-only, over bases that are read-only
+    too and end at an array that owns its data or at ``bytes``, is adopted
+    without a copy: the view shares its memory.  Every other
+    input is copied, including a read-only view of a writeable array, lists,
+    other dtypes, byte-swapped and strided arrays.  The caller promises not
+    to turn the ``WRITEABLE`` flag of an adopted array, or of an array it
+    views, back on; numpy allows that only on an array that owns its data.
     """
 
     __slots__ = ("values", "_max", "_total")
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]):
-        arr = np.array(values, dtype=np.float64)
-        self._max = check_indicators(arr)
-        arr.setflags(write=False)
+        if _adoptable(values):
+            arr = values.view(np.ndarray)
+        else:
+            owner = np.array(values, dtype=np.float64)
+            owner.setflags(write=False)
+            # a view, whose flag cannot be turned back on
+            arr = owner.view()
+        self._total, self._max = total_and_max(arr)
         self.values = arr
-        self._total: float | None = None
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -212,9 +281,6 @@ class IndicatorVector:
         return int(self.values.size)
 
     def total(self) -> float:
-        if self._total is None:
-            with overflow_guard(self.n, self._max):
-                self._total = pairwise_sum(self.values)
         return self._total
 
     def max_value(self) -> float:
@@ -315,7 +381,7 @@ class MarkingOutcome:
         not checked, and it is made read-only.
         """
         idx.setflags(write=False)
-        with overflow_guard(iv.n, iv.max_value()):
+        with overflow_guard(iv.total()):
             return cls(idx, pairwise_sum(iv.values[idx]), int(idx.size))
 
 
@@ -343,7 +409,7 @@ def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -
     check_theta(theta, allow_one=True)
     # the mask collapses duplicates and sums in ascending index order
     mask = _index_mask(iv.n, index_array(marked))
-    with overflow_guard(iv.n, iv.max_value()):
+    with overflow_guard(iv.total()):
         marked_sum = pairwise_sum(iv.values[mask])
     return marked_sum >= goal_value(iv, theta) - criterion_tolerance(iv)
 

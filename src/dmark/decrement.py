@@ -75,7 +75,7 @@ def decrement_mark(
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
-    with overflow_guard(iv.n, iv.max_value()):
+    with overflow_guard(iv.total()):
         selection, _ = _sweeps(
             iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu),
             legacy_sweep_termination, counter,
@@ -94,7 +94,7 @@ def decrement_trace(
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
-    with overflow_guard(iv.n, iv.max_value()):
+    with overflow_guard(iv.total()):
         selection, sweeps_used = _sweeps(
             iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu),
             legacy_sweep_termination, None,

@@ -47,7 +47,7 @@ def _read_text(p: Path) -> np.ndarray:
     except OSError as exc:
         raise ParseError(f"{p}: {exc}") from exc
     try:
-        return np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
+        values = np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
     except ValueError:
         # only a failed parse pays for the scan that names the offending line
         for lineno, line in enumerate(lines, start=1):
@@ -59,6 +59,9 @@ def _read_text(p: Path) -> np.ndarray:
             except ValueError as exc:
                 raise ParseError(f"{p}:{lineno}: not a float: {stripped!r}") from exc
         raise
+    # read-only and owned by no one else, so IndicatorVector adopts it
+    values.setflags(write=False)
+    return values
 
 
 def _read_binary(p: Path) -> np.ndarray:
@@ -68,7 +71,8 @@ def _read_binary(p: Path) -> np.ndarray:
         raise ParseError(f"{p}: {exc}") from exc
     if len(raw) % 8 != 0:
         raise ParseError(f"{p}: size {len(raw)} is not a multiple of 8 bytes")
-    # read-only view of the bytes; IndicatorVector copies it into native order
+    # a read-only view of the immutable bytes, which IndicatorVector adopts
+    # without a copy; on a big-endian host it copies them into native order
     return np.frombuffer(raw, dtype="<f8")
 
 

@@ -104,7 +104,7 @@ def is_valid_minimal_set(
     rest_vals = iv.values[~mask]
     if rest_vals.size and member_vals.min() < rest_vals.max():
         return False
-    with overflow_guard(iv.n, iv.max_value()):
+    with overflow_guard(iv.total()):
         total = pairwise_sum(member_vals)
         # not ``total - min``, which reads inf on an overflowed total
         reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))

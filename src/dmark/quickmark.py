@@ -58,13 +58,13 @@ from .core import (
     _TINY,
     _exact_sum,
     as_indicators,
-    check_indicators,
     check_theta,
     criterion_tolerance,
     goal_value,
     materialise,
     overflow_guard,
     pairwise_sum,
+    total_and_max,
 )
 from .oracle import is_valid_minimal_set
 
@@ -139,7 +139,7 @@ def quickmark(
     check_theta(theta)
     goal = goal_value(iv, theta)
     tol = criterion_tolerance(iv) if check_invariants else None
-    with overflow_guard(iv.n, iv.max_value()):
+    with overflow_guard(iv.total()):
         cut = _candidates(iv.values, theta, goal, tol, counter)
         if cut is None:
             x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
@@ -305,7 +305,8 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     """
     check_theta(theta)
     a = np.asarray(x_copy, dtype=np.float64)
-    with overflow_guard(a.size, check_indicators(a)):
-        goal = theta * pairwise_sum(a)
+    total = total_and_max(a)[0]
+    with overflow_guard(total):
+        goal = theta * total
         cut = _candidates(a, theta, goal, counter=counter)
         return _select(a if cut is None else cut[1], goal, MedianPivot(), counter=counter)[0]

@@ -52,7 +52,7 @@ def sorted_prefix(x: IndicatorInput, counter: OpCounter | None = None) -> Sorted
         desc = np.sort(iv.values)[::-1]
     else:
         desc = np.array(_counted_sort_desc(iv.values.tolist(), counter))
-    with overflow_guard(iv.n, iv.max_value()):
+    with overflow_guard(iv.total()):
         prefix = np.cumsum(desc)
     return SortedPrefix(values=desc, prefix_sums=prefix)
 

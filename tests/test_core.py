@@ -105,6 +105,107 @@ class TestIndicatorVector:
         assert iv.values[0] == 1.0
 
 
+def read_only(values, dtype=np.float64) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+class TestAdoption:
+    """Read-only float64 inputs are wrapped without a copy; all others are copied."""
+
+    def test_read_only_owner_is_adopted(self):
+        x = read_only([1.0, 2.0, 3.0])
+        iv = IndicatorVector(x)
+        assert np.shares_memory(iv.values, x)
+        assert iv.total() == 6.0 and iv.max_value() == 3.0
+
+    def test_read_only_view_of_read_only_owner_is_adopted(self):
+        x = read_only([1.0, 2.0, 3.0, 4.0])
+        assert np.shares_memory(IndicatorVector(x[1:]).values, x)
+
+    def test_read_only_view_of_writeable_base_is_copied(self):
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[:]
+        view.setflags(write=False)
+        iv = IndicatorVector(view)
+        assert not np.shares_memory(iv.values, base)
+        base[0] = 100.0
+        assert iv.values.tolist() == [1.0, 2.0, 3.0]
+        assert iv.total() == 6.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([1.0, 2.0, 3.0]),  # writeable
+            lambda: read_only([1.0, 9.0, 2.0, 9.0, 3.0])[::2],  # strided
+            lambda: read_only([1.0, 2.0, 3.0], np.float32),
+            lambda: read_only([1.0, 2.0, 3.0], np.dtype(np.float64).newbyteorder()),
+            # read-only, but the buffer it views is not
+            lambda: np.frombuffer(memoryview(bytearray(read_only([1.0, 2.0, 3.0]))).toreadonly()),
+        ],
+        ids=["writeable", "strided", "float32", "byte-swapped", "read-only-buffer"],
+    )
+    def test_other_arrays_are_copied(self, make):
+        x = make()
+        iv = IndicatorVector(x)
+        assert not np.shares_memory(iv.values, x)
+        assert iv.values.dtype == np.float64 and iv.values.dtype.isnative
+        assert iv.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_list_is_copied(self):
+        xs = [1.0, 2.0, 3.0]
+        iv = IndicatorVector(xs)
+        xs[0] = 100.0
+        assert iv.values.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("make", [read_only, np.array, list], ids=["adopted", "array", "list"])
+    def test_values_cannot_be_made_writeable(self, make):
+        iv = IndicatorVector(make([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            iv.values.setflags(write=True)
+
+
+# the messages of check_indicators, which the two-pass validation keeps
+INVALID = [
+    ([1.0, np.nan], "indicators must be finite"),
+    ([1.0, np.inf], "indicators must be finite"),
+    ([-np.inf, 1.0], "indicators must be finite"),
+    ([2.0, -1e-300], "indicators must be nonnegative"),
+    ([0.0, 0.0], "at least one indicator must be positive"),
+    ([0.0, -0.0], "at least one indicator must be positive"),
+    ([], "indicator vector must not be empty"),
+    ([[1.0, 2.0], [3.0, 4.0]], "indicators must be one-dimensional, got shape (2, 2)"),
+]
+ENTRY_POINTS = {
+    "adopted": lambda xs: IndicatorVector(read_only(xs)),
+    "copied": lambda xs: IndicatorVector(list(xs)),
+    "xstar": lambda xs: xstar_kernel(np.array(xs, dtype=np.float64), 0.5),
+}
+
+
+@pytest.mark.parametrize("path", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "bad,message", INVALID,
+    ids=["nan", "+inf", "-inf", "negative", "zeros", "signed-zeros", "empty", "2-D"],
+)
+def test_invalid_inputs_raise_the_same_message(path, bad, message):
+    with pytest.raises(InvalidIndicatorsError) as info:
+        ENTRY_POINTS[path](bad)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path", ["adopted", "copied"])
+@pytest.mark.parametrize(
+    "xs,total,largest",
+    [([1e308, 1e308, 1e307], np.inf, 1e308), ([-0.0, 2.0, 0.5], 2.5, 2.0), ([5e-324], 5e-324, 5e-324)],
+)
+def test_valid_edge_inputs_are_accepted(path, xs, total, largest):
+    # a sum of finite entries that overflows, a negative zero, a subnormal
+    iv = ENTRY_POINTS[path](xs)
+    assert iv.total() == total and iv.max_value() == largest
+
+
 class TestMarkingParams:
     # theta and nu are validated by check_theta and check_nu at every entry
     def test_valid(self):
@@ -337,3 +438,18 @@ def test_huge_entries_raise_no_warning(xs, theta):
         warnings.simplefilter("error")
         for name in ALGORITHM_NAMES:
             assert satisfies_doerfler(xs, theta, mark(xs, theta, name).outcome.marked)
+
+
+@given(
+    st.lists(st.floats(0.0, 1.7e308), min_size=1, max_size=12).filter(lambda xs: max(xs) > 0),
+    st.sampled_from([0.3, 0.45, 0.9]),
+)
+@settings(max_examples=80, deadline=None)
+def test_huge_entries_raise_no_warning_when_adopted(xs, theta):
+    # the same sums on read-only arrays, which the vector wraps without a copy
+    x = read_only(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.shares_memory(IndicatorVector(x).values, x)
+        for name in ALGORITHM_NAMES:
+            assert satisfies_doerfler(x, theta, mark(x, theta, name).outcome.marked)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmark import InvalidIndicatorsError, MarkingError, ParseError, mark
+from dmark import io
 from dmark.io import read_indicators, write_indicators, write_marked_indices
 from dmark.markers import ALGORITHM_NAMES
 
@@ -26,6 +27,21 @@ def test_binary_roundtrip(tmp_path):
     write_indicators(p, vals)
     iv = read_indicators(p)
     assert np.array_equal(iv.values, vals)
+
+
+def test_readers_hand_over_their_buffers(tmp_path):
+    # the .f64 values view the bytes read, and both formats give the same doubles
+    vals = np.random.default_rng(2).lognormal(0.0, 2.5, 100)
+    write_indicators(tmp_path / "x.f64", vals)
+    write_indicators(tmp_path / "x.txt", vals)
+    binary, text = read_indicators(tmp_path / "x.f64"), read_indicators(tmp_path / "x.txt")
+    assert binary.values.flags.owndata is False
+    base = binary.values.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert type(base) is bytes
+    assert binary.values.tobytes() == text.values.tobytes() == vals.tobytes()
+    assert io._read_text(tmp_path / "x.txt").flags.writeable is False
 
 
 def test_text_parse_error_reports_line(tmp_path):
