@@ -46,14 +46,7 @@ from .oracle import (
     nmin_exhaustive,
     nmin_oracle,
 )
-from .quickmark import (
-    MedianPivot,
-    PivotStrategy,
-    QuantilePivot,
-    RandomPivot,
-    quickmark,
-    xstar_kernel,
-)
+from .quickmark import quickmark, xstar_kernel
 from .sort_mark import sort_mark, sorted_prefix
 
 __version__ = "0.1.0"
@@ -70,13 +63,9 @@ __all__ = [
     "MarkerRun",
     "MarkingError",
     "MarkingOutcome",
-    "MedianPivot",
     "OpCounter",
     "ParameterError",
     "ParseError",
-    "PivotStrategy",
-    "QuantilePivot",
-    "RandomPivot",
     "as_indicators",
     "bin_layout",
     "binning_depth",

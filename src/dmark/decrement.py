@@ -72,15 +72,7 @@ def decrement_mark(
     to marking everything on constant vectors and exists solely to demonstrate
     the failure mode; it is not a supported strategy.
     """
-    iv = as_indicators(x)
-    check_theta(theta)
-    check_nu(nu)
-    with overflow_guard(iv.total()):
-        selection, _ = _sweeps(
-            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu),
-            legacy_sweep_termination, counter,
-        )
-    return MarkingOutcome.trusted(iv, selection)
+    return _decrement(x, theta, nu, legacy_sweep_termination, counter)[0]
 
 
 def decrement_trace(
@@ -91,15 +83,20 @@ def decrement_trace(
     legacy_sweep_termination: bool = False,
 ) -> DecrementState:
     """Run the sweep and return the outcome with the number of sweeps used."""
+    return DecrementState(*_decrement(x, theta, nu, legacy_sweep_termination, None))
+
+
+def _decrement(x, theta, nu, legacy, counter) -> tuple[MarkingOutcome, int]:
+    """Validate, run the sweeps and return the outcome and the sweeps used."""
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
     with overflow_guard(iv.total()):
         selection, sweeps_used = _sweeps(
             iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu),
-            legacy_sweep_termination, None,
+            legacy, counter,
         )
-    return DecrementState(MarkingOutcome.trusted(iv, selection), sweeps_used)
+    return MarkingOutcome.trusted(iv, selection), sweeps_used
 
 
 def _sweeps(

@@ -20,7 +20,7 @@ from .core import (
     mark_theta_one,
 )
 from .decrement import decrement_mark
-from .quickmark import MedianPivot, PivotStrategy, quickmark
+from .quickmark import quickmark
 from .sort_mark import sort_mark
 
 __all__ = ["ALGORITHM_NAMES", "MarkerRun", "mark"]
@@ -47,7 +47,6 @@ def mark(
     algorithm: str = "quickmark",
     *,
     nu: float = 0.5,
-    pivot: PivotStrategy | None = None,
     counter: OpCounter | None = None,
 ) -> MarkerRun:
     """Run the named strategy; ``theta == 1`` marks the positive support."""
@@ -65,9 +64,7 @@ def mark(
         outcome = decrement_mark(iv, theta, nu, counter=counter)
     elif algorithm == "binning":
         outcome = binning_mark(iv, theta, nu, counter)
-    elif algorithm == "quickmark":
-        outcome = quickmark(iv, theta, pivot or MedianPivot(), counter=counter)
     else:
-        # xstar: the same value kernel and materialise step, median rank
+        # quickmark and xstar: the same value kernel and materialise step
         outcome = quickmark(iv, theta, counter=counter)
     return MarkerRun(algorithm, outcome)

@@ -82,7 +82,6 @@ def is_valid_minimal_set(
     x: IndicatorInput,
     marked: Iterable[int],
     v: float,
-    tol: float | None = None,
 ) -> bool:
     """Membership test for the family of minimal sets of goal ``v``.
 
@@ -98,8 +97,7 @@ def is_valid_minimal_set(
     member_vals = iv.values[mask]
     if not member_vals.size:
         return False
-    if tol is None:
-        tol = criterion_tolerance(iv)
+    tol = criterion_tolerance(iv)
 
     rest_vals = iv.values[~mask]
     if rest_vals.size and member_vals.min() < rest_vals.max():

@@ -1,20 +1,16 @@
 """Minimal-cardinality marking in linear time by selection-style recursion.
 
 The value kernel reorders a scratch copy of the indicators in place.  At each
-level it partitions the active range around the value of a chosen rank,
-then either recurses into the part above the rank (it already covers the
-goal), stops at the rank (the rank's value closes the gap), or recurses into
-the part below with the goal reduced by the mass it skips.  It returns the
-threshold ``x_star`` and the cut ``count``, the cardinality of the marked
-set; one materialise step turns the two into the index set.  With a median
-rank each step halves the range, and numpy's introselect partitions it in
-worst-case linear time, giving worst-case linear total cost; the
-returned set has minimal cardinality for every input whose sums do not sit
-within rounding of the goal.
-
-Three pivot policies choose the rank: the deterministic (lower) median, a
-seeded random rank (fast on average, quadratic in the worst case), and a
-fixed ``q``-quantile whose cost scales with ``1 / min(q, 1 - q)``.
+level it partitions the active range of ``m`` entries around the value of
+its lower median rank ``(m - 1) // 2``, then either recurses into the part
+above the rank (it already covers the goal), stops at the rank (the rank's
+value closes the gap), or recurses into the part below with the goal
+reduced by the mass it skips.  It returns the threshold ``x_star`` and the
+cut ``count``, the cardinality of the marked set; one materialise step
+turns the two into the index set.  Each step halves the range, and numpy's
+introselect partitions it in worst-case linear time, giving worst-case
+linear total cost; the returned set has minimal cardinality for every input
+whose sums do not sit within rounding of the goal.
 
 From ``_MIN_N`` entries on, a sampled lower bound of ``x_star`` narrows
 the kernel to the candidates above it (Floyd & Rivest's sampled selection,
@@ -43,8 +39,6 @@ is the cost of the code that is timed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -54,7 +48,6 @@ from .core import (
     IndicatorInput,
     MarkingOutcome,
     OpCounter,
-    ParameterError,
     _TINY,
     _exact_sum,
     as_indicators,
@@ -68,14 +61,7 @@ from .core import (
 )
 from .oracle import is_valid_minimal_set
 
-__all__ = [
-    "MedianPivot",
-    "RandomPivot",
-    "QuantilePivot",
-    "PivotStrategy",
-    "quickmark",
-    "xstar_kernel",
-]
+__all__ = ["quickmark", "xstar_kernel"]
 
 # entries in the strided sample, and the smallest N whose mark() call the
 # sample and the filter make cheaper (crossover measured in CHANGES.md)
@@ -83,45 +69,14 @@ _SAMPLE = 4096
 _MIN_N = 32768
 
 
-@dataclass(frozen=True)
-class MedianPivot:
-    """Deterministic lower-median pivot; worst-case linear overall cost."""
-
-
-@dataclass(frozen=True)
-class RandomPivot:
-    """Uniformly random pivot from a seeded generator (PCG64).
-
-    Fast on average; an adversarial input can drive the recursion to
-    quadratic cost, so the median pivot is the safe default.
-    """
-
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class QuantilePivot:
-    """Pivot at a fixed quantile ``q`` of the active range, 0 < q < 1."""
-
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.q < 1.0):
-            raise ParameterError(f"quantile must lie strictly in (0, 1), got {self.q!r}")
-
-
-PivotStrategy = Union[MedianPivot, RandomPivot, QuantilePivot]
-
-
 def quickmark(
     x: IndicatorInput,
     theta: float,
-    pivot: PivotStrategy = MedianPivot(),
     *,
     counter: OpCounter | None = None,
     check_invariants: bool = False,
 ) -> MarkingOutcome:
-    """Minimal-cardinality marking by pivot-partition recursion.
+    """Minimal-cardinality marking by median-partition recursion.
 
     The value kernel runs on the candidates above a sampled lower bound of
     ``x_star``, or on a scratch copy of every entry when the bound does not
@@ -142,11 +97,11 @@ def quickmark(
     with overflow_guard(iv.total()):
         cut = _candidates(iv.values, theta, goal, tol, counter)
         if cut is None:
-            x_star, count = _select(iv.scratch_copy(), goal, pivot, tol, counter)
+            x_star, count = _select(iv.scratch_copy(), goal, tol, counter)
             marked = materialise(iv.values, x_star, count)
         else:
             idx, scratch = cut
-            x_star, count = _select(scratch, goal, pivot, tol, counter)
+            x_star, count = _select(scratch, goal, tol, counter)
             # the candidates in index order again, in the kernel's buffer,
             # which is released before the marked indices are allocated
             at_least = iv.values.take(idx, out=scratch, mode="clip") >= x_star
@@ -154,7 +109,7 @@ def quickmark(
             marked = materialise(iv.values, x_star, count, idx.compress(at_least))
         outcome = MarkingOutcome(marked, pairwise_sum(iv.values[marked]), int(marked.size), x_star)
         if tol is not None:
-            _verify_cut(iv, outcome, goal, tol)
+            _verify_cut(iv, outcome, goal)
     return outcome
 
 
@@ -207,7 +162,6 @@ def _candidates(
 def _select(
     a: np.ndarray,
     v: float,
-    pivot: PivotStrategy,
     tol: float | None = None,
     counter: OpCounter | None = None,
 ) -> tuple[float, int]:
@@ -216,27 +170,22 @@ def _select(
     Reorders ``a`` in place so that ``a[:k] <= x_star == a[k] <= a[k:]`` at
     the stopping rank ``k`` and returns ``(a[k], N - k)``: the ``count``
     largest values carry the goal ``v`` and the ``count - 1`` largest do not.
-    The pivot policy chooses the rank at each level.  A rank at the bottom of
-    the range always stops, so rounding that leaves the residual goal above
+    Each level partitions the active range of ``m`` entries around its lower
+    median rank ``(m - 1) // 2``.  A rank at the bottom of the range (``m``
+    at most 2) always stops, so rounding that leaves the residual goal above
     the range mass cannot empty the range.  With ``tol`` every level is
     checked against the goal with that slack.  A ``counter`` gets, per level,
     the elements partitioned plus the elements summed above the rank.
     """
     n_total = int(a.size)
     goal = v
-    rng = np.random.default_rng(pivot.seed) if isinstance(pivot, RandomPivot) else None
     # an inf (overflowed) goal keeps the mass fixed above ``hi`` here, not in ``v``
     lo, hi, fixed = 0, n_total, 0.0
     while True:
         if tol is not None:
             _verify_level(a, lo, hi, v, goal, tol, fixed)
         m = hi - lo
-        if isinstance(pivot, MedianPivot):
-            r = (m - 1) // 2
-        elif isinstance(pivot, RandomPivot):
-            r = int(rng.integers(m))
-        else:
-            r = min(int(pivot.q * m), m - 1)
+        r = (m - 1) // 2
         k = lo + r
         a[lo:hi].partition(r)
         pv = float(a[k])
@@ -281,10 +230,10 @@ def _verify_candidates(values, lo, idx, goal) -> None:
         raise AdmissibilityError("the candidates do not carry the goal")
 
 
-def _verify_cut(iv, outcome, goal, tol) -> None:
+def _verify_cut(iv, outcome, goal) -> None:
     if float(iv.values[outcome.marked].min()) != outcome.threshold:
         raise AdmissibilityError("threshold is not the smallest marked value")
-    if not is_valid_minimal_set(iv, outcome.marked, goal, tol):
+    if not is_valid_minimal_set(iv, outcome.marked, goal):
         raise AdmissibilityError(
             "marked set does not dominate the rest, reach the goal and stay removal-minimal"
         )
@@ -294,10 +243,10 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     """Threshold of the minimal marking, computed on a destructive scratch copy.
 
     ``x_copy`` must be a caller-owned scratch array.  The same value kernel
-    that :func:`quickmark` runs, with the median rank, runs on the
-    candidates above a sampled lower bound of the threshold, or, when that
-    bound does not hold, reorders ``x_copy`` itself in place (contiguous
-    accesses, no permutation indirection); a ``counter`` counts the
+    that :func:`quickmark` runs on the candidates above a sampled lower
+    bound of the threshold, or, when that bound does not hold, reorders
+    ``x_copy`` itself in place (contiguous accesses, no permutation
+    indirection), or a copy of it when it is read-only; a ``counter`` counts the
     filter's and the kernel's element operations.  Returns the
     smallest value contained in any minimal marked set.  The threshold alone
     does not fix the cut among ties in floating point; :func:`quickmark`
@@ -309,4 +258,8 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     with overflow_guard(total):
         goal = theta * total
         cut = _candidates(a, theta, goal, counter=counter)
-        return _select(a if cut is None else cut[1], goal, MedianPivot(), counter=counter)[0]
+        if cut is not None:
+            a = cut[1]
+        elif not a.flags.writeable:
+            a = a.copy()
+        return _select(a, goal, counter=counter)[0]

@@ -30,7 +30,6 @@ from dmark import (
 )
 from dmark import core
 from dmark.core import check_nu, check_theta
-from test_quickmark import ALL_PIVOTS
 
 nonneg_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=40
@@ -420,11 +419,10 @@ def test_overflowing_sum_raises_no_warning(theta):
             marked = mark(x, theta, name).outcome.marked
             assert sorted(marked.tolist()) == sorted(direct[name]().tolist())
             assert satisfies_doerfler(x, theta, marked)
-        # the debug checks accept the same set for every pivot: the removal
-        # test must not read inf - 1e308 >= inf, and the kernel must count the
-        # mass it fixes toward the overflowed goal
-        for piv in ALL_PIVOTS:
-            assert quickmark(x, theta, piv, check_invariants=True).marked.tolist() == [0, 1]
+        # the debug checks accept the set: the removal test must not read
+        # inf - 1e308 >= inf, and the kernel must count the mass it fixes
+        # toward the overflowed goal
+        assert quickmark(x, theta, check_invariants=True).marked.tolist() == [0, 1]
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Selection-based minimal marking: value kernel, pivots, counts, materialise step."""
+"""Selection-based minimal marking: value kernel, counts, materialise step."""
 
 import importlib
 import math
@@ -14,11 +14,8 @@ from dmark import (
     AdmissibilityError,
     IndicatorVector,
     MarkingOutcome,
-    MedianPivot,
     OpCounter,
     ParameterError,
-    QuantilePivot,
-    RandomPivot,
     goal_value,
     is_valid_minimal_set,
     mark,
@@ -41,8 +38,6 @@ dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
 ).filter(lambda xs: any(v > 0 for v in xs))
 dyadic_thetas = st.integers(1, 63).map(lambda k: k / 64.0)
-
-ALL_PIVOTS = (MedianPivot(), RandomPivot(1), RandomPivot(99), QuantilePivot(0.3))
 
 
 class TestQuickmarkExamples:
@@ -117,9 +112,7 @@ class TestThresholdInvariance:
                     vals[0] = 0.5
             theta = float(rng.uniform(0.05, 0.95))
             iv = IndicatorVector(vals)
-            stars = [quickmark(iv, theta, p).threshold for p in ALL_PIVOTS]
-            stars.append(xstar_kernel(iv.scratch_copy(), theta))
-            assert len(set(stars)) == 1, (trial, stars)
+            assert quickmark(iv, theta).threshold == xstar_kernel(iv.scratch_copy(), theta), trial
 
     def test_x_star_is_min_marked_value(self, rng):
         cases = []
@@ -134,13 +127,6 @@ class TestThresholdInvariance:
             assert r.threshold == float(vals[r.marked].min())
             assert r.threshold == xstar_kernel(vals.copy(), theta)
 
-    def test_random_pivot_deterministic_per_seed(self, rng):
-        vals = rng.random(200)
-        a = quickmark(vals, 0.5, RandomPivot(seed=5))
-        b = quickmark(vals, 0.5, RandomPivot(seed=5))
-        assert a.cardinality == b.cardinality and a.threshold == b.threshold
-        assert np.array_equal(a.marked, b.marked)
-
 
 class TestInstrumentedPath:
     def test_matches_fast(self, rng):
@@ -150,30 +136,12 @@ class TestInstrumentedPath:
                 [0.25, 0.5, 1.0, 2.0], size=n
             )
             theta = float(rng.uniform(0.05, 0.95))
-            for piv in ALL_PIVOTS:
-                counter = OpCounter()
-                counted = quickmark(vals, theta, piv, counter=counter, check_invariants=True)
-                fast = quickmark(vals, theta, piv)
-                assert counted.cardinality == fast.cardinality
-                assert counted.threshold == fast.threshold
-                assert counter.comparisons > 0
-
-    def test_quantile_cost_scales_with_min_q(self, rng):
-        # counted cost of quantile(q) stays within the median-pivot budget
-        # scaled by 1 / min(q, 1 - q)
-        n = 3000
-        median_max = 0.0
-        instances = [rng.random(n) for _ in range(5)]
-        for vals in instances:
             counter = OpCounter()
-            quickmark(vals, 0.5, MedianPivot(), counter=counter)
-            median_max = max(median_max, counter.comparisons / n)
-        for q in (0.3, 0.7):
-            factor = 1.0 / min(q, 1.0 - q)
-            for vals in instances:
-                counter = OpCounter()
-                quickmark(vals, 0.5, QuantilePivot(q), counter=counter)
-                assert counter.comparisons <= median_max * n * factor
+            counted = quickmark(vals, theta, counter=counter, check_invariants=True)
+            fast = quickmark(vals, theta)
+            assert counted.cardinality == fast.cardinality
+            assert counted.threshold == fast.threshold
+            assert counter.comparisons > 0
 
     @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
     def test_median_counts_between_2n_and_4n(self, n):
@@ -243,6 +211,16 @@ class TestXStarKernel:
         with pytest.raises(InvalidIndicatorsError):
             xstar_kernel(np.zeros(4), 0.5)
 
+    def test_read_only_input(self):
+        # the kernel partitions a copy of a read-only array: on the small
+        # path and on the fallback, which ties force from _MIN_N entries on
+        small = np.array([1.0, 2.0, 3.0])
+        equal = np.full(40_000, 2.0)
+        assert not took_candidates(IndicatorVector(equal), 0.5)
+        for a in (small, equal):
+            a.setflags(write=False)
+            assert xstar_kernel(a, 0.5) == quickmark(a, 0.5).threshold
+
 
 class TestSetFromThreshold:
     """The xstar set is minimal: its cut is the kernel's, not rebuilt from x_star."""
@@ -278,50 +256,48 @@ def boundary_instance(rng, n):
 
 class TestBoundaryCuts:
     def test_seeded_boundary_sweep(self, rng):
-        # cardinality may differ by one between pivot policies at these
-        # boundaries (their float sums run in different orders), so equal
-        # cardinality is asserted only for the two strategies sharing a rank
+        # quickmark and xstar share the kernel, so they agree on the cut
         for _ in range(1500):
             x, theta = boundary_instance(rng, int(rng.integers(2, 41)))
-            for piv in ALL_PIVOTS:
-                run = mark(x, theta, "quickmark", pivot=piv)
-                assert satisfies_doerfler(x, theta, run.outcome.marked)
-                quickmark(x, theta, piv, check_invariants=True)
+            run = mark(x, theta, "quickmark")
+            assert satisfies_doerfler(x, theta, run.outcome.marked)
+            quickmark(x, theta, check_invariants=True)
             xstar = mark(x, theta, "xstar")
             assert satisfies_doerfler(x, theta, xstar.outcome.marked)
-            median = mark(x, theta, "quickmark")
-            assert xstar.outcome.cardinality == median.outcome.cardinality
-            assert xstar.threshold == median.threshold
+            assert xstar.outcome.cardinality == run.outcome.cardinality
+            assert xstar.threshold == run.threshold
 
     @pytest.mark.parametrize(
-        "x,theta,piv",
+        "x,theta",
         [
-            # the bottom rank stops although rounding left the residual goal
-            # above the mass of the range (IndexError on an empty range before)
-            ([0.031, 0.39, 0.31], 0.9999999999999998, MedianPivot()),
-            ([0.0087, 3.2e-05, 4.1e-06, 0.36], 0.9999999999999998, QuantilePivot(0.3)),
-            ([0.63, 5.2e-06, 5e-05, 0.73], 0.9999999999999999, QuantilePivot(0.7)),
-            ([0.018, 0.00041, 0.048], 0.993826230989309, RandomPivot(1)),
+            # found with the median, quantile 0.3, quantile 0.7 and random
+            # ranks, whose bottom rank stopped although rounding left the
+            # residual goal above the mass of the range (IndexError on an
+            # empty range before)
+            ([0.031, 0.39, 0.31], 0.9999999999999998),
+            ([0.0087, 3.2e-05, 4.1e-06, 0.36], 0.9999999999999998),
+            ([0.63, 5.2e-06, 5e-05, 0.73], 0.9999999999999999),
+            ([0.018, 0.00041, 0.048], 0.993826230989309),
             # threshold and cut disagreed when rebuilt by a second float
             # decision (xstar raised a threshold-mismatch error before)
-            ([0.004, 0.0024, 0.0068, 0.0062], 0.8762886597938145, MedianPivot()),
+            ([0.004, 0.0024, 0.0068, 0.0062], 0.8762886597938145),
         ],
     )
-    def test_known_boundary_instances(self, x, theta, piv):
-        for run in (mark(x, theta, "quickmark", pivot=piv), mark(x, theta, "xstar")):
+    def test_known_boundary_instances(self, x, theta):
+        for run in (mark(x, theta, "quickmark"), mark(x, theta, "xstar")):
             assert satisfies_doerfler(x, theta, run.outcome.marked)
-        quickmark(x, theta, piv, check_invariants=True)
+        quickmark(x, theta, check_invariants=True)
 
     @pytest.mark.parametrize(
-        "x,theta,piv,expected",
+        "x,theta,expected",
         [
-            ([0.031, 0.39, 0.31], 0.9999999999999998, MedianPivot(), (0.031, 3)),
-            ([0.0087, 3.2e-05, 4.1e-06, 0.36], 0.9999999999999998, QuantilePivot(0.3), (4.1e-06, 4)),
+            ([0.031, 0.39, 0.31], 0.9999999999999998, (0.031, 3)),
+            ([0.0087, 3.2e-05, 4.1e-06, 0.36], 0.9999999999999998, (4.1e-06, 4)),
         ],
     )
-    def test_bottom_rank_stops_the_kernel(self, x, theta, piv, expected):
+    def test_bottom_rank_stops_the_kernel(self, x, theta, expected):
         a = np.array(x)
-        assert _select(a, theta * float(np.sum(x)), piv) == expected
+        assert _select(a, theta * float(np.sum(x))) == expected
         # the cut is the kernel's non-strict ordering around the threshold
         pv, count = expected
         k = len(x) - count
@@ -359,35 +335,33 @@ class TestCheckInvariants:
 
     def test_underflowing_goal_passes_the_checks(self):
         # 0.3 * 5e-324 rounds to a goal of 0, which the one-element set reaches
-        for piv in ALL_PIVOTS:
-            out = quickmark([5e-324], 0.3, piv, check_invariants=True)
-            assert out.marked.tolist() == [0]
-            out = quickmark([5e-324, 0.0, 5e-324], 0.1, piv, check_invariants=True)
-            assert out.marked.tolist() == [0]
+        out = quickmark([5e-324], 0.3, check_invariants=True)
+        assert out.marked.tolist() == [0]
+        out = quickmark([5e-324, 0.0, 5e-324], 0.1, check_invariants=True)
+        assert out.marked.tolist() == [0]
 
     def test_cut_check_rejects_broken_sets(self):
-        tol = 1e-12
         iv = IndicatorVector([4.0, 1.0, 2.0, 3.0])
 
         def cut(marked, x_star):
             return replace(MarkingOutcome.from_marked(iv, marked), threshold=x_star)
 
-        _verify_cut(iv, cut([0, 3], 3.0), 5.0, tol)  # admissible
+        _verify_cut(iv, cut([0, 3], 3.0), 5.0)  # admissible
         with pytest.raises(AdmissibilityError, match="smallest"):
-            _verify_cut(iv, cut([0, 3], 2.0), 5.0, tol)
+            _verify_cut(iv, cut([0, 3], 2.0), 5.0)
         for marked, x_star, goal in (
             ([0, 2], 2.0, 5.0),  # unmarked 3.0 exceeds the threshold
             ([0, 3], 3.0, 8.0),  # misses the goal
             ([0, 3, 2], 2.0, 5.0),  # 2.0 is removable
         ):
             with pytest.raises(AdmissibilityError, match="removal-minimal"):
-                _verify_cut(iv, cut(marked, x_star), goal, tol)
+                _verify_cut(iv, cut(marked, x_star), goal)
 
 
-def full_kernel(iv, theta, pivot=MedianPivot(), counter=None):
+def full_kernel(iv, theta, counter=None):
     """The kernel on a scratch copy of every entry, then the materialise step."""
     with np.errstate(over="ignore"):
-        x_star, count = _select(iv.scratch_copy(), goal_value(iv, theta), pivot, counter=counter)
+        x_star, count = _select(iv.scratch_copy(), goal_value(iv, theta), counter=counter)
         marked = materialise(iv.values, x_star, count)
         return marked, x_star, pairwise_sum(iv.values[marked])
 
@@ -416,12 +390,11 @@ class TestCandidatePath:
             iv = IndicatorVector(family(rng, n, kind))
             for theta in (0.3, 0.5, 0.7):
                 assert took_candidates(iv, theta), (kind, n, theta)
-                for piv in (MedianPivot(), RandomPivot(7), QuantilePivot(0.3)):
-                    out = quickmark(iv, theta, piv)
-                    marked, x_star, achieved = full_kernel(iv, theta, piv)
-                    assert np.array_equal(out.marked, marked), (kind, n, theta, piv)
-                    assert out.threshold == x_star
-                    assert out.achieved_sum.hex() == achieved.hex()
+                out = quickmark(iv, theta)
+                marked, x_star, achieved = full_kernel(iv, theta)
+                assert np.array_equal(out.marked, marked), (kind, n, theta)
+                assert out.threshold == x_star
+                assert out.achieved_sum.hex() == achieved.hex()
                 assert xstar_kernel(iv.scratch_copy(), theta) == out.threshold
 
     @pytest.mark.parametrize("kind", FAMILIES)
