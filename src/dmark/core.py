@@ -140,12 +140,17 @@ def _first_reaching(
     slack = 2.0 * (m + 1) * EPS
     below, above = v * (1.0 - slack), v * (1.0 + slack)
     pos = int(prefix.searchsorted(v))
-    # an overflowed upper bound clears nothing: a float sum of inf may round up
-    clear_above = pos == prefix.size or (above != math.inf and prefix[pos] >= above)
-    if clear_above and (pos == 0 or prefix[pos - 1] < below):
-        return pos
-    lo = int(prefix.searchsorted(below))
-    hi = prefix.size if above == math.inf else int(prefix.searchsorted(above))
+    # the answer lies in [lo, hi]: probes at the two neighbours of the float
+    # cut usually settle it, and only a probe that overturns the float cut
+    # opens the whole window; an overflowed upper bound clears nothing, since
+    # a float sum of inf may round up
+    lo = hi = pos
+    if pos < prefix.size and (above == math.inf or prefix[pos] < above):
+        if not exact_sum(pos) >= v:
+            lo = pos + 1
+            hi = prefix.size if above == math.inf else int(prefix.searchsorted(above))
+    if lo == pos > 0 and prefix[pos - 1] >= below and exact_sum(pos - 1) >= v:
+        lo, hi = int(prefix.searchsorted(below)), pos - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if exact_sum(mid) >= v:
@@ -155,12 +160,17 @@ def _first_reaching(
     return hi
 
 
+def _fsum(values: Iterable[float]) -> float:
+    """Correctly rounded sum of ``values``; ``inf`` when it exceeds the largest double."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
     """Correctly rounded sum of ``x`` over the index arrays ``parts``."""
-    try:
-        return math.fsum(x[np.concatenate(parts)].tolist())
-    except OverflowError:  # the exact sum exceeds the largest double
-        return math.inf
+    return _fsum(x[np.concatenate(parts)].tolist())
 
 
 def check_theta(theta: float, *, allow_one: bool = False) -> None:

@@ -101,7 +101,16 @@ def write_marked_indices(path: PathLike, indices: Iterable[int]) -> None:
         idx = np.sort(idx)
     if idx.size and idx[0] < 0:
         raise MarkingError(f"marked index {int(idx[0])} is negative")
-    Path(path).write_bytes(_decimal_lines(idx))
+    if idx.size <= _JOIN_MAX:
+        Path(path).write_bytes("".join(map("{}\n".format, idx.tolist())).encode("ascii"))
+    else:
+        Path(path).write_bytes(_decimal_lines(idx))
+
+
+# the largest set written by str.join, whose cost grows by 0.3-0.4 us per
+# index, while the numpy writer spends 20-50 us on any small set (crossover
+# measured near 90-100 indices, CHANGES.md)
+_JOIN_MAX = 80
 
 
 # "00", "01", ..., "99" as 2-byte units, so one store writes two digits

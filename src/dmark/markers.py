@@ -20,7 +20,7 @@ from .core import (
     mark_theta_one,
 )
 from .decrement import decrement_mark
-from .quickmark import quickmark
+from .quickmark import _quickmark
 from .sort_mark import sort_mark
 
 __all__ = ["ALGORITHM_NAMES", "MarkerRun", "mark"]
@@ -65,6 +65,7 @@ def mark(
     elif algorithm == "binning":
         outcome = binning_mark(iv, theta, nu, counter)
     else:
-        # quickmark and xstar: the same value kernel and materialise step
-        outcome = quickmark(iv, theta, counter=counter)
+        # quickmark and xstar: the same value kernel and materialise step,
+        # on the vector and theta validated above
+        outcome = _quickmark(iv, theta, counter)
     return MarkerRun(algorithm, outcome)

@@ -5,12 +5,18 @@ level it partitions the active range of ``m`` entries around the value of
 its lower median rank ``(m - 1) // 2``, then either recurses into the part
 above the rank (it already covers the goal), stops at the rank (the rank's
 value closes the gap), or recurses into the part below with the goal
-reduced by the mass it skips.  It returns the threshold ``x_star`` and the
-cut ``count``, the cardinality of the marked set; one materialise step
-turns the two into the index set.  Each step halves the range, and numpy's
-introselect partitions it in worst-case linear time, giving worst-case
-linear total cost; the returned set has minimal cardinality for every input
-whose sums do not sit within rounding of the goal.
+reduced by the mass it skips.  A range of at most ``_M0`` entries is
+finished in one step: sorted in place, it is cut at the first of its
+descending prefixes whose correctly rounded sum, together with the mass
+fixed above the range, reaches the goal (the stop rule that ``binning``
+and ``decrement`` share, ``core._first_reaching``), clamped to the range.
+The kernel returns the threshold ``x_star`` and the cut ``count``, the
+cardinality of the marked set; one materialise step turns the two into the
+index set.  Each step halves the range, numpy's introselect partitions it
+in worst-case linear time and the base case sorts a constant number of
+entries, giving worst-case linear total cost; the returned set has minimal
+cardinality for every input whose sums do not sit within rounding of the
+goal, and on at most ``_M0`` entries it is the rule's cut.
 
 From ``_MIN_N`` entries on, a sampled lower bound of ``x_star`` narrows
 the kernel to the candidates above it (Floyd & Rivest's sampled selection,
@@ -32,13 +38,15 @@ sample at most, so the worst case stays linear.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel, the elements each level partitions plus the elements it sums,
-and the filter's ``N`` comparisons and ``m`` summands, so the counted cost
-is the cost of the code that is timed.
+``m * ceil(log2 m)`` for the base case's sort of ``m`` entries plus the
+length of its cut, and the filter's ``N`` comparisons and ``m`` summands,
+so the counted cost is the cost of the code that is timed.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -46,14 +54,16 @@ from .core import (
     EPS,
     AdmissibilityError,
     IndicatorInput,
+    IndicatorVector,
     MarkingOutcome,
     OpCounter,
     _TINY,
     _exact_sum,
+    _first_reaching,
+    _fsum,
     as_indicators,
     check_theta,
     criterion_tolerance,
-    goal_value,
     materialise,
     overflow_guard,
     pairwise_sum,
@@ -67,6 +77,8 @@ __all__ = ["quickmark", "xstar_kernel"]
 # sample and the filter make cheaper (crossover measured in CHANGES.md)
 _SAMPLE = 4096
 _MIN_N = 32768
+# the largest range the kernel sorts instead of partitioning (sweep in CHANGES.md)
+_M0 = 128
 
 
 def quickmark(
@@ -84,18 +96,27 @@ def quickmark(
     set; the outcome's ``threshold`` is the kernel's ``x_star``, and a
     ``counter`` counts the filter's and the kernel's element operations.
     ``check_invariants`` re-verifies the range ordering, goal consistency and
-    goal reachability at every level, and the dominance and
-    removal-minimality of the final set, and that the candidates hold every
-    entry above their bound and carry the goal exactly (debug mode; raises
-    :class:`AdmissibilityError` on any violation, which would indicate a
-    bug).
+    goal reachability at every level, the base case's cut against the stop
+    rule, the dominance and removal-minimality of the final set, and that
+    the candidates hold every entry above their bound and carry the goal
+    exactly (debug mode; raises :class:`AdmissibilityError` on any
+    violation, which would indicate a bug).
     """
     iv = as_indicators(x)
     check_theta(theta)
-    goal = goal_value(iv, theta)
-    tol = criterion_tolerance(iv) if check_invariants else None
+    return _quickmark(iv, theta, counter, criterion_tolerance(iv) if check_invariants else None)
+
+
+def _quickmark(
+    iv: IndicatorVector,
+    theta: float,
+    counter: OpCounter | None = None,
+    tol: float | None = None,
+) -> MarkingOutcome:
+    """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``."""
+    goal = theta * iv.total()
     with overflow_guard(iv.total()):
-        cut = _candidates(iv.values, theta, goal, tol, counter)
+        cut = None if iv.n < _MIN_N else _candidates(iv.values, theta, goal, tol, counter)
         if cut is None:
             x_star, count = _select(iv.scratch_copy(), goal, tol, counter)
             marked = materialise(iv.values, x_star, count)
@@ -122,18 +143,18 @@ def _candidates(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The entries above a sampled lower bound of ``x_star``: indices and values.
 
-    Returns the ascending indices of the candidates and a fresh array of
-    their values, or ``None`` when the kernel must run on every entry: ``N``
-    below ``_MIN_N``, a goal that overflowed or is subnormal, a bound that
-    is not positive, or candidates whose float sum does not clear the goal
-    by the rounding bound ``2 * (m + 1) * eps`` of ``m`` summands (the bound
-    of ``core._first_reaching``).  With ``tol`` the candidates are checked
-    to hold every entry above the bound and to carry the goal exactly.  A
-    ``counter`` gets the ``N`` comparisons of the filter and the ``m``
-    summands.
+    Callers pass at least ``_MIN_N`` entries.  Returns the ascending indices
+    of the candidates and a fresh array of their values, or ``None`` when
+    the kernel must run on every entry: a goal that overflowed or is
+    subnormal, a bound that is not positive, or candidates whose float sum
+    does not clear the goal by the rounding bound ``2 * (m + 1) * eps`` of
+    ``m`` summands (the bound of ``core._first_reaching``).  With ``tol`` the
+    candidates are checked to hold every entry above the bound and to carry
+    the goal exactly.  A ``counter`` gets the ``N`` comparisons of the
+    filter and the ``m`` summands.
     """
     n = int(values.size)
-    if n < _MIN_N or not _TINY <= goal < math.inf:
+    if not _TINY <= goal < math.inf:
         return None
     sample = np.sort(values[:: -(-n // _SAMPLE)])[::-1]
     mass = sample.cumsum()
@@ -171,37 +192,86 @@ def _select(
     the stopping rank ``k`` and returns ``(a[k], N - k)``: the ``count``
     largest values carry the goal ``v`` and the ``count - 1`` largest do not.
     Each level partitions the active range of ``m`` entries around its lower
-    median rank ``(m - 1) // 2``.  A rank at the bottom of the range (``m``
-    at most 2) always stops, so rounding that leaves the residual goal above
-    the range mass cannot empty the range.  With ``tol`` every level is
-    checked against the goal with that slack.  A ``counter`` gets, per level,
-    the elements partitioned plus the elements summed above the rank.
+    median rank ``(m - 1) // 2``.  A range of at most ``_M0`` entries goes to
+    the base case, :func:`_settle`, which sorts it and cuts it by the shared
+    stop rule, clamped to the range, so rounding that leaves the residual
+    goal above the range mass cannot empty the range.  With ``tol`` every
+    level is checked against the goal with that slack, and the base case's
+    cut against the rule.  A ``counter`` gets, per level, the elements
+    partitioned plus the elements summed above the rank, and for the base
+    case ``m * ceil(log2 m)`` plus the length of its cut.
     """
     n_total = int(a.size)
     goal = v
-    # an inf (overflowed) goal keeps the mass fixed above ``hi`` here, not in ``v``
+    # the float mass of a[hi:]; an inf (overflowed) goal is compared with
+    # it, a finite one is reduced to the residual ``v`` instead
     lo, hi, fixed = 0, n_total, 0.0
+    inf_goal = v == math.inf
     while True:
         if tol is not None:
-            _verify_level(a, lo, hi, v, goal, tol, fixed)
+            _verify_level(a, lo, hi, v, goal, tol, fixed if inf_goal else 0.0)
         m = hi - lo
+        if m <= _M0:
+            return _settle(a, lo, hi, goal, fixed, tol is not None, counter)
         r = (m - 1) // 2
         k = lo + r
         a[lo:hi].partition(r)
         pv = float(a[k])
-        upper = fixed + float(np.add.reduce(a[k + 1 : hi]))
+        s = float(np.add.reduce(a[k + 1 : hi]))
+        upper = fixed + s if inf_goal else s
         if counter is not None:
             counter.add(m + (hi - k - 1))
-        if upper >= v and k + 1 < hi:
+        if upper >= v:
             lo = k + 1
-        elif upper + pv >= v or k == lo:
+        elif upper + pv >= v:
             return pv, n_total - k
-        elif v == np.inf:
-            fixed = upper + pv
-            hi = k
         else:
-            v -= upper + pv
+            if not inf_goal:
+                v -= upper + pv
+            fixed = (fixed + s) + pv
             hi = k
+
+
+def _settle(
+    a: np.ndarray,
+    lo: int,
+    hi: int,
+    goal: float,
+    fixed: float,
+    check: bool = False,
+    counter: OpCounter | None = None,
+) -> tuple[float, int]:
+    """Base case of :func:`_select`: sort ``a[lo:hi]`` and cut it by the stop rule.
+
+    ``fixed`` is the float mass of ``a[hi:]``, every entry of which is at
+    least the range's largest.  The cut takes the ``j + 1`` largest entries
+    of the range for the first ``j`` whose correctly rounded sum together
+    with ``a[hi:]`` reaches ``goal``, or the whole range when none does.
+    ``math.fsum`` settles only the prefixes within rounding of the goal;
+    ``a[hi:]`` becomes a list once, at the first such probe.  With
+    ``check`` the cut is verified against the rule.
+    """
+    seg = a[lo:hi]
+    seg.sort()
+    prefix = np.add.accumulate(seg[::-1])
+    if fixed:
+        prefix += fixed
+    above: list[float] = []
+
+    def exact(j: int) -> float:
+        # the j + 1 largest of the range, a[hi - 1 - j:hi], and a[hi:]
+        if hi < a.size and not above:
+            above.extend(a[hi:].tolist())
+        return _fsum(chain(a[hi - 1 - j : hi].tolist(), above))
+
+    m = hi - lo
+    j = min(_first_reaching(prefix, goal, a.size - lo, exact), m - 1)
+    k = hi - 1 - j
+    if counter is not None:
+        counter.add(m * (m - 1).bit_length() + j + 1)
+    if check:
+        _verify_base(a, lo, hi, k, goal)
+    return float(a[k]), int(a.size) - k
 
 
 def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
@@ -219,6 +289,15 @@ def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
         )
     if v > fixed + pairwise_sum(a[lo:hi]) + tol:
         raise AdmissibilityError("residual goal exceeds the active range mass")
+
+
+def _verify_base(a, lo, hi, k, goal) -> None:
+    if not np.all(a[lo : hi - 1] <= a[lo + 1 : hi]):
+        raise AdmissibilityError("base range not sorted")
+    if k > lo and not _fsum(a[k:].tolist()) >= goal:
+        raise AdmissibilityError("base cut misses the goal")
+    if k + 1 < hi and _fsum(a[k + 1 :].tolist()) >= goal:
+        raise AdmissibilityError("a shorter base cut reaches the goal")
 
 
 def _verify_candidates(values, lo, idx, goal) -> None:
@@ -257,7 +336,7 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     total = total_and_max(a)[0]
     with overflow_guard(total):
         goal = theta * total
-        cut = _candidates(a, theta, goal, counter=counter)
+        cut = None if a.size < _MIN_N else _candidates(a, theta, goal, counter=counter)
         if cut is not None:
             a = cut[1]
         elif not a.flags.writeable:

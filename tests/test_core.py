@@ -1,5 +1,6 @@
 """Domain types, goal value, criterion predicate and the theta=1 path."""
 
+import math
 import warnings
 
 import numpy as np
@@ -451,3 +452,33 @@ def test_huge_entries_raise_no_warning_when_adopted(xs, theta):
         assert np.shares_memory(IndicatorVector(x).values, x)
         for name in ALGORITHM_NAMES:
             assert satisfies_doerfler(x, theta, mark(x, theta, name).outcome.marked)
+
+
+def test_first_reaching_is_the_first_exact_prefix():
+    # the stop rule against a brute-force scan of correctly rounded prefix
+    # sums, with the goal on a prefix sum or one ulp off, ties, zeros and
+    # sums that overflow, settled in few probes
+    rng = np.random.default_rng(99)
+    for trial in range(3000):
+        n = int(rng.integers(1, 60))
+        scale = 1e307 if trial % 10 == 0 else 1.0
+        pool = np.array([float(f"{v:.1e}") for v in (10.0 ** rng.uniform(-6, 0, 4)).tolist()])
+        desc = np.sort(rng.choice(np.append(pool, 0.0), n) * scale)[::-1]
+        if trial % 3 == 0:
+            desc[int(rng.integers(n)) :] = 0.0
+        exact = [core._fsum(desc[: j + 1].tolist()) for j in range(n)]
+        with np.errstate(over="ignore"):
+            prefix = np.cumsum(desc)
+        v = exact[int(rng.integers(n))]
+        if trial % 20 == 1:
+            v = float(prefix[-1]) * 2.0
+        v = (v, math.nextafter(v, math.inf), math.nextafter(v, 0.0))[trial % 3]
+        probed = []
+
+        def probe(j):
+            probed.append(j)
+            return exact[j]
+
+        expected = next((j for j in range(n) if exact[j] >= v), n)
+        assert core._first_reaching(prefix, v, n, probe) == expected, (desc.tolist(), v)
+        assert len(probed) <= 2 + n.bit_length()

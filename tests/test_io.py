@@ -5,7 +5,7 @@ import pytest
 
 from dmark import InvalidIndicatorsError, MarkingError, ParseError, mark
 from dmark import io
-from dmark.io import read_indicators, write_indicators, write_marked_indices
+from dmark.io import _JOIN_MAX, read_indicators, write_indicators, write_marked_indices
 from dmark.markers import ALGORITHM_NAMES
 
 
@@ -144,6 +144,15 @@ class TestMarkedIndexBytes:
         powers = [10**k for k in range(1, 19)]
         values = [0, 1] + powers + [p - 1 for p in powers] + [2**63 - 1]
         self.check(tmp_path, np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("size", [_JOIN_MAX, _JOIN_MAX + 1])
+    def test_each_side_of_the_join_cutoff(self, tmp_path, rng, size):
+        # str.join writes sets of at most _JOIN_MAX indices, numpy larger ones
+        for high in (10, 1000, 10**6, 10**12):
+            values = rng.integers(0, high, size)
+            self.check(tmp_path, values)
+            self.check(tmp_path, np.sort(values))
+            self.check(tmp_path, values.tolist())
 
     def test_unsorted_duplicates_lists_and_int32(self, tmp_path, rng):
         values = rng.integers(0, 10**6, 2000)

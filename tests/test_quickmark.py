@@ -26,9 +26,11 @@ from dmark import (
 )
 from dmark.core import materialise, pairwise_sum
 from dmark.quickmark import (
+    _M0,
     _MIN_N,
     _candidates,
     _select,
+    _verify_base,
     _verify_candidates,
     _verify_cut,
     _verify_level,
@@ -293,6 +295,9 @@ class TestBoundaryCuts:
         [
             ([0.031, 0.39, 0.31], 0.9999999999999998, (0.031, 3)),
             ([0.0087, 3.2e-05, 4.1e-06, 0.36], 0.9999999999999998, (4.1e-06, 4)),
+            # no prefix reaches the goal 0.24200000000000002 exactly (the
+            # whole sum is 0.242), so the base case clamps to the range
+            ([0.016, 0.13, 0.081, 0.015], 0.9999999999999999, (0.015, 4)),
         ],
     )
     def test_bottom_rank_stops_the_kernel(self, x, theta, expected):
@@ -302,6 +307,46 @@ class TestBoundaryCuts:
         pv, count = expected
         k = len(x) - count
         assert np.all(a[:k] <= pv) and a[k] == pv and np.all(a[k:] >= pv)
+
+
+def rule_count(x, theta):
+    """The smallest k whose k largest entries reach the goal in math.fsum, clamped to N."""
+    goal = goal_value(x, theta)
+    desc = sorted(x.tolist(), reverse=True)
+    return next((k for k in range(1, len(desc) + 1) if math.fsum(desc[:k]) >= goal), len(desc))
+
+
+class TestBaseCase:
+    """A range of at most ``_M0`` entries is sorted and cut by the shared stop rule."""
+
+    def test_small_inputs_take_the_rule(self):
+        rng = np.random.default_rng(4242)
+        sizes = [int(rng.integers(2, _M0 + 1)) for _ in range(1500)] + [_M0] * 100
+        for n in sizes:
+            x, theta = boundary_instance(rng, n)
+            expected = rule_count(x, theta)
+            assert quickmark(x, theta).cardinality == expected, (x.tolist(), theta)
+            assert mark(x, theta, "xstar").outcome.cardinality == expected
+
+    def test_one_level_above_m0(self):
+        # from _M0 + 1 entries the top level partitions before the base case;
+        # the base case's cut, fixed mass included, passes the exact check
+        rng = np.random.default_rng(4243)
+        for n in [_M0 + 1] * 100 + [int(rng.integers(_M0 + 2, 8 * _M0)) for _ in range(100)]:
+            x, theta = boundary_instance(rng, n)
+            out = quickmark(x, theta, check_invariants=True)
+            assert satisfies_doerfler(x, theta, out.marked)
+        counter = OpCounter()
+        _select(np.arange(1.0, _M0 + 2), 1.0, counter=counter)
+        m = _M0 + 1 - (_M0 // 2 + 1)  # the part above the median rank
+        assert counter.comparisons == (_M0 + 1) + m + m * (m - 1).bit_length() + 1
+
+    def test_counts_sort_and_cut(self):
+        for m in (1, 2, 3, 5, _M0):
+            counter = OpCounter()
+            x = np.arange(1.0, m + 1)
+            count = _select(x.copy(), float(np.sum(x)) / 2, counter=counter)[1]
+            assert counter.comparisons == m * math.ceil(math.log2(m)) + count
 
 
 class TestMaterialise:
@@ -356,6 +401,15 @@ class TestCheckInvariants:
         ):
             with pytest.raises(AdmissibilityError, match="removal-minimal"):
                 _verify_cut(iv, cut(marked, x_star), goal)
+        # the base case's cut on the sorted range [1, 2, 3, 4] at goal 5
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        _verify_base(a, 0, 4, 2, 5.0)  # 3 + 4 reach it, 4 alone does not
+        with pytest.raises(AdmissibilityError, match="misses the goal"):
+            _verify_base(a, 0, 4, 3, 5.0)
+        with pytest.raises(AdmissibilityError, match="shorter base cut"):
+            _verify_base(a, 0, 4, 1, 5.0)
+        with pytest.raises(AdmissibilityError, match="not sorted"):
+            _verify_base(np.array([2.0, 1.0, 3.0, 4.0]), 0, 4, 2, 5.0)
 
 
 def full_kernel(iv, theta, counter=None):
