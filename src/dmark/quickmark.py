@@ -10,6 +10,10 @@ finished in one step: sorted in place, it is cut at the first of its
 descending prefixes whose correctly rounded sum, together with the mass
 fixed above the range, reaches the goal (the stop rule that ``binning``
 and ``decrement`` share, ``core._first_reaching``), clamped to the range.
+The rule runs while the range and the mass above it hold at most
+``_EXACT_MAX`` entries; below a longer suffix a ``math.fsum`` pass over it
+would cost more than the whole kernel, so the range's float prefix sums
+decide against the residual goal instead, as every level above does.
 The kernel returns the threshold ``x_star`` and the cut ``count``, the
 cardinality of the marked set; one materialise step turns the two into the
 index set.  Each step halves the range, numpy's introselect partitions it
@@ -46,7 +50,6 @@ so the counted cost is the cost of the code that is timed.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -79,6 +82,10 @@ _SAMPLE = 4096
 _MIN_N = 32768
 # the largest range the kernel sorts instead of partitioning (sweep in CHANGES.md)
 _M0 = 128
+# the longest suffix a[lo:] whose base case math.fsum settles: a probe costs
+# 17-40 ns per entry, which made boundary inputs of 10^4-10^6 entries run
+# 2-3.5 times slower than the float cut (CHANGES.md)
+_EXACT_MAX = 1024
 
 
 def quickmark(
@@ -116,7 +123,7 @@ def _quickmark(
     """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``."""
     goal = theta * iv.total()
     with overflow_guard(iv.total()):
-        cut = None if iv.n < _MIN_N else _candidates(iv.values, theta, goal, tol, counter)
+        cut = _candidates(iv.values, theta, goal, tol, counter)
         if cut is None:
             x_star, count = _select(iv.scratch_copy(), goal, tol, counter)
             marked = materialise(iv.values, x_star, count)
@@ -143,18 +150,18 @@ def _candidates(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The entries above a sampled lower bound of ``x_star``: indices and values.
 
-    Callers pass at least ``_MIN_N`` entries.  Returns the ascending indices
-    of the candidates and a fresh array of their values, or ``None`` when
-    the kernel must run on every entry: a goal that overflowed or is
-    subnormal, a bound that is not positive, or candidates whose float sum
-    does not clear the goal by the rounding bound ``2 * (m + 1) * eps`` of
-    ``m`` summands (the bound of ``core._first_reaching``).  With ``tol`` the
-    candidates are checked to hold every entry above the bound and to carry
-    the goal exactly.  A ``counter`` gets the ``N`` comparisons of the
-    filter and the ``m`` summands.
+    Returns the ascending indices of the candidates and a fresh array of
+    their values, or ``None`` when the kernel must run on every entry: ``N``
+    below ``_MIN_N``, a goal that overflowed or is subnormal, a bound that
+    is not positive, or candidates whose float sum does not clear the goal
+    by the rounding bound ``2 * (m + 1) * eps`` of ``m`` summands (the bound
+    of ``core._first_reaching``).  With ``tol`` the candidates are checked
+    to hold every entry above the bound and to carry the goal exactly.  A
+    ``counter`` gets the ``N`` comparisons of the filter and the ``m``
+    summands.
     """
     n = int(values.size)
-    if not _TINY <= goal < math.inf:
+    if n < _MIN_N or not _TINY <= goal < math.inf:
         return None
     sample = np.sort(values[:: -(-n // _SAMPLE)])[::-1]
     mass = sample.cumsum()
@@ -194,12 +201,13 @@ def _select(
     Each level partitions the active range of ``m`` entries around its lower
     median rank ``(m - 1) // 2``.  A range of at most ``_M0`` entries goes to
     the base case, :func:`_settle`, which sorts it and cuts it by the shared
-    stop rule, clamped to the range, so rounding that leaves the residual
-    goal above the range mass cannot empty the range.  With ``tol`` every
-    level is checked against the goal with that slack, and the base case's
-    cut against the rule.  A ``counter`` gets, per level, the elements
-    partitioned plus the elements summed above the rank, and for the base
-    case ``m * ceil(log2 m)`` plus the length of its cut.
+    stop rule (by its float prefix sums below a long suffix), clamped to the
+    range, so rounding that leaves the residual goal above the range mass
+    cannot empty the range.  With ``tol`` every level is checked against the
+    goal with that slack, and the base case's exact cut against the rule.
+    A ``counter`` gets, per level, the elements partitioned plus the
+    elements summed above the rank, and for the base case
+    ``m * ceil(log2 m)`` plus the length of its cut.
     """
     n_total = int(a.size)
     goal = v
@@ -212,7 +220,7 @@ def _select(
             _verify_level(a, lo, hi, v, goal, tol, fixed if inf_goal else 0.0)
         m = hi - lo
         if m <= _M0:
-            return _settle(a, lo, hi, goal, fixed, tol is not None, counter)
+            return _settle(a, lo, hi, goal, v, fixed, tol is not None, counter)
         r = (m - 1) // 2
         k = lo + r
         a[lo:hi].partition(r)
@@ -237,6 +245,7 @@ def _settle(
     lo: int,
     hi: int,
     goal: float,
+    v: float,
     fixed: float,
     check: bool = False,
     counter: OpCounter | None = None,
@@ -244,32 +253,33 @@ def _settle(
     """Base case of :func:`_select`: sort ``a[lo:hi]`` and cut it by the stop rule.
 
     ``fixed`` is the float mass of ``a[hi:]``, every entry of which is at
-    least the range's largest.  The cut takes the ``j + 1`` largest entries
-    of the range for the first ``j`` whose correctly rounded sum together
-    with ``a[hi:]`` reaches ``goal``, or the whole range when none does.
-    ``math.fsum`` settles only the prefixes within rounding of the goal;
-    ``a[hi:]`` becomes a list once, at the first such probe.  With
-    ``check`` the cut is verified against the rule.
+    least the range's largest, and ``v`` the residual goal.  While ``a[lo:]``
+    holds at most ``_EXACT_MAX`` entries (or the goal overflowed) the cut
+    takes the ``j + 1`` largest entries of the range for the first ``j``
+    whose correctly rounded sum together with ``a[hi:]`` reaches ``goal``;
+    ``math.fsum`` settles only the prefixes within rounding of the goal,
+    each probe in one pass over the suffix ``a[hi - 1 - j:]``.  On a longer
+    suffix the float prefix sums of the range decide against ``v``, as the
+    levels above do.  Either cut takes the whole range when no prefix
+    reaches the goal.  With ``check`` the exact cut is verified against the
+    rule.
     """
     seg = a[lo:hi]
     seg.sort()
     prefix = np.add.accumulate(seg[::-1])
-    if fixed:
-        prefix += fixed
-    above: list[float] = []
-
-    def exact(j: int) -> float:
-        # the j + 1 largest of the range, a[hi - 1 - j:hi], and a[hi:]
-        if hi < a.size and not above:
-            above.extend(a[hi:].tolist())
-        return _fsum(chain(a[hi - 1 - j : hi].tolist(), above))
-
     m = hi - lo
-    j = min(_first_reaching(prefix, goal, a.size - lo, exact), m - 1)
+    exact = a.size - lo <= _EXACT_MAX or v == math.inf
+    if exact:
+        if fixed:
+            prefix += fixed
+        j = _first_reaching(prefix, goal, a.size - lo, lambda j: _fsum(memoryview(a[hi - 1 - j :])))
+    else:
+        j = int(prefix.searchsorted(v))
+    j = min(j, m - 1)
     k = hi - 1 - j
     if counter is not None:
         counter.add(m * (m - 1).bit_length() + j + 1)
-    if check:
+    if check and exact:
         _verify_base(a, lo, hi, k, goal)
     return float(a[k]), int(a.size) - k
 
@@ -336,7 +346,7 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     total = total_and_max(a)[0]
     with overflow_guard(total):
         goal = theta * total
-        cut = None if a.size < _MIN_N else _candidates(a, theta, goal, counter=counter)
+        cut = _candidates(a, theta, goal, counter=counter)
         if cut is not None:
             a = cut[1]
         elif not a.flags.writeable:

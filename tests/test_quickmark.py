@@ -26,6 +26,7 @@ from dmark import (
 )
 from dmark.core import materialise, pairwise_sum
 from dmark.quickmark import (
+    _EXACT_MAX,
     _M0,
     _MIN_N,
     _candidates,
@@ -340,6 +341,26 @@ class TestBaseCase:
         _select(np.arange(1.0, _M0 + 2), 1.0, counter=counter)
         m = _M0 + 1 - (_M0 // 2 + 1)  # the part above the median rank
         assert counter.comparisons == (_M0 + 1) + m + m * (m - 1).bit_length() + 1
+
+    def test_exact_probes_stay_within_the_suffix_bound(self, monkeypatch):
+        # math.fsum sums at most _EXACT_MAX entries per probe at any N; a
+        # longer suffix is cut by the float prefix sums, and every cut
+        # passes the level checks and the final minimality check
+        module = importlib.import_module("dmark.quickmark")
+        lengths = []
+
+        def probe(values):
+            values = list(values)
+            lengths.append(len(values))
+            return math.fsum(values)
+
+        monkeypatch.setattr(module, "_fsum", probe)
+        rng = np.random.default_rng(4244)
+        for n in [_EXACT_MAX - 1] * 10 + [_EXACT_MAX + 1, 5000, 40000] * 4:
+            x, theta = boundary_instance(rng, n)
+            out = quickmark(x, theta, check_invariants=True)
+            assert satisfies_doerfler(x, theta, out.marked)
+        assert lengths and max(lengths) <= _EXACT_MAX
 
     def test_counts_sort_and_cut(self):
         for m in (1, 2, 3, 5, _M0):
