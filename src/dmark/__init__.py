@@ -20,7 +20,7 @@ verification oracles (:mod:`dmark.oracle`), file formats (:mod:`dmark.io`)
 and a file-marking CLI (:mod:`dmark.cli`, command ``dmark``).
 """
 
-from .binning import bin_layout, binning_depth, binning_mark
+from .binning import bin_layout, binning_mark
 from .core import (
     AdmissibilityError,
     IndicatorVector,
@@ -68,7 +68,6 @@ __all__ = [
     "ParseError",
     "as_indicators",
     "bin_layout",
-    "binning_depth",
     "binning_mark",
     "criterion_tolerance",
     "decrement_mark",

@@ -39,7 +39,7 @@ from .core import (
     overflow_guard,
 )
 
-__all__ = ["BinLayout", "MAX_DEPTH", "binning_depth", "bin_layout", "binning_mark"]
+__all__ = ["BinLayout", "MAX_DEPTH", "bin_layout", "binning_mark"]
 
 # the deepest layout built; a deeper one needs nu within about 1e-6 of 1,
 # its power table alone holds over a million floats, and a sort is cheaper
@@ -56,6 +56,7 @@ _LOG_HALF_SUBNORMAL = -1075 * math.log(2.0)
 class BinLayout:
     """Bin label of every index: geometric bins plus a tail.
 
+    ``depth`` is the smallest ``K`` with ``nu**(K+1) * max <= (1 - theta) * sum / N``;
     ``labels[i] == k`` for ``k <= depth`` when index ``i`` has ratio in
     ``(nu**(k+1), nu**k]``, and ``depth + 1`` for the tail.  The labels use
     the narrowest unsigned integer type that holds ``depth + 1``.
@@ -63,15 +64,6 @@ class BinLayout:
 
     depth: int
     labels: np.ndarray
-    max_value: float
-
-
-def binning_depth(x: IndicatorInput, theta: float, nu: float) -> int:
-    """Smallest K with ``nu**(K+1) * max(x) <= (1 - theta) * sum(x) / N``."""
-    iv = as_indicators(x)
-    check_theta(theta)
-    check_nu(nu)
-    return len(_powers(iv, theta, nu)) - 2
 
 
 def _powers(iv: IndicatorVector, theta: float, nu: float) -> list[float]:
@@ -172,7 +164,7 @@ def _layout(
         # the depth steps, an estimate and a near test per entry, and the
         # comparisons that settle the labels
         counter.add(depth + 1 + 2 * iv.n + settled)
-    return BinLayout(depth=depth, labels=labels, max_value=m_max)
+    return BinLayout(depth=depth, labels=labels)
 
 
 def _walk(labels: np.ndarray, ratios: np.ndarray, powers: list[float]) -> tuple[np.ndarray, int]:

@@ -56,8 +56,8 @@ def _cmd_mark(args: argparse.Namespace) -> int:
     print(f"goal_value={goal_value(iv, args.theta)!r}")
     print(f"cardinality={run.outcome.cardinality}")
     print(f"achieved_sum={run.outcome.achieved_sum!r}")
-    if run.threshold is not None:
-        print(f"x_star={run.threshold!r}")
+    if run.outcome.threshold is not None:
+        print(f"x_star={run.outcome.threshold!r}")
     print(f"output={args.output}")
     return EXIT_OK
 

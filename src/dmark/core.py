@@ -160,17 +160,17 @@ def _first_reaching(
     return hi
 
 
-def _fsum(values: Iterable[float]) -> float:
-    """Correctly rounded sum of ``values``; ``inf`` when it exceeds the largest double."""
+def _fsum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array, read as a memoryview; ``inf`` on overflow."""
     try:
-        return math.fsum(values)
+        return math.fsum(memoryview(values))
     except OverflowError:
         return math.inf
 
 
 def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
     """Correctly rounded sum of ``x`` over the index arrays ``parts``."""
-    return _fsum(x[np.concatenate(parts)].tolist())
+    return _fsum(x[np.concatenate(parts)])
 
 
 def check_theta(theta: float, *, allow_one: bool = False) -> None:

@@ -58,43 +58,25 @@ def sweep_limit(nu: float) -> int:
 
 
 def decrement_mark(
-    x: IndicatorInput,
-    theta: float,
-    nu: float,
-    *,
-    legacy_sweep_termination: bool = False,
-    counter: OpCounter | None = None,
+    x: IndicatorInput, theta: float, nu: float, *, counter: OpCounter | None = None
 ) -> MarkingOutcome:
-    """Mark by threshold decrements; satisfies the criterion, not quasi-minimal.
-
-    With ``legacy_sweep_termination`` the stopping test runs only after each
-    complete sweep instead of after each selection.  That variant degenerates
-    to marking everything on constant vectors and exists solely to demonstrate
-    the failure mode; it is not a supported strategy.
-    """
-    return _decrement(x, theta, nu, legacy_sweep_termination, counter)[0]
+    """Mark by threshold decrements; satisfies the criterion, not quasi-minimal."""
+    return _decrement(x, theta, nu, counter)[0]
 
 
-def decrement_trace(
-    x: IndicatorInput,
-    theta: float,
-    nu: float,
-    *,
-    legacy_sweep_termination: bool = False,
-) -> DecrementState:
+def decrement_trace(x: IndicatorInput, theta: float, nu: float) -> DecrementState:
     """Run the sweep and return the outcome with the number of sweeps used."""
-    return DecrementState(*_decrement(x, theta, nu, legacy_sweep_termination, None))
+    return DecrementState(*_decrement(x, theta, nu, None))
 
 
-def _decrement(x, theta, nu, legacy, counter) -> tuple[MarkingOutcome, int]:
+def _decrement(x, theta, nu, counter) -> tuple[MarkingOutcome, int]:
     """Validate, run the sweeps and return the outcome and the sweeps used."""
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
     with overflow_guard(iv.total()):
         selection, sweeps_used = _sweeps(
-            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu),
-            legacy, counter,
+            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu), counter
         )
     return MarkingOutcome.trusted(iv, selection), sweeps_used
 
@@ -105,7 +87,6 @@ def _sweeps(
     m_max: float,
     nu: float,
     sweeps: int,
-    legacy: bool,
     counter: OpCounter | None,
 ) -> tuple[np.ndarray, int]:
     """Run the sweeps; return the selection and the sweeps used.
@@ -115,7 +96,7 @@ def _sweeps(
     entries in ``(t_k, t_{k-1}]`` (``t_0 = inf``), in index order.  A
     ``counter`` gets, per sweep, the free entries up to the last position
     visited (one threshold comparison each) plus one stop test per
-    selection (one per sweep in legacy mode).
+    selection.
     """
     parts: list[np.ndarray] = []
     taken = 0
@@ -129,18 +110,17 @@ def _sweeps(
         prefix += running
         stop = candidates.size
         if math.isfinite(v) and candidates.size:
-            first = candidates.size - 1 if legacy else 0
-            stop = first + _first_reaching(
-                prefix[first:], v, taken + candidates.size,
-                lambda j: _exact_sum(x, parts + [candidates[: first + j + 1]]),
+            stop = _first_reaching(
+                prefix, v, taken + candidates.size,
+                lambda j: _exact_sum(x, parts + [candidates[: j + 1]]),
             )
-        if legacy or stop == candidates.size:
+        if stop == candidates.size:
             take, last = candidates.size, x.size - 1
         else:
             take, last = stop + 1, int(candidates[stop])
         if counter is not None:
             free = last + 1 - int(np.count_nonzero(above_prev[: last + 1]))
-            counter.add(free + (1 if legacy else take))
+            counter.add(free + take)
         parts.append(candidates[:take])
         taken += take
         if take:

@@ -7,7 +7,6 @@ the dedicated positive-support path, which is minimal for every strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .binning import binning_mark
 from .core import (
@@ -34,11 +33,6 @@ class MarkerRun:
 
     algorithm: str
     outcome: MarkingOutcome
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """The kernel's threshold for ``quickmark``/``xstar``, else ``None``."""
-        return self.outcome.threshold
 
 
 def mark(

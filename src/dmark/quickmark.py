@@ -212,7 +212,8 @@ def _select(
     n_total = int(a.size)
     goal = v
     # the float mass of a[hi:]; an inf (overflowed) goal is compared with
-    # it, a finite one is reduced to the residual ``v`` instead
+    # it, a finite one is reduced to the residual ``v`` instead, which
+    # missed N_min less often than ``fixed + s >= goal`` (CHANGES.md)
     lo, hi, fixed = 0, n_total, 0.0
     inf_goal = v == math.inf
     while True:
@@ -272,7 +273,7 @@ def _settle(
     if exact:
         if fixed:
             prefix += fixed
-        j = _first_reaching(prefix, goal, a.size - lo, lambda j: _fsum(memoryview(a[hi - 1 - j :])))
+        j = _first_reaching(prefix, goal, a.size - lo, lambda j: _fsum(a[hi - 1 - j :]))
     else:
         j = int(prefix.searchsorted(v))
     j = min(j, m - 1)
@@ -304,9 +305,9 @@ def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
 def _verify_base(a, lo, hi, k, goal) -> None:
     if not np.all(a[lo : hi - 1] <= a[lo + 1 : hi]):
         raise AdmissibilityError("base range not sorted")
-    if k > lo and not _fsum(a[k:].tolist()) >= goal:
+    if k > lo and not _fsum(a[k:]) >= goal:
         raise AdmissibilityError("base cut misses the goal")
-    if k + 1 < hi and _fsum(a[k + 1 :].tolist()) >= goal:
+    if k + 1 < hi and _fsum(a[k + 1 :]) >= goal:
         raise AdmissibilityError("a shorter base cut reaches the goal")
 
 

@@ -14,7 +14,6 @@ from dmark import (
     OpCounter,
     ParameterError,
     bin_layout,
-    binning_depth,
     binning_mark,
     nmin_oracle,
     satisfies_doerfler,
@@ -32,19 +31,19 @@ def _bins(layout):
 class TestDepth:
     def test_uniform_ones(self):
         # bound = 0.5 * 4 / 4 = 0.5; 0.5**1 <= 0.5 already
-        assert binning_depth([1, 1, 1, 1], 0.5, 0.5) == 0
+        assert bin_layout([1, 1, 1, 1], 0.5, 0.5).depth == 0
 
     def test_near_boundary(self):
         # bound = 0.5 * (1 + 1e-6) / 2 = 0.25000025; needs 0.25
-        assert binning_depth([1, 1e-6], 0.5, 0.5) == 1
+        assert bin_layout([1, 1e-6], 0.5, 0.5).depth == 1
 
     def test_small_bound(self):
         # bound = (1 - 0.9) * 1 / 1 ~ 0.1; 0.5**4 = 0.0625 <= 0.1 < 0.5**3
-        assert binning_depth([1.0], 0.9, 0.5) == 3
+        assert bin_layout([1.0], 0.9, 0.5).depth == 3
 
     def test_theta_one_rejected(self):
         with pytest.raises(ParameterError):
-            binning_depth([1.0], 1.0, 0.5)
+            bin_layout([1.0], 1.0, 0.5)
 
     @pytest.mark.parametrize(
         "x,theta,nu",
@@ -57,7 +56,7 @@ class TestDepth:
         ],
     )
     def test_too_many_bins_raise_at_once(self, x, theta, nu):
-        for call in (binning_depth, bin_layout, binning_mark):
+        for call in (bin_layout, binning_mark):
             start = time.perf_counter()
             with pytest.raises(ParameterError, match="bins"):
                 call(x, theta, nu)
@@ -66,9 +65,9 @@ class TestDepth:
     def test_depth_up_to_the_cap(self):
         # bound 0.25: K = ceil(log(0.25) / log(nu)) - 1 bins below the cap
         nu = 0.25 ** (1.0 / (MAX_DEPTH - 1000))
-        assert MAX_DEPTH - 1002 <= binning_depth([1.0, 1e-300], 0.5, nu) <= MAX_DEPTH
+        assert MAX_DEPTH - 1002 <= bin_layout([1.0, 1e-300], 0.5, nu).depth <= MAX_DEPTH
         with pytest.raises(ParameterError):
-            binning_depth([1.0, 1e-300], 0.5, 0.25 ** (1.0 / (MAX_DEPTH + 1000)))
+            bin_layout([1.0, 1e-300], 0.5, 0.25 ** (1.0 / (MAX_DEPTH + 1000)))
 
 
 class TestLayout:
@@ -213,7 +212,7 @@ class TestBinningMark:
             theta = float(rng.uniform(0.05, 0.95))
             counter = OpCounter()
             binning_mark(vals, theta, 0.5, counter)
-            depth = binning_depth(vals, theta, 0.5)
+            depth = bin_layout(vals, theta, 0.5).depth
             assert 0 < counter.comparisons <= 8 * (n + depth)
 
     def test_counted_path_matches_fast(self, rng):
@@ -235,7 +234,7 @@ class TestBinningMark:
         for nu, vals in ((0.5, rng.random(n)), (0.99, 10.0 ** rng.uniform(-12.0, 0.0, n))):
             counter = OpCounter()
             binning_mark(vals, 0.5, nu, counter)
-            counts[nu] = (binning_depth(vals, 0.5, nu), counter.comparisons / n)
+            counts[nu] = (bin_layout(vals, 0.5, nu).depth, counter.comparisons / n)
         (shallow, per_shallow), (deep, per_deep) = counts[0.5], counts[0.99]
         assert shallow == 2 and deep > 380
         assert per_deep <= per_shallow + 0.1
@@ -275,7 +274,7 @@ class TestBinningMark:
             vals = 10.0 ** rng.uniform(-12.0, 0.0, n)
         else:
             vals = rng.random(n)
-        assert binning_depth(vals, theta, nu) == depth
+        assert bin_layout(vals, theta, nu).depth == depth
         counter = OpCounter()
         binning_mark(vals, theta, nu, counter)
         assert counter.comparisons == count
@@ -291,7 +290,7 @@ def scan_labels(x, theta, nu):
     """Bin label of every entry by a linear scan of the powers of ``nu``."""
     values = np.asarray(x, dtype=np.float64).tolist()
     m_max = max(values)
-    depth = binning_depth(x, theta, nu)
+    depth = bin_layout(x, theta, nu).depth
     powers = [1.0]
     for _ in range(depth + 1):
         powers.append(powers[-1] * nu)

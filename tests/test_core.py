@@ -75,7 +75,7 @@ class TestIndicatorVector:
             IndicatorVector(bad)
 
     def test_total_is_summed_once(self, monkeypatch, rng):
-        # binning_depth and goal_value both read the total of one vector
+        # the bin depth and the goal both read the total of one vector
         x = rng.random(1000)
         sizes = []
         pairwise_sum = core.pairwise_sum
@@ -336,9 +336,8 @@ class TestMarkingOutcome:
     def test_threshold_set_by_the_kernel_only(self, algorithm, theta):
         run = mark([4.0, 1.0, 2.0, 3.0, 2.0], theta, algorithm)
         assert isinstance(run.outcome, MarkingOutcome)
-        assert run.threshold is run.outcome.threshold
         kernel = algorithm in ("quickmark", "xstar") and theta < 1.0
-        assert run.threshold == (3.0 if kernel else None)
+        assert run.outcome.threshold == (3.0 if kernel else None)
 
     def test_from_marked_array_input(self):
         caller = np.array([3, 0])
@@ -466,7 +465,7 @@ def test_first_reaching_is_the_first_exact_prefix():
         desc = np.sort(rng.choice(np.append(pool, 0.0), n) * scale)[::-1]
         if trial % 3 == 0:
             desc[int(rng.integers(n)) :] = 0.0
-        exact = [core._fsum(desc[: j + 1].tolist()) for j in range(n)]
+        exact = [core._fsum(desc[: j + 1]) for j in range(n)]
         with np.errstate(over="ignore"):
             prefix = np.cumsum(desc)
         v = exact[int(rng.integers(n))]

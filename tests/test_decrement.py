@@ -42,11 +42,6 @@ def test_constant_vector_marks_ceil_theta_n():
         assert out.cardinality == math.ceil(theta * n)
 
 
-def test_legacy_sweep_termination_marks_everything_on_constant():
-    out = decrement_mark([2.0] * 9, 0.5, 0.5, legacy_sweep_termination=True)
-    assert out.cardinality == 9
-
-
 def test_output_satisfies_criterion(rng):
     for _ in range(150):
         vals = rng.random(int(rng.integers(1, 150)))
@@ -114,32 +109,30 @@ def test_counted_path_matches_plain(rng):
 
 
 @pytest.mark.parametrize(
-    "seed,n,theta,nu,ties,count,legacy_count",
+    "seed,n,theta,nu,ties,count",
     [
-        (1, 100, 0.5, 0.5, False, 98, 101),
-        (2, 1000, 0.3, 0.3, False, 769, 1001),
-        (3, 500, 0.9, 0.1, False, 2800, 2483),
-        (4, 2000, 0.6, 0.7, False, 2223, 2001),
-        (5, 300, 0.5, 0.5, True, 347, 301),
+        (1, 100, 0.5, 0.5, False, 98),
+        (2, 1000, 0.3, 0.3, False, 769),
+        (3, 500, 0.9, 0.1, False, 2800),
+        (4, 2000, 0.6, 0.7, False, 2223),
+        (5, 300, 0.5, 0.5, True, 347),
     ],
 )
-def test_pinned_counts(seed, n, theta, nu, ties, count, legacy_count):
+def test_pinned_counts(seed, n, theta, nu, ties, count):
     # literal counts: the per-sweep derivation must equal one count per
     # threshold comparison and one per stop test
     rng = np.random.default_rng(seed)
     vals = rng.choice([0.25, 0.5, 1.0, 2.0], size=n) if ties else rng.random(n)
-    for legacy, expected in ((False, count), (True, legacy_count)):
-        counter = OpCounter()
-        decrement_mark(vals, theta, nu, legacy_sweep_termination=legacy, counter=counter)
-        assert counter.comparisons == expected
+    counter = OpCounter()
+    decrement_mark(vals, theta, nu, counter=counter)
+    assert counter.comparisons == count
 
 
 def test_pinned_counts_on_witness():
     x, _ = gen_counterexample(2, 0.5, 0.5)
-    for legacy, expected in ((False, 52), (True, 43)):
-        counter = OpCounter()
-        decrement_mark(x, 0.5, 0.5, legacy_sweep_termination=legacy, counter=counter)
-        assert counter.comparisons == expected
+    counter = OpCounter()
+    decrement_mark(x, 0.5, 0.5, counter=counter)
+    assert counter.comparisons == 52
 
 
 @pytest.mark.parametrize("theta,nu", [(1.0, 0.5), (0.0, 0.5), (0.5, 0.0), (0.5, 1.0)])
@@ -170,12 +163,12 @@ def _correctly_rounded_sum(values):
         return math.inf
 
 
-def reference_decrement(x, theta, nu, legacy=False):
+def reference_decrement(x, theta, nu):
     """The per-element sweep loop with the stop test ``fsum(selected) >= v``.
 
     Returns the selection in order, the sweeps used and the operation count:
     per sweep, the free entries up to the last visited position plus one stop
-    test per selection (one per sweep in legacy mode).
+    test per selection.
     """
     values = np.asarray(x, dtype=np.float64).tolist()
     v = theta * float(np.sum(values))
@@ -199,22 +192,20 @@ def reference_decrement(x, theta, nu, legacy=False):
                 selected[i] = True
                 selection.append(i)
                 new += 1
-                if not legacy and reached():
+                if reached():
                     done = True
                     break
-        count += (i + 1) - sum(selected[: i + 1]) + new + (1 if legacy else new)
-        if legacy and reached():
-            done = True
+        count += (i + 1) - sum(selected[: i + 1]) + 2 * new
         if done:
             return selection, k, count
     return selection, sweeps, count
 
 
-def _assert_matches_reference(x, theta, nu, legacy):
-    selection, sweeps_used, count = reference_decrement(x, theta, nu, legacy)
+def _assert_matches_reference(x, theta, nu):
+    selection, sweeps_used, count = reference_decrement(x, theta, nu)
     counter = OpCounter()
-    out = decrement_mark(x, theta, nu, legacy_sweep_termination=legacy, counter=counter)
-    state = decrement_trace(x, theta, nu, legacy_sweep_termination=legacy)
+    out = decrement_mark(x, theta, nu, counter=counter)
+    state = decrement_trace(x, theta, nu)
     assert out.marked.tolist() == selection
     assert state.outcome.marked.tolist() == selection
     assert state.sweeps_used == sweeps_used
@@ -222,19 +213,18 @@ def _assert_matches_reference(x, theta, nu, legacy):
 
 
 @pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.9])
-@pytest.mark.parametrize("legacy", [False, True])
-def test_matches_reference_loop(rng, nu, legacy):
+def test_matches_reference_loop(rng, nu):
     # at nu = 0.3 the last threshold is negative, so thetas near 1 select zeros
     for trial in range(60):
         x = instance(rng, int(rng.integers(1, 120)), KINDS[trial % len(KINDS)])
         theta = float(rng.choice([rng.uniform(0.05, 0.95), math.nextafter(1.0, 0.0)]))
-        _assert_matches_reference(x, theta, nu, legacy)
+        _assert_matches_reference(x, theta, nu)
 
 
 def test_matches_reference_loop_on_boundary_instances(rng):
-    for trial in range(300):
+    for _ in range(300):
         x, theta = boundary_instance(rng, int(rng.integers(2, 60)))
-        _assert_matches_reference(x, theta, 0.5, bool(trial % 2))
+        _assert_matches_reference(x, theta, 0.5)
 
 
 def test_exact_fallback_decides_witness(monkeypatch):
@@ -256,7 +246,7 @@ def test_overflowed_goal_marks_every_positive_entry(theta):
     x = [1e308, 1e308, 1e307]
     try:
         out = decrement_mark(x, theta, 0.5)
-        state = decrement_trace(x, theta, 0.5, legacy_sweep_termination=True)
+        state = decrement_trace(x, theta, 0.5)
     except MarkingError:
         pytest.fail("the overflowed goal is a valid input")
     assert sorted(out.marked.tolist()) == [0, 1, 2]

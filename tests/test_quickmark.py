@@ -268,7 +268,7 @@ class TestBoundaryCuts:
             xstar = mark(x, theta, "xstar")
             assert satisfies_doerfler(x, theta, xstar.outcome.marked)
             assert xstar.outcome.cardinality == run.outcome.cardinality
-            assert xstar.threshold == run.threshold
+            assert xstar.outcome.threshold == run.outcome.threshold
 
     @pytest.mark.parametrize(
         "x,theta",
