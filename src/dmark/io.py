@@ -108,8 +108,8 @@ def write_marked_indices(path: PathLike, indices: Iterable[int]) -> None:
 
 
 # the largest set written by str.join: 124 of the 180 CLI instances of
-# boundary-small (seeds 1-3) write at most this many, in a median 5.8 us
-# against 21.7 us for the numpy writer; the 1e6 workloads write thousands
+# boundary-small (seeds 1-3) write at most this many, in a median 4-6 us
+# against 16-22 us for the numpy writer; the 1e6 workloads write thousands
 # (CHANGES.md)
 _JOIN_MAX = 80
 
