@@ -8,7 +8,7 @@ import pytest
 
 from dmark import mark
 from dmark.cli import main
-from dmark.io import write_indicators
+from dmark.io import _LOADTXT_MIN, write_indicators
 from dmark.markers import ALGORITHM_NAMES
 
 
@@ -119,6 +119,33 @@ class TestMark:
         )
         assert code == 2
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [3, _LOADTXT_MIN + 1])
+    def test_invalid_utf8_exit_2(self, tmp_path, capsys, n):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"1.0\n" * (n - 1) + b"\xff\n")
+        code = main(
+            ["mark", "--input", str(src), "--theta", "0.5", "--output", str(tmp_path / "m")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"dmark: error: {src}: not UTF-8")
+
+    def test_text_above_the_loadtxt_cutoff_marks_as_binary(self, tmp_path, rng):
+        # the same values as .txt and .f64 give the same index bytes
+        x = rng.lognormal(0.0, 2.5, 4 * _LOADTXT_MIN)
+        write_indicators(tmp_path / "ind.txt", x)
+        write_indicators(tmp_path / "ind.f64", x)
+        for algorithm in ALGORITHM_NAMES:
+            written = []
+            for src in ("ind.txt", "ind.f64"):
+                out = tmp_path / f"m-{src}"
+                code = main(
+                    ["mark", "--input", str(tmp_path / src), "--theta", "0.6",
+                     "--algorithm", algorithm, "--output", str(out)]
+                )
+                assert code == 0
+                written.append(out.read_bytes())
+            assert written[0] == written[1] != b""
 
     @pytest.mark.parametrize(
         "algorithm,lines",
