@@ -111,16 +111,16 @@ def _read_text_loadtxt(p: Path, raw: bytes) -> Optional[np.ndarray]:
 
 
 def _plain_line_count(raw: bytes) -> Optional[int]:
-    """``len(raw.decode().splitlines())`` for non-empty ASCII text whose lines
-    end in LF or CRLF only; ``None`` for any other text."""
+    """``len(raw.decode().splitlines())`` for non-empty ASCII text that holds
+    none of ``_LINE_PARSE_BYTES`` and ends its lines in LF or CRLF (the last
+    may end in CR or nothing); ``None`` for any other text."""
     if not raw.isascii() or any(b in raw for b in _LINE_PARSE_BYTES):
         return None
     u8 = np.frombuffer(raw, dtype=np.uint8)
     lf = u8 == ord("\n")
-    if b"\r" in raw:
-        # a CR not followed by LF ends a line too; a final one is counted below
-        if ((u8[:-1] == ord("\r")) & ~lf[1:]).any():
-            return None
+    # a CR not followed by LF ends a line too; a final one is counted below
+    if b"\r" in raw and ((u8[:-1] == ord("\r")) & ~lf[1:]).any():
+        return None
     return int(np.count_nonzero(lf)) + (raw[-1] != ord("\n"))
 
 
