@@ -8,10 +8,16 @@ indicator mass.  The package provides:
   linear cost (the recommended strategy); its destructive kernel alone,
   :func:`dmark.quickmark.xstar_kernel`, returns just the threshold,
 * :func:`dmark.sort_mark.sort_mark` - minimal cardinality via a full sort
-  (log-linear reference and oracle),
+  (log-linear reference and oracle), cut by the selection kernel's base case,
 * :func:`dmark.binning.binning_mark` - quasi-minimal at O(N + K) cost,
 * :func:`dmark.decrement.decrement_mark` - linear cost, no cardinality
   guarantee (historical reference).
+
+All four share one stop rule, ``core._first_reaching``: float prefix sums
+decide, and ``math.fsum`` settles the prefixes within rounding of the goal.
+``sort`` and ``quickmark``'s base case run it in one sorted cut,
+``sort_mark._settle``, which decides by float prefix sums alone above
+``sort_mark._EXACT_MAX`` entries.
 
 Every strategy returns a :class:`dmark.core.MarkingOutcome`, whose
 ``threshold`` is set when the selection kernel decided the cut, and
@@ -47,7 +53,7 @@ from .oracle import (
     nmin_oracle,
 )
 from .quickmark import quickmark, xstar_kernel
-from .sort_mark import sort_mark, sorted_prefix
+from .sort_mark import sort_mark
 
 __version__ = "0.1.0"
 
@@ -82,6 +88,5 @@ __all__ = [
     "quickmark",
     "satisfies_doerfler",
     "sort_mark",
-    "sorted_prefix",
     "xstar_kernel",
 ]

@@ -48,7 +48,9 @@ EXHAUSTIVE_MAX_N = 20
 
 
 def nmin_oracle(x: IndicatorInput, theta: float) -> int:
-    """Minimal cardinality of a criterion-satisfying set (via sorted prefixes)."""
+    """Minimal cardinality of a criterion-satisfying set, by :func:`sort_mark`,
+    whose cut is the shared stop rule (float prefix sums above
+    ``sort_mark._EXACT_MAX`` entries)."""
     return sort_mark(x, theta).cardinality
 
 
@@ -56,7 +58,7 @@ def nmin_exhaustive(x: IndicatorInput, theta: float) -> int:
     """Minimal cardinality by enumerating all subsets; N <= 20 only.
 
     Independent of any sorting: subset sums are built by doubling over the
-    elements in original order.  Used to validate the sorted-prefix oracle
+    elements in original order.  Used to validate the sorted-cut oracle
     itself.
     """
     iv = as_indicators(x)

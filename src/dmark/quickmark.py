@@ -6,21 +6,24 @@ its lower median rank ``(m - 1) // 2``, then either recurses into the part
 above the rank (it already covers the goal), stops at the rank (the rank's
 value closes the gap), or recurses into the part below with the goal
 reduced by the mass it skips.  A range of at most ``_M0`` entries is
-finished in one step: sorted in place, it is cut at the first of its
-descending prefixes whose correctly rounded sum, together with the mass
-fixed above the range, reaches the goal (the stop rule that ``binning``
-and ``decrement`` share, ``core._first_reaching``), clamped to the range.
-The rule runs while the range and the mass above it hold at most
-``_EXACT_MAX`` entries; below a longer suffix a ``math.fsum`` pass over it
-would cost more than the whole kernel, so the range's float prefix sums
-decide against the residual goal instead, as every level above does.
+finished in one step by the sorted cut that ``sort`` runs over the whole
+vector, :func:`dmark.sort_mark._settle`: sorted in place, the range is cut
+at the first of its descending prefixes whose correctly rounded sum,
+together with the mass fixed above the range, reaches the goal (the stop
+rule that every strategy shares, ``core._first_reaching``), clamped to the
+range.  The rule runs while the range and the mass above it hold at most
+``sort_mark._EXACT_MAX`` entries; below a longer suffix a ``math.fsum``
+pass over it would cost more than the whole kernel, so the range's float
+prefix sums decide against the residual goal instead, as every level above
+does.
 The kernel returns the threshold ``x_star`` and the cut ``count``, the
 cardinality of the marked set; one materialise step turns the two into the
 index set.  Each step halves the range, numpy's introselect partitions it
 in worst-case linear time and the base case sorts a constant number of
 entries, giving worst-case linear total cost; the returned set has minimal
 cardinality for every input whose sums do not sit within rounding of the
-goal, and on at most ``_M0`` entries it is the rule's cut.
+goal, and on at most ``_M0`` entries it is the rule's cut, the set that
+``sort`` returns.
 
 From ``_MIN_N`` entries on, a sampled lower bound of ``x_star`` narrows
 the kernel to the candidates above it (Floyd & Rivest's sampled selection,
@@ -62,8 +65,6 @@ from .core import (
     OpCounter,
     _TINY,
     _exact_sum,
-    _first_reaching,
-    _fsum,
     as_indicators,
     check_theta,
     criterion_tolerance,
@@ -73,6 +74,7 @@ from .core import (
     total_and_max,
 )
 from .oracle import is_valid_minimal_set
+from .sort_mark import _settle
 
 __all__ = ["quickmark", "xstar_kernel"]
 
@@ -82,10 +84,6 @@ _SAMPLE = 4096
 _MIN_N = 32768
 # the largest range the kernel sorts instead of partitioning (sweep in CHANGES.md)
 _M0 = 128
-# the longest suffix a[lo:] whose base case math.fsum settles: a probe costs
-# 17-40 ns per entry, which made boundary inputs of 10^4-10^6 entries run
-# 2-3.5 times slower than the float cut (CHANGES.md)
-_EXACT_MAX = 1024
 
 
 def quickmark(
@@ -241,50 +239,6 @@ def _select(
             hi = k
 
 
-def _settle(
-    a: np.ndarray,
-    lo: int,
-    hi: int,
-    goal: float,
-    v: float,
-    fixed: float,
-    check: bool = False,
-    counter: OpCounter | None = None,
-) -> tuple[float, int]:
-    """Base case of :func:`_select`: sort ``a[lo:hi]`` and cut it by the stop rule.
-
-    ``fixed`` is the float mass of ``a[hi:]``, every entry of which is at
-    least the range's largest, and ``v`` the residual goal.  While ``a[lo:]``
-    holds at most ``_EXACT_MAX`` entries (or the goal overflowed) the cut
-    takes the ``j + 1`` largest entries of the range for the first ``j``
-    whose correctly rounded sum together with ``a[hi:]`` reaches ``goal``;
-    ``math.fsum`` settles only the prefixes within rounding of the goal,
-    each probe in one pass over the suffix ``a[hi - 1 - j:]``.  On a longer
-    suffix the float prefix sums of the range decide against ``v``, as the
-    levels above do.  Either cut takes the whole range when no prefix
-    reaches the goal.  With ``check`` the exact cut is verified against the
-    rule.
-    """
-    seg = a[lo:hi]
-    seg.sort()
-    prefix = np.add.accumulate(seg[::-1])
-    m = hi - lo
-    exact = a.size - lo <= _EXACT_MAX or v == math.inf
-    if exact:
-        if fixed:
-            prefix += fixed
-        j = _first_reaching(prefix, goal, a.size - lo, lambda j: _fsum(a[hi - 1 - j :]))
-    else:
-        j = int(prefix.searchsorted(v))
-    j = min(j, m - 1)
-    k = hi - 1 - j
-    if counter is not None:
-        counter.add(m * (m - 1).bit_length() + j + 1)
-    if check and exact:
-        _verify_base(a, lo, hi, k, goal)
-    return float(a[k]), int(a.size) - k
-
-
 def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
     if lo > 0 and not float(a[:lo].max()) <= float(a[lo:hi].min()):
         raise AdmissibilityError("prefix not below the active range")
@@ -300,15 +254,6 @@ def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
         )
     if v > fixed + pairwise_sum(a[lo:hi]) + tol:
         raise AdmissibilityError("residual goal exceeds the active range mass")
-
-
-def _verify_base(a, lo, hi, k, goal) -> None:
-    if not np.all(a[lo : hi - 1] <= a[lo + 1 : hi]):
-        raise AdmissibilityError("base range not sorted")
-    if k > lo and not _fsum(a[k:]) >= goal:
-        raise AdmissibilityError("base cut misses the goal")
-    if k + 1 < hi and _fsum(a[k + 1 :]) >= goal:
-        raise AdmissibilityError("a shorter base cut reaches the goal")
 
 
 def _verify_candidates(values, lo, idx, goal) -> None:

@@ -1,60 +1,38 @@
-"""Minimal marking by full descending sort and prefix sums.
+"""Minimal marking by full descending sort, and the sorted cut that it shares.
 
-This is the classical log-linear reference strategy: sort the indicators in
-descending order, accumulate prefix sums and cut at the first prefix reaching
-the goal value.  The returned cardinality is provably minimal, which makes
-this routine the correctness oracle for the linear-time selection strategy.
-
-Only the values are sorted; the shared materialise step marks the cut, ties
-by ascending index, so outputs are deterministic and ascending.
+This is the classical log-linear reference strategy: sort the indicators and
+cut the descending order at the first prefix that reaches the goal.  The cut,
+:func:`_settle`, is also the base case of the selection kernel in
+:mod:`dmark.quickmark`, so on at most ``_M0`` entries the two strategies run
+the same code.  Only the values are sorted; the shared materialise step marks
+the cut, ties by ascending index, so outputs are deterministic and ascending.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .core import (
+    AdmissibilityError,
     IndicatorInput,
     MarkingOutcome,
     OpCounter,
+    _first_reaching,
+    _fsum,
     as_indicators,
     check_theta,
-    goal_value,
     materialise,
     overflow_guard,
 )
 
-__all__ = ["SortedPrefix", "sorted_prefix", "sort_mark"]
+__all__ = ["sort_mark"]
 
-
-@dataclass(frozen=True, eq=False)
-class SortedPrefix:
-    """Indicator values in descending order and their prefix sums.
-
-    ``prefix_sums[i]`` is the sum of the ``i + 1`` largest entries, accumulated
-    left to right.
-    """
-
-    values: np.ndarray
-    prefix_sums: np.ndarray
-
-
-def sorted_prefix(x: IndicatorInput, counter: OpCounter | None = None) -> SortedPrefix:
-    """Sort the values descending and accumulate prefix sums.
-
-    With a counter the interpreter's comparison sort runs, so that its
-    comparisons are counted; numpy's sort gives the identical values.
-    """
-    iv = as_indicators(x)
-    if counter is None:
-        desc = np.sort(iv.values)[::-1]
-    else:
-        desc = np.array(_counted_sort_desc(iv.values.tolist(), counter))
-    with overflow_guard(iv.total()):
-        prefix = np.cumsum(desc)
-    return SortedPrefix(values=desc, prefix_sums=prefix)
+# the longest suffix a[lo:] whose sorted cut math.fsum settles: a probe costs
+# 17-40 ns per entry, which made boundary inputs of 10^4-10^6 entries run
+# 2-3.5 times slower than the float cut (CHANGES.md)
+_EXACT_MAX = 1024
 
 
 def _counted_sort_desc(values: list[float], counter: OpCounter) -> list[float]:
@@ -81,16 +59,73 @@ def sort_mark(
 ) -> MarkingOutcome:
     """Mark a minimal-cardinality set via sorting.
 
-    Returns the shortest descending prefix whose sum reaches the goal value.
+    Returns the shortest descending prefix that reaches the goal, cut by
+    :func:`_settle` over the whole vector.  With a ``counter`` the
+    interpreter's comparison sort runs as well, and its comparisons and the
+    length of the cut are counted; the set is the same as without one.
     """
     iv = as_indicators(x)
     check_theta(theta)
-    sp = sorted_prefix(iv, counter)
-    v = goal_value(iv, theta)
-    cut = int(np.searchsorted(sp.prefix_sums, v, side="left"))
-    # theta < 1 guarantees the goal is reachable; the clamp only absorbs
-    # last-ulp accumulation shortfall of the full prefix.
-    n = min(cut, iv.n - 1) + 1
+    goal = theta * iv.total()
+    with overflow_guard(iv.total()):
+        x_star, count = _settle(iv.scratch_copy(), 0, iv.n, goal, goal, 0.0)
     if counter is not None:
-        counter.add(n)
-    return MarkingOutcome.trusted(iv, materialise(iv.values, float(sp.values[n - 1]), n))
+        _counted_sort_desc(iv.values.tolist(), counter)
+        counter.add(count)
+    return MarkingOutcome.trusted(iv, materialise(iv.values, x_star, count))
+
+
+def _settle(
+    a: np.ndarray,
+    lo: int,
+    hi: int,
+    goal: float,
+    v: float,
+    fixed: float,
+    check: bool = False,
+    counter: OpCounter | None = None,
+) -> tuple[float, int]:
+    """Sort ``a[lo:hi]`` and cut it by the stop rule: the threshold and the count.
+
+    ``fixed`` is the float mass of ``a[hi:]``, every entry of which is at
+    least the range's largest, and ``v`` the residual goal.  While ``a[lo:]``
+    holds at most ``_EXACT_MAX`` entries (or the goal overflowed) the cut
+    takes the ``j + 1`` largest entries of the range for the first ``j``
+    whose correctly rounded sum together with ``a[hi:]`` reaches ``goal``;
+    ``math.fsum`` settles only the prefixes within rounding of the goal,
+    each probe in one pass over the suffix ``a[hi - 1 - j:]``.  On a longer
+    suffix the float prefix sums of the range decide against ``v``.  Either
+    cut takes the whole range when no prefix reaches the goal, so rounding
+    that leaves the residual goal above the range mass cannot empty it.
+    Returns ``(a[k], a.size - k)`` at the cut's rank ``k``, with ``a[lo:hi]``
+    sorted ascending.  With ``check`` the exact cut is verified against the
+    rule.  A ``counter`` gets ``m * ceil(log2 m)`` for the sort of ``m``
+    entries plus the length of the cut.
+    """
+    seg = a[lo:hi]
+    seg.sort()
+    prefix = np.add.accumulate(seg[::-1])
+    m = hi - lo
+    exact = a.size - lo <= _EXACT_MAX or v == math.inf
+    if exact:
+        if fixed:
+            prefix += fixed
+        j = _first_reaching(prefix, goal, a.size - lo, lambda j: _fsum(a[hi - 1 - j :]))
+    else:
+        j = int(prefix.searchsorted(v))
+    j = min(j, m - 1)
+    k = hi - 1 - j
+    if counter is not None:
+        counter.add(m * (m - 1).bit_length() + j + 1)
+    if check and exact:
+        _verify_base(a, lo, hi, k, goal)
+    return float(a[k]), int(a.size) - k
+
+
+def _verify_base(a, lo, hi, k, goal) -> None:
+    if not np.all(a[lo : hi - 1] <= a[lo + 1 : hi]):
+        raise AdmissibilityError("base range not sorted")
+    if k > lo and not _fsum(a[k:]) >= goal:
+        raise AdmissibilityError("base cut misses the goal")
+    if k + 1 < hi and _fsum(a[k + 1 :]) >= goal:
+        raise AdmissibilityError("a shorter base cut reaches the goal")

@@ -1,8 +1,11 @@
-"""Every exported name resolves, and the public strategies' options are listed."""
+"""Every exported name resolves, every module imports first, and the public
+strategies' options are listed."""
 
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,24 @@ def test_module_exports_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_module_imports_first(module_name):
+    # a fresh interpreter imports the module before any other of the package,
+    # so an import cycle through it fails; a package object that holds only
+    # the path and the version stands in for dmark/__init__.py, whose own
+    # import order would otherwise load the module's dependencies first
+    code = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('dmark')\n"
+        f"package.__path__ = {list(dmark.__path__)!r}\n"
+        f"package.__version__ = {dmark.__version__!r}\n"
+        "sys.modules['dmark'] = package\n"
+        f"importlib.import_module({module_name!r})\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 # every parameter of the public marking entry points; a new option must be

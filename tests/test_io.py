@@ -233,6 +233,29 @@ def test_text_reader_matches_the_line_reference(tmp_path_factory, lines, soup, u
     assert outcome(io._read_text, p) == outcome(reference_read, p)
 
 
+LINE_ENDS = {
+    "lone CR inside": lambda i, n: "\r" if i == 9 else "\n",
+    "CR before CRLF": lambda i, n: "\r\r\n" if i == 9 else "\n",
+    "final lone CR": lambda i, n: "\r" if i == n - 1 else "\n",
+    "CRLF and LF": lambda i, n: "\r\n" if i % 2 else "\n",
+}
+
+
+@pytest.mark.parametrize("lines", [_LOADTXT_MIN - 4, _LOADTXT_MIN + 4])
+@pytest.mark.parametrize("ends", sorted(LINE_ENDS))
+def test_line_ends_match_the_line_reference(tmp_path, lines, ends):
+    # a lone CR before the last byte sends the file to the line parse; a
+    # final one and any mix of CRLF and LF leave it to numpy, counted as
+    # str.splitlines counts them
+    end = LINE_ENDS[ends]
+    data = "".join(line.rstrip("\n") + end(i, lines) for i, line in enumerate(SOUP_BASE[:lines]))
+    p = tmp_path / "ends.txt"
+    p.write_bytes(data.encode("ascii"))
+    expected = None if ends in ("lone CR inside", "CR before CRLF") else len(data.splitlines())
+    assert io._plain_line_count(p.read_bytes()) == expected
+    assert outcome(io._read_text, p) == outcome(reference_read, p)
+
+
 @pytest.mark.parametrize("indices", [[0.9, 3.7], np.array([0.0, 3.0]), np.ones(4, dtype=bool)])
 def test_non_integer_indices_rejected(tmp_path, indices):
     p = tmp_path / "m.txt"

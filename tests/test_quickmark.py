@@ -26,16 +26,15 @@ from dmark import (
 )
 from dmark.core import materialise, pairwise_sum
 from dmark.quickmark import (
-    _EXACT_MAX,
     _M0,
     _MIN_N,
     _candidates,
     _select,
-    _verify_base,
     _verify_candidates,
     _verify_cut,
     _verify_level,
 )
+from dmark.sort_mark import _EXACT_MAX, _verify_base
 
 dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
@@ -346,7 +345,7 @@ class TestBaseCase:
         # math.fsum sums at most _EXACT_MAX entries per probe at any N; a
         # longer suffix is cut by the float prefix sums, and every cut
         # passes the level checks and the final minimality check
-        module = importlib.import_module("dmark.quickmark")
+        module = importlib.import_module("dmark.sort_mark")
         lengths = []
 
         def probe(values):

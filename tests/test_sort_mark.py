@@ -12,10 +12,12 @@ from dmark import (
     ParameterError,
     goal_value,
     mark,
+    quickmark,
     satisfies_doerfler,
     sort_mark,
-    sorted_prefix,
 )
+from dmark.quickmark import _M0
+from dmark.sort_mark import _EXACT_MAX, _counted_sort_desc
 from test_quickmark import boundary_instance
 
 dyadic_lists = st.lists(
@@ -45,32 +47,61 @@ def test_theta_one_rejected():
         sort_mark([1.0, 2.0], 1.0)
 
 
-def test_sorted_prefix_invariants(rng):
-    for _ in range(50):
-        vals = rng.random(int(rng.integers(1, 200)))
-        if not vals.any():
-            vals[0] = 1.0
-        sp = sorted_prefix(vals)
-        ordered = sp.values
-        assert np.all(ordered[:-1] >= ordered[1:])
-        assert np.all(np.diff(sp.prefix_sums) >= 0)
-        assert sp.prefix_sums[-1] == pytest.approx(float(vals.sum()), rel=1e-12)
+def assert_exact_cut(x, theta, count):
+    """fsum(desc[:count - 1]) < goal <= fsum(desc[:count]), the latter unless clamped to N."""
+    desc = np.sort(x)[::-1].tolist()
+    v = goal_value(x, theta)
+    assert math.fsum(desc[: count - 1]) < v
+    assert count == len(desc) or math.fsum(desc[:count]) >= v
 
 
 def test_minimality_characterization(rng):
-    # prefix[n-2] < v <= prefix[n-1], with the empty prefix read as 0
     for _ in range(200):
         n = int(rng.integers(1, 300))
         vals = rng.random(n)
         if not vals.any():
             vals[0] = 1.0
         theta = float(rng.uniform(0.05, 0.95))
-        out = sort_mark(vals, theta)
-        sp = sorted_prefix(vals)
-        v = goal_value(vals, theta)
-        k = out.cardinality
-        before = sp.prefix_sums[k - 2] if k >= 2 else 0.0
-        assert before < v <= sp.prefix_sums[k - 1]
+        assert_exact_cut(vals, theta, sort_mark(vals, theta).cardinality)
+
+
+def test_exact_cut_up_to_exact_max():
+    # up to _EXACT_MAX entries the cut is the shared stop rule's, in math.fsum
+    rng = np.random.default_rng(4246)
+    for n in [int(rng.integers(2, _EXACT_MAX + 1)) for _ in range(300)] + [_EXACT_MAX] * 20:
+        x, theta = boundary_instance(rng, n)
+        assert_exact_cut(x, theta, sort_mark(x, theta).cardinality)
+
+
+def test_same_set_as_quickmark_up_to_m0():
+    # up to _M0 entries quickmark's kernel is its base case, the cut sort runs
+    rng = np.random.default_rng(4245)
+    for n in [int(rng.integers(2, _M0 + 1)) for _ in range(1000)] + [_M0] * 50:
+        x, theta = boundary_instance(rng, n)
+        by_sort, by_select = sort_mark(x, theta), quickmark(x, theta)
+        assert np.array_equal(by_sort.marked, by_select.marked)
+        assert by_sort.achieved_sum.hex() == by_select.achieved_sum.hex()
+        assert by_sort.cardinality == by_select.cardinality
+
+
+def float_cut_marked(x, theta):
+    """The float cut's set: the first running sum of the descending order to reach the goal."""
+    prefix = np.cumsum(np.sort(x)[::-1])
+    n = min(int(np.searchsorted(prefix, goal_value(x, theta))), x.size - 1) + 1
+    return np.sort(np.argsort(-x, kind="stable")[:n])
+
+
+def test_float_cut_above_exact_max():
+    # above _EXACT_MAX entries the cut is the float cut of earlier releases
+    rng = np.random.default_rng(4247)
+    for trial in range(60):
+        n = int(rng.integers(_EXACT_MAX + 1, 20_000))
+        if trial % 3 == 0:
+            x, theta = boundary_instance(rng, n)
+        else:
+            x = rng.random(n) if trial % 3 == 1 else rng.lognormal(0.0, 2.5, n)
+            theta = float(rng.uniform(0.05, 0.95))
+        assert np.array_equal(sort_mark(x, theta).marked, float_cut_marked(x, theta))
 
 
 def test_removal_property(rng):
@@ -116,9 +147,9 @@ def test_counted_path_matches_fast(rng):
         fast = sort_mark(vals, 0.4)
         assert np.array_equal(counted.marked, fast.marked)
         assert counter.comparisons > 0
-        # tie-heavy inputs: the two sorting routes give the identical values
+        # tie-heavy inputs: the counted sort gives numpy's values
         assert np.array_equal(
-            sorted_prefix(vals, OpCounter()).values, sorted_prefix(vals).values
+            _counted_sort_desc(vals.tolist(), OpCounter()), np.sort(vals)[::-1]
         )
 
 
@@ -153,11 +184,16 @@ def test_matches_stable_argsort_reference(rng):
 
 
 def test_clamped_cut_takes_zeros_of_either_sign():
-    # the running sum of all 13 falls short of the pairwise goal, so the cut
-    # is clamped to the whole vector and its value is a zero of either sign
+    # the float running sum of all 13 falls short of the pairwise goal, but
+    # the correctly rounded sum of the 11 positive entries reaches it
     x = [0.391, 0.467, 0.824, 0.681, 0.837, 0.0, 0.691, 0.913, 0.823, 0.179, 0.748, 0.087, -0.0]
     theta = math.nextafter(1.0, 0.0)
-    assert sorted_prefix(x).prefix_sums[-1] < goal_value(x, theta)
+    assert np.cumsum(np.sort(x)[::-1])[-1] < goal_value(x, theta)
+    assert sort_mark(x, theta).marked.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11]
+    # here even the correctly rounded sum of all 13 falls short, so the cut is
+    # clamped to the whole vector and its value is a zero of either sign
+    x = [0.749, 0.0, 0.332, 0.719, 0.982, 0.928, 0.966, 0.227, 0.56, -0.0, 0.251, 0.081, 0.438]
+    assert math.fsum(x) < goal_value(x, theta)
     assert sort_mark(x, theta).marked.tolist() == list(range(13))
 
 
