@@ -1,7 +1,7 @@
 """Command-line interface: marking of indicator files.
 
-Exit codes: 0 on success, 2 on parse or parameter errors, 3 on resource
-exhaustion.
+Exit codes: 0 on success, 2 on parse or parameter errors (an unreadable
+input or unwritable output file among them), 3 on resource exhaustion.
 """
 
 from __future__ import annotations
@@ -49,7 +49,12 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_mark(args: argparse.Namespace) -> int:
     iv = read_indicators(args.input)
     run = mark(iv, args.theta, args.algorithm, nu=args.nu)
-    write_marked_indices(args.output, run.outcome.marked)
+    try:
+        write_marked_indices(args.output, run.outcome.marked)
+    except OSError as exc:
+        # a missing directory or a directory as --output, as an unreadable --input
+        print(f"dmark: error: {args.output}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"algorithm={run.algorithm}")
     print(f"n={iv.n}")
     print(f"theta={args.theta}")

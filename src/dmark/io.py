@@ -6,12 +6,27 @@ Two interchangeable on-disk formats, selected by extension:
   ``float()`` reads it: surrounding whitespace and underscores between
   digits are allowed (``1_0`` is 10.0), and ``nan``, ``inf`` and ``1e400``
   parse but fail validation.  Lines end in LF, CRLF or CR, or in any other
-  break that ``str.splitlines`` knows; a blank line is an error.  A file of
-  at least ``_LOADTXT_MIN`` lines that is ASCII and ends its lines in LF or
-  CRLF only is parsed by numpy's C reader (``np.loadtxt``), whose result is
-  kept only when it holds one value per line.  Every other file, and every
-  file that reader rejects, is parsed line by line, which names the first
-  bad line.  Both paths give the same doubles.
+  break that ``str.splitlines`` knows; a blank line is an error.
+
+  A file of at least ``_VECTOR_MIN`` lines goes to a vector reader.  One LF
+  scan splits it into lines, and a kernel reads the lines of a plain
+  grammar with numpy, 8 bytes at a time: at most 24 bytes, digits with at
+  most one point, then optionally ``e`` or ``E``, an optional sign and
+  digits.  The digits, 19 at most, form an integer ``w``, and the line's
+  value is ``w / 10**k``.  With numpy's x87 longdouble (64-bit
+  significand), ``w`` and ``10**k`` for ``k <= 27`` are exact, so the
+  quotient is rounded once, to 64 bits; rounding that to a double gives the
+  correctly rounded double, ``float()``'s, unless the 64-bit quotient lies
+  on a midpoint between two doubles.  Elsewhere the kernel runs in float64 with ``w <= 2**53`` and
+  ``k <= 22``, where one division rounds correctly (Clinger 1990).  Every
+  other line - a midpoint, a longer line, an exponent past the digits after
+  the point (``1e+16``), whitespace, a sign, ``_`` - gets ``float()``.  A
+  file in which such a line is not ASCII, holds a CR, ``\v``, ``\f`` or
+  ``\x1c``..``\x1e`` (where ``str.splitlines`` breaks lines that the LF
+  scan does not), or fails ``float()`` is parsed line by line, as is every
+  shorter file and every file whose first 8,192 lines hold more than one
+  in eight such lines; that parse names the first bad line.  Both paths
+  give the same doubles.
 * ``.f64``  - binary, little-endian IEEE-754 doubles
 
 Marked indices are written as ASCII decimal, 0-based, one per line with an
@@ -22,8 +37,6 @@ as earlier releases wrote.
 
 from __future__ import annotations
 
-import os
-import warnings
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -58,7 +71,7 @@ def _read_text(p: Path) -> np.ndarray:
     except OSError as exc:
         raise ParseError(f"{p}: {exc}") from exc
     # a file of n lines holds at least n bytes
-    values = _read_text_loadtxt(p, raw) if len(raw) >= _LOADTXT_MIN else None
+    values = _read_text_vector(raw) if len(raw) >= _VECTOR_MIN else None
     if values is None:
         values = _read_text_lines(p, raw)
     # read-only and owned by no one else, so IndicatorVector adopts it
@@ -66,62 +79,260 @@ def _read_text(p: Path) -> np.ndarray:
     return values
 
 
-# the fewest lines parsed by np.loadtxt: its 40-80 us of fixed cost per call
-# make it 2.4x slower than the line parse at 100 lines and 1.05x at 1,000;
-# the two break even between 1,500 and 2,048 lines, and numpy takes 0.77x of
-# the time at 10^5 and 0.75-0.8x at 10^6.  Every file of the 1e6 workloads
-# is above this count, and every boundary-small file (at most 1,000 lines)
-# below it (CHANGES.md)
-_LOADTXT_MIN = 2048
+# the fewest lines read by the vector reader: its fixed cost of some 60
+# numpy calls makes it slower than the line parse below about 700
+# repr-written lines; at 2,048 it takes 0.65 of that parse's time on them,
+# and 1.0-1.2x on short lines such as %e (CHANGES.md); every file of the
+# 1e6 workloads is above this count, and every boundary-small file (at most
+# 1,000 lines) below it
+_VECTOR_MIN = 2048
 
-# ASCII bytes that send a file to the line parse, because numpy could read
-# it differently: "\v", "\f" and "\x1c".."\x1e" end a line for
-# str.splitlines but not for numpy, and numpy strips "\x1c".."\x1f" around a
-# value where float() does not
-_LINE_PARSE_BYTES = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# lines per kernel call: of 2^11..2^16, 2^13 read files of 10^5 and 10^6
+# lines fastest; 2^12 and 2^14 took up to 1.05x and 1.34x as long, and 2^16
+# 1.16-1.62x
+_CHUNK = 2**13
+
+# ASCII bytes other than LF that end a line for str.splitlines
+_OTHER_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _read_text_loadtxt(p: Path, raw: bytes) -> Optional[np.ndarray]:
-    """The values of a large text file by numpy's C reader, or ``None``.
+def _read_text_vector(raw: bytes) -> Optional[np.ndarray]:
+    """The values of a text file of at least ``_VECTOR_MIN`` lines, or ``None``.
 
-    ``None`` means the line parse must decide: the file is short, or not
-    ASCII text whose lines all end in LF or CRLF, or ``loadtxt`` rejects
-    it, or it finds other than one value on each line.  ``loadtxt`` skips
-    blank lines and splits ``"1 2"`` into two values, so the shape test
-    rejects both.  It reads the file from its path, which is the only input
-    its chunked C reader takes, so ``raw`` serves only to count the lines.
+    One LF scan splits ``raw`` into lines and drops the CR of each CRLF and a
+    final CR.  ``_decimal_chunk`` reads the lines of the plain decimal
+    grammar, and every other line gets ``float()``.  ``None`` means the line
+    parse must decide: the file is short, or the kernel leaves more than an
+    eighth of its first chunk to ``float()``, or a line left to ``float()``
+    holds a byte that is not ASCII or that ends a line for
+    ``str.splitlines``, or ``float()`` rejects it.  A line the kernel reads
+    holds only digits, a point, ``e`` or ``E`` and a sign, so such bytes can
+    only sit in the lines left to ``float()``.
     """
-    lines = _plain_line_count(raw)
-    if lines is None or lines < _LOADTXT_MIN:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # a file without values warns, and the shape test rejects it
-            warnings.simplefilter("ignore")
-            table = np.loadtxt(
-                os.fspath(p), dtype=np.float64, comments=None, encoding="utf-8", ndmin=2
-            )
-    except (ValueError, OSError):
-        return None
-    if table.shape != (lines, 1):
-        return None
-    # the view that IndicatorVector adopts must have a read-only base
-    table.setflags(write=False)
-    return table.reshape(lines)
-
-
-def _plain_line_count(raw: bytes) -> Optional[int]:
-    """``len(raw.decode().splitlines())`` for non-empty ASCII text that holds
-    none of ``_LINE_PARSE_BYTES`` and ends its lines in LF or CRLF (the last
-    may end in CR or nothing); ``None`` for any other text."""
-    if not raw.isascii() or any(b in raw for b in _LINE_PARSE_BYTES):
-        return None
     u8 = np.frombuffer(raw, dtype=np.uint8)
-    lf = u8 == ord("\n")
-    # a CR not followed by LF ends a line too; a final one is counted below
-    if b"\r" in raw and ((u8[:-1] == ord("\r")) & ~lf[1:]).any():
+    ends = np.flatnonzero(u8 == ord("\n"))
+    if raw[-1:] != b"\n":
+        ends = np.append(ends, len(raw))
+    n = ends.size
+    if n < _VECTOR_MIN:
         return None
-    return int(np.count_nonzero(lf)) + (raw[-1] != ord("\n"))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # a CR before the LF is not the line's; an empty first line has no byte before it
+    stops = ends - ((u8[ends - 1] == ord("\r")) & (ends > starts))
+    lengths = stops - starts
+    # words[i] is the little-endian word of raw[i:i + 8]
+    words = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    values = np.empty(n, dtype=np.float64)
+    certified = np.empty(n, dtype=bool)
+    for a in range(0, n, _CHUNK):
+        b = a + _CHUNK
+        values[a:b], certified[a:b] = _decimal_chunk(words, stops[a:b], lengths[a:b])
+        # float() costs about 3x as much per line here as in the line parse,
+        # so a file whose first chunk is mostly left to it is parsed by line
+        if a == 0 and 8 * np.count_nonzero(certified[:b]) < 7 * certified[:b].size:
+            return None
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        text = b"\n".join([raw[s:t] for s, t in zip(starts[rest].tolist(), stops[rest].tolist())])
+        if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+            return None
+        try:
+            values[rest] = np.fromiter(
+                map(float, text.decode("ascii").split("\n")), dtype=np.float64, count=rest.size
+            )
+        except ValueError:
+            return None
+    return values
+
+
+def _bytes(b: int) -> np.uint64:
+    """A word with ``b`` in each of its 8 bytes."""
+    return np.uint64(b * 0x0101010101010101)
+
+
+# the bytes of a line's digits that the kernel sees, as three words; a line
+# with more is left to float()
+_WIDTH = 24
+# word k of the window starts at byte 8k
+_WORD = np.array([[0], [8], [16]])
+# _HIGH[s]: a word whose s lowest bytes are clear
+_HIGH = ~np.array([(1 << 8 * s) - 1 for s in range(9)], dtype=np.uint64)
+# column c of _HIGH_FROM: word k's bytes from byte c of the window on, and
+# of _LOW_UPTO the others
+_HIGH_FROM = _HIGH[np.clip(np.arange(_WIDTH + 1) - _WORD, 0, 8)]
+_LOW_UPTO = ~_HIGH_FROM
+# _SUFFIX_BITS[e]: 8 times the bytes from an "e" in byte e - 1 of the last word
+_SUFFIX_BITS = np.array([0, *range(64, 0, -8)], dtype=np.uint64)
+# 0x01 in byte j of word k, times _PLACES[k], puts 8k + j + 1 in the top byte
+_PLACES = np.array(
+    [[sum((8 * k + 8 - j) << 8 * j for j in range(8))] for k in range(3)], dtype=np.uint64
+)
+_U7, _U8, _U56 = np.uint64(7), np.uint64(8), np.uint64(56)
+
+
+def _is_x87_extended() -> bool:
+    """Whether numpy's longdouble is the x87 80-bit format, its 64-bit
+    significand in the first 8 of 16 little-endian bytes."""
+    probe = np.array([1.5, np.longdouble(1) + np.longdouble(2.0**-63)], dtype=np.longdouble)
+    return probe.itemsize == 16 and probe.view("<u8")[::2].tolist() == [
+        0xC000000000000000,
+        0x8000000000000001,
+    ]
+
+
+# w < 10**19 and 10**k for k <= 27 (5**27 < 2**64) are exact with a 64-bit
+# significand, and w <= 2**53 and 10**k for k <= 22 in float64; the module
+# docstring gives the rounding argument
+_EXTENDED = _is_x87_extended()
+_POWERS_LONG = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_POWERS_DOUBLE = _POWERS_LONG[:23].astype(np.float64)
+
+
+def _decimal_chunk(words: np.ndarray, stops: np.ndarray, lengths: np.ndarray):
+    """The doubles of the lines that end at ``stops``, and which of them are
+    certified equal to ``float()``'s.
+
+    A certified line is at most ``_WIDTH`` bytes: digits with at most one
+    point and at least one digit, then optionally ``e`` or ``E``, an
+    optional sign and digits.  It reads as ``w / 10**k``: ``w`` is its
+    digits without the point, and ``k`` the count of digits after the point
+    less the exponent, which must not be negative.  A line that ends within
+    the first ``_WIDTH`` bytes of the file is left to ``float()``, as its
+    window would start before the file.  Each step works on 8 bytes at
+    once, over as many words as the chunk's longest line needs, and in
+    place where it can: a fresh array costs its page faults.
+    """
+    at = _WORD[-min(max(int(lengths.max()) + 7, 8) // 8, _WORD.size) :]
+    x = _window(words, stops, lengths, at)
+    # an "e" or "E" among a line's last 8 bytes starts its exponent; the
+    # first one is taken, and a second is left to the checks below
+    marks = _zero_bytes((x[-1:] | _bytes(0x20)) ^ _bytes(ord("e") ^ 0x30 | 0x20))
+    marks &= np.uint64(0) - marks
+    # 1 + the byte of the "e", 0 without one
+    e = _byte_places(marks >> _U7, _PLACES[:1])
+    exponent = np.zeros(e.size, dtype=np.intp)
+    certified = (lengths <= _WIDTH) & (stops >= _WIDTH)
+    rows = np.flatnonzero(e)
+    if rows.size:
+        # all rows of a file written in exponent form: a slice, not a gather
+        rows = slice(None) if rows.size == e.size else rows
+        exponent[rows], well_formed = _exponent(x[-1, rows], e[rows])
+        certified[rows] &= well_formed
+        # shift the digits before the exponent to the end of the window
+        bits = _SUFFIX_BITS[e[rows]]
+        digits = x[:, rows]
+        spill = digits >> (np.uint64(64) - bits)
+        digits <<= bits
+        digits[1:] |= spill[:-1]
+        x[:, rows] = digits
+        lengths = lengths.copy()
+        lengths[rows] -= (bits >> np.uint64(3)).astype(np.intp)
+    nondigits = _nondigits(x)
+    # 0x01 at each point, and in `nondigits` the bytes neither digit nor point
+    points = _zero_bytes(x ^ _bytes(ord(".") ^ 0x30))
+    points &= nondigits
+    nondigits ^= points
+    points >>= _U7
+    count = _byte_places(points, _bytes(1))
+    # with one point, 1 + its byte in the 24-byte window; 0 without one
+    column = _byte_places(points, _PLACES[-at.size :])
+    certified &= (np.bitwise_or.reduce(nondigits, axis=0) == 0) & (count <= 1) & (lengths > count)
+    # drop the point: the bytes before it move one byte right
+    moved = x << _U8
+    moved[1:] |= x[:-1] >> _U56
+    moved ^= x
+    moved &= _LOW_UPTO[-at.size :].take(column, axis=1, mode="clip")
+    x ^= moved
+    x = _eight_digits(x)
+    w = x[-1].copy()
+    if at.size > 1:
+        w += x[-2] * np.uint64(10**8)
+    if at.size > 2:
+        # at most 19 digits: w < 10**19 < 2**64
+        certified &= x[0] < 1000
+        w += x[0] * np.uint64(10**16)
+    k = np.where(column > 0, _WIDTH - column, 0)
+    k -= exponent
+    certified &= k >= 0
+    small = (w <= 2**53) & (k < _POWERS_DOUBLE.size)
+    if not _EXTENDED or (small | ~certified).all():
+        certified &= small
+        return w / _POWERS_DOUBLE.take(k, mode="clip"), certified
+    certified &= k < _POWERS_LONG.size
+    q = w.astype(np.longdouble)
+    q /= _POWERS_LONG.take(k, mode="clip")
+    # the 11 bits below a double's 53 read 0b100_0000_0000: a midpoint
+    certified &= (q.view(np.uint64)[::2] & np.uint64(0x7FF)) != 0x400
+    return q.astype(np.float64), certified
+
+
+def _exponent(last: np.ndarray, e: np.ndarray):
+    """The exponents that follow an ``e`` in byte ``e - 1`` (``e`` >= 1) of
+    each last word (bytes XOR 0x30), and whether each is an optional sign
+    and at least one digit."""
+    sign = (last >> (e * 8).astype(np.uint64)) & np.uint64(0xFF)
+    negative = sign == ord("-") ^ 0x30
+    head = e + (negative | (sign == ord("+") ^ 0x30))
+    digits = last & _HIGH[head]
+    value = _eight_digits(digits).astype(np.intp)
+    return np.where(negative, -value, value), (head < 8) & (_nondigits(digits) == 0)
+
+
+def _window(
+    words: np.ndarray, stops: np.ndarray, lengths: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """Row k holds the 8 bytes from ``at[k]`` of the ``_WIDTH`` before each
+    stop, the first in the low byte, each XOR 0x30: digits become 0..9, and
+    the bytes before the line 0, as leading zeros."""
+    x = words[np.maximum(stops, _WIDTH) - (_WIDTH - at)]
+    x ^= _bytes(0x30)
+    x &= _HIGH_FROM[-at.size :].take(_WIDTH - lengths, axis=1, mode="clip")
+    return x
+
+
+def _zero_bytes(x: np.ndarray) -> np.ndarray:
+    """0x80 in each zero byte of ``x``; exact where no byte exceeds 0x80, and
+    a larger byte can only hide a zero byte above it."""
+    flags = x + _bytes(0x7F)
+    flags |= x
+    np.invert(flags, out=flags)
+    flags &= _bytes(0x80)
+    return flags
+
+
+def _nondigits(x: np.ndarray) -> np.ndarray:
+    """0x80 in each byte of ``x`` (bytes XOR 0x30) that is not 0..9; a byte
+    above 0x89 is not ASCII, and marks its own line whatever it carries."""
+    flags = x + _bytes(0x76)
+    flags |= x
+    flags &= _bytes(0x80)
+    return flags
+
+
+def _byte_places(ones: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """The top bytes of ``ones * places``, summed over the words: with 0x01
+    in flagged bytes, ``_PLACES`` gives 1 + the place of a single one, and
+    ``_bytes(1)`` the count of them."""
+    top = ones * places
+    top >>= _U56
+    return top.sum(axis=0).astype(np.intp)
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """The integer of the 8 digits 0..9 in each word, the first in the low
+    byte: pairs, then fours, then all eight, each by one multiply that adds
+    10**j times a lane to its neighbour (Lemire 2018)."""
+    x = x * np.uint64(10 << 8 | 1)
+    x >>= _U8
+    x &= np.uint64(0x00FF00FF00FF00FF)
+    x *= np.uint64(100 << 16 | 1)
+    x >>= np.uint64(16)
+    x &= np.uint64(0x0000FFFF0000FFFF)
+    x *= np.uint64(10000 << 32 | 1)
+    x >>= np.uint64(32)
+    return x
 
 
 def _read_text_lines(p: Path, raw: bytes) -> np.ndarray:

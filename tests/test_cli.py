@@ -8,7 +8,7 @@ import pytest
 
 from dmark import mark
 from dmark.cli import main
-from dmark.io import _LOADTXT_MIN, write_indicators
+from dmark.io import _VECTOR_MIN, write_indicators
 from dmark.markers import ALGORITHM_NAMES
 
 
@@ -111,6 +111,28 @@ class TestMark:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["missing/m.txt", "."])
+    def test_unwritable_output_exit_2(self, indicator_file, tmp_path, capsys, target):
+        # a missing directory, or a directory, as --output is reported as an
+        # unreadable --input is: one line on stderr and exit code 2
+        out = tmp_path / target
+        code = main(
+            ["mark", "--input", str(indicator_file), "--theta", "0.5", "--output", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"dmark: error: {out}: [Errno ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "missing.txt"
+        code = main(
+            ["mark", "--input", str(src), "--theta", "0.5", "--output", str(tmp_path / "m")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"dmark: error: {src}: [Errno ")
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         src = tmp_path / "bad.txt"
         src.write_text("1\nx\n")
@@ -120,7 +142,7 @@ class TestMark:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [3, _LOADTXT_MIN + 1])
+    @pytest.mark.parametrize("n", [3, _VECTOR_MIN + 1])
     def test_invalid_utf8_exit_2(self, tmp_path, capsys, n):
         src = tmp_path / "bad.txt"
         src.write_bytes(b"1.0\n" * (n - 1) + b"\xff\n")
@@ -130,9 +152,9 @@ class TestMark:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"dmark: error: {src}: not UTF-8")
 
-    def test_text_above_the_loadtxt_cutoff_marks_as_binary(self, tmp_path, rng):
+    def test_text_above_the_vector_cutoff_marks_as_binary(self, tmp_path, rng):
         # the same values as .txt and .f64 give the same index bytes
-        x = rng.lognormal(0.0, 2.5, 4 * _LOADTXT_MIN)
+        x = rng.lognormal(0.0, 2.5, 4 * _VECTOR_MIN)
         write_indicators(tmp_path / "ind.txt", x)
         write_indicators(tmp_path / "ind.f64", x)
         for algorithm in ALGORITHM_NAMES:

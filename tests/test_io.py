@@ -1,15 +1,18 @@
 """Indicator file formats."""
 
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dmark import IndicatorVector, InvalidIndicatorsError, MarkingError, ParseError, mark
 from dmark import io
 from dmark.io import (
     _JOIN_MAX,
-    _LOADTXT_MIN,
+    _VECTOR_MIN,
     read_indicators,
     write_indicators,
     write_marked_indices,
@@ -39,8 +42,8 @@ def test_binary_roundtrip(tmp_path):
 
 def test_readers_hand_over_their_buffers(tmp_path):
     # the .f64 values view the bytes read, and both formats give the same doubles,
-    # on both sides of the loadtxt cutoff
-    for n in (100, 2 * _LOADTXT_MIN):
+    # on both sides of the vector reader's cutoff
+    for n in (100, 2 * _VECTOR_MIN):
         vals = np.random.default_rng(2).lognormal(0.0, 2.5, n)
         write_indicators(tmp_path / "x.f64", vals)
         write_indicators(tmp_path / "x.txt", vals)
@@ -125,18 +128,18 @@ def test_text_parse_error_names_first_bad_line(tmp_path):
 
 
 def test_underscores_between_digits_read_as_float_does(tmp_path):
-    # the format is float()'s, on both sides of the loadtxt cutoff
+    # the format is float()'s, on both sides of the vector reader's cutoff
     p = tmp_path / "x.txt"
-    for n in (3, _LOADTXT_MIN + 1):
+    for n in (3, _VECTOR_MIN + 1):
         p.write_text("2.5\n" * (n - 1) + "1_0\n")
         values = read_indicators(p).values
         assert values.size == n and values[-1] == 10.0
 
 
 def test_separator_bytes_that_float_keeps_are_parse_errors(tmp_path):
-    # str.strip() removes "\x1f" but float() does not, and numpy strips it too
+    # str.strip() removes "\x1f" but float() does not
     p = tmp_path / "x.txt"
-    for n in (3, _LOADTXT_MIN + 1):
+    for n in (3, _VECTOR_MIN + 1):
         p.write_text("2.5\n" * (n - 1) + "1\x1f\n")
         with pytest.raises(ParseError, match=rf":{n}: not a float: '1\\x1f'"):
             read_indicators(p)
@@ -144,28 +147,29 @@ def test_separator_bytes_that_float_keeps_are_parse_errors(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_many_blank_lines_raise_the_blank_line_error(tmp_path):
-    # numpy warns of a file without values; no warning leaves the reader
+    # no warning leaves the reader
     p = tmp_path / "x.txt"
-    p.write_text("\n" * _LOADTXT_MIN)
+    p.write_text("\n" * _VECTOR_MIN)
     with pytest.raises(ParseError, match=":1: blank line"):
         read_indicators(p)
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
-@pytest.mark.parametrize("n", [_LOADTXT_MIN - 1, _LOADTXT_MIN])
-def test_each_side_of_the_loadtxt_cutoff(tmp_path, monkeypatch, n, end):
-    # files of at least _LOADTXT_MIN lines go to np.loadtxt, shorter ones are parsed by line
+@pytest.mark.parametrize("n", [_VECTOR_MIN - 1, _VECTOR_MIN])
+def test_each_side_of_the_vector_cutoff(tmp_path, monkeypatch, n, end):
+    # files of at least _VECTOR_MIN lines go to the vector reader's kernel,
+    # shorter ones are parsed by line
     calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    chunk = io._decimal_chunk
+    monkeypatch.setattr(io, "_decimal_chunk", lambda *a: calls.append(a) or chunk(*a))
     vals = np.random.default_rng(4).random(n)
     text = end.join(map(repr, vals.tolist()))
     p = tmp_path / "x.txt"
     for data in (text + end, text):
         p.write_text(data, newline="")
         assert read_indicators(p).values.tobytes() == vals.tobytes()
-    assert len(calls) == 2 * (n >= _LOADTXT_MIN)
-    # a line that numpy skips or splits sends the file back to the line parse
+    assert len(calls) == 2 * (n >= _VECTOR_MIN)
+    # a line that float() rejects sends the file back to the line parse
     for lines, message in (([*vals.tolist(), "", 1.0], f":{n + 1}: blank line"),
                            ([*vals.tolist(), "1 2", 1.0], f":{n + 1}: not a float: '1 2'"),
                            (["1 2"] * n, ":1: not a float: '1 2'")):
@@ -196,7 +200,9 @@ def outcome(read, p):
         return str(exc)
 
 
-SOUP_BASE = [f"{v!r}\n" for v in np.random.default_rng(5).lognormal(0.0, 2.5, _LOADTXT_MIN + 8).tolist()]
+SOUP_BASE = [f"{v!r}\n" for v in np.random.default_rng(5).lognormal(0.0, 2.5, _VECTOR_MIN + 8).tolist()]
+# lines that the vector reader's kernel certifies with and without the x87 format
+PLAIN = [f"{v:.9f}\n" for v in np.random.default_rng(9).random(4 * _VECTOR_MIN).tolist()]
 SOUP_LINES = [
     "nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "\t4", "1 2", "1_0", "1__0",
     "\u0663", "\ufeff1", "1\x00", "1\x002", "1\xa0", "\u3000 2", "1\x1f", "x", "", "  ",
@@ -206,7 +212,7 @@ SOUP_ENDS = ["\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x85", "\u2028"]
 
 @pytest.mark.filterwarnings("error")
 @given(
-    lines=st.sampled_from([_LOADTXT_MIN - 4, _LOADTXT_MIN + 4]),
+    lines=st.sampled_from([_VECTOR_MIN - 4, _VECTOR_MIN + 4]),
     soup=st.lists(
         st.tuples(st.sampled_from(SOUP_LINES), st.sampled_from(SOUP_ENDS), st.integers(0, 10**4)),
         max_size=4,
@@ -214,14 +220,15 @@ SOUP_ENDS = ["\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x85", "\u2028"]
     unterminated=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-# files that numpy reads with one value per line where the line reference fails
-@example(lines=_LOADTXT_MIN + 4, soup=[("1\x1f", "\n", 9)], unterminated=False)
-@example(lines=_LOADTXT_MIN + 4, soup=[("nan", "\r", 9), ("", "\n", 9)], unterminated=False)
-@example(lines=_LOADTXT_MIN + 4, soup=[("-0.0", "\f", 9), ("", "\n", 10)], unterminated=False)
-@example(lines=_LOADTXT_MIN + 4, soup=[("-0.0", "\v", 9), ("", "\r\n", 10)], unterminated=True)
-@example(lines=_LOADTXT_MIN + 4, soup=[("-0.0", "\x1c", 9), ("", "\n", 10)], unterminated=False)
+# files whose line breaks or separators str.splitlines and float() read
+# differently from an LF scan
+@example(lines=_VECTOR_MIN + 4, soup=[("1\x1f", "\n", 9)], unterminated=False)
+@example(lines=_VECTOR_MIN + 4, soup=[("nan", "\r", 9), ("", "\n", 9)], unterminated=False)
+@example(lines=_VECTOR_MIN + 4, soup=[("-0.0", "\f", 9), ("", "\n", 10)], unterminated=False)
+@example(lines=_VECTOR_MIN + 4, soup=[("-0.0", "\v", 9), ("", "\r\n", 10)], unterminated=True)
+@example(lines=_VECTOR_MIN + 4, soup=[("-0.0", "\x1c", 9), ("", "\n", 10)], unterminated=False)
 def test_text_reader_matches_the_line_reference(tmp_path_factory, lines, soup, unterminated):
-    # both sides of the loadtxt cutoff give the reference's doubles or its error message
+    # both sides of the vector reader's cutoff give the reference's doubles or its error message
     pieces = SOUP_BASE[:lines]
     for text, end, at in soup:
         pieces.insert(at % (len(pieces) + 1), text + end)
@@ -241,19 +248,154 @@ LINE_ENDS = {
 }
 
 
-@pytest.mark.parametrize("lines", [_LOADTXT_MIN - 4, _LOADTXT_MIN + 4])
+@pytest.mark.parametrize("lines", [_VECTOR_MIN - 4, _VECTOR_MIN + 4])
 @pytest.mark.parametrize("ends", sorted(LINE_ENDS))
 def test_line_ends_match_the_line_reference(tmp_path, lines, ends):
     # a lone CR before the last byte sends the file to the line parse; a
-    # final one and any mix of CRLF and LF leave it to numpy, counted as
-    # str.splitlines counts them
+    # final one and any mix of CRLF and LF leave it to the vector reader,
+    # split as str.splitlines splits them
     end = LINE_ENDS[ends]
-    data = "".join(line.rstrip("\n") + end(i, lines) for i, line in enumerate(SOUP_BASE[:lines]))
+    data = "".join(line.rstrip("\n") + end(i, lines) for i, line in enumerate(PLAIN[:lines]))
     p = tmp_path / "ends.txt"
     p.write_bytes(data.encode("ascii"))
-    expected = None if ends in ("lone CR inside", "CR before CRLF") else len(data.splitlines())
-    assert io._plain_line_count(p.read_bytes()) == expected
+    line_parse = lines < _VECTOR_MIN or ends in ("lone CR inside", "CR before CRLF")
+    assert (io._read_text_vector(p.read_bytes()) is None) == line_parse
     assert outcome(io._read_text, p) == outcome(reference_read, p)
+
+
+# The vector reader's kernel: every double it certifies is float()'s, bit
+# for bit, in the x87 mode and in the float64 mode that other hosts run.
+
+# lines the kernel certifies in both modes
+CERTIFIED = [
+    "0", "5", "5.", ".5", "00.00", "0.5", "7.25", "1.5e-05", "1E-2", "15e-1", "2.5e1", "1e-00",
+    "9007199254740992", "0.0000000000000000000005", "123456789012345.5",
+]
+# lines the kernel certifies only with the x87 format: more than 2**53 or 10**22
+CERTIFIED_X87 = [
+    "1844674407370955161", "9999999999999999999", "0.12345678901234567", "1.2345678901234567e-05",
+    ".00000000000000000000005", "1e-27", "1e-23",
+]
+# lines left to float(): not the grammar, or outside the exact bounds
+LEFT_TO_FLOAT = [
+    "", ".", "..", "1.2.3", "0..00000000000000", "0100.00.00010000000", "+1", "-1", " 1", "1 ",
+    "1_0", "1e", "1e+", "e5", ".e5", "1e5e3", "1e.5", "1.5E", "nan", "inf", "0x10",
+    # exponents past the digits after the point
+    "1e400", "1e+2", "2.5e2",
+    # 20 digits, 2**64 - 1 and 2**64; 25 bytes; 28 digits after the point
+    "10000000000000000000", "18446744073709551615", "18446744073709551616",
+    "0.000000000000000000000005", "1e-28",
+    # 2**53 + 1, an exact midpoint between two doubles
+    "9007199254740993",
+    # a window longer than 24 digits, an exponent longer than 8 bytes
+    "3101.1751469749995067000000", "1.5e-0000005",
+]
+
+
+def vector_read(monkeypatch, lines, prefix=PLAIN[:_VECTOR_MIN]):
+    """The vector reader's doubles (``None`` if it hands the file on) for
+    ``lines`` after ``prefix``, and which of the lines its kernel certified."""
+    certified = []
+    chunk = io._decimal_chunk
+
+    def spy(*args):
+        values, ok = chunk(*args)
+        certified.append(ok)
+        return values, ok
+
+    monkeypatch.setattr(io, "_decimal_chunk", spy)
+    raw = "".join([*prefix, *(f"{line}\n" for line in lines)]).encode("ascii")
+    values = io._read_text_vector(raw)
+    monkeypatch.setattr(io, "_decimal_chunk", chunk)
+    n = len(lines)
+    return (None if values is None else values[-n:]), np.concatenate(certified)[-n:]
+
+
+def as_floats(lines) -> bytes:
+    return np.array([float(line) for line in lines], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("extended", [True, False])
+def test_kernel_certifies_its_grammar_only(monkeypatch, extended):
+    monkeypatch.setattr(io, "_EXTENDED", extended)
+    certified = CERTIFIED + CERTIFIED_X87 * extended
+    values, ok = vector_read(monkeypatch, certified)
+    assert ok.all()
+    assert values.tobytes() == as_floats(certified)
+    assert not vector_read(monkeypatch, LEFT_TO_FLOAT + CERTIFIED_X87 * (not extended))[1].any()
+
+
+@pytest.mark.parametrize("chunk", [64, 1000, io._CHUNK])
+def test_lines_on_both_sides_of_a_chunk_boundary(monkeypatch, chunk):
+    # the special lines straddle the first chunk boundary after the prefix
+    certified = CERTIFIED + CERTIFIED_X87 * io._EXTENDED
+    special = certified + ["9007199254740993", "1e400", "1e+2"]
+    boundary = -(-(_VECTOR_MIN + len(special)) // chunk) * chunk
+    before = boundary - _VECTOR_MIN - len(special) // 2
+    fill = [line.rstrip("\n") for line in PLAIN[: before + 8]]
+    lines = fill[:before] + special + fill[before:]
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    values, ok = vector_read(monkeypatch, lines)
+    assert values.tobytes() == as_floats(lines)
+    assert ok[: before + len(certified)].all()
+    assert np.count_nonzero(~ok) == 3
+
+
+@st.composite
+def decimal_lines(draw) -> str:
+    """A line that float() reads: a repr, or a decimal of 15 to 20
+    significant digits on or next to the midpoint between two adjacent
+    doubles, in positional or exponent form."""
+    if draw(st.booleans()):
+        return repr(draw(st.floats(min_value=0.0, max_value=1e30)))
+    # a double in [2**-20, 2**63]
+    bits = draw(st.integers(0x3EB0000000000000, 0x43E0000000000000))
+    low = float(np.uint64(bits).view(np.float64))
+    mid = (Fraction(low) + Fraction(float(np.nextafter(low, np.inf)))) / 2
+    with localcontext() as ctx:
+        ctx.prec = 400
+        exact = Decimal(mid.numerator) / Decimal(mid.denominator)
+        ctx.prec = draw(st.integers(15, 20))
+        ctx.rounding = draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN]))
+        near = +exact
+    value = exact if len(exact.as_tuple().digits) <= 20 and draw(st.booleans()) else near
+    return format(value, draw(st.sampled_from(["f", "e", "E"])))
+
+
+@pytest.mark.parametrize("extended", [True, False])
+@given(lines=st.lists(decimal_lines(), min_size=1, max_size=30))
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@example(lines=["9007199254740993", "9007199254740992", "9007199254740994"])
+@example(lines=["3101.1751469749995067", "18446744073709551616", "18446744073709551615"])
+def test_vector_reader_is_float_bitwise(monkeypatch, extended, lines):
+    monkeypatch.setattr(io, "_EXTENDED", extended)
+    values, _ = vector_read(monkeypatch, lines)
+    assert values.tobytes() == as_floats(lines)
+
+
+@pytest.mark.parametrize("padded", [1, 8])
+def test_files_mostly_left_to_float_take_the_line_parse(tmp_path, padded):
+    # float() costs more per line in the vector reader than in the line
+    # parse, which takes a file whose first chunk the kernel mostly rejects
+    lines = [line.rstrip("\n") for line in PLAIN[: 2 * _VECTOR_MIN]]
+    lines[::padded] = [f" {line} " for line in lines[::padded]]
+    p = tmp_path / "padded.txt"
+    p.write_text("".join(f"{line}\n" for line in lines))
+    assert (io._read_text_vector(p.read_bytes()) is None) == (padded == 1)
+    assert outcome(io._read_text, p) == outcome(reference_read, p)
+
+
+@pytest.mark.parametrize("family", ["uniform", "lognormal"])
+def test_kernel_certifies_almost_every_repr_line(monkeypatch, family):
+    rng = np.random.default_rng(7)
+    x = rng.random(10**4) if family == "uniform" else rng.lognormal(0.0, 2.5, 10**4)
+    lines = [repr(v) for v in x.tolist()]
+    values, ok = vector_read(monkeypatch, lines)
+    # the float64 mode leaves most 17-digit lines to float(), and the file to the line parse
+    assert values is None if not io._EXTENDED else values.tobytes() == x.tobytes()
+    assert np.count_nonzero(~ok) <= 20 or not io._EXTENDED
 
 
 @pytest.mark.parametrize("indices", [[0.9, 3.7], np.array([0.0, 3.0]), np.ones(4, dtype=bool)])
