@@ -1,12 +1,16 @@
 """Command-line interface: marking of indicator files.
 
 Exit codes: 0 on success, 2 on parse or parameter errors (an unreadable
-input or unwritable output file among them), 3 on resource exhaustion.
+input or unwritable output file among them), 3 on resource exhaustion (out
+of memory, or an output write that runs out of space or fails in the device,
+whose partial file is removed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import sys
 from pathlib import Path
@@ -20,6 +24,12 @@ from .markers import ALGORITHM_NAMES, mark
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# write errors that mean a full disk or quota, or a failing device; any other
+# OSError of --output is a bad path
+_RESOURCE_ERRNOS = frozenset(
+    getattr(errno, name) for name in ("ENOSPC", "EDQUOT", "EFBIG", "EIO") if hasattr(errno, name)
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,9 +62,15 @@ def _cmd_mark(args: argparse.Namespace) -> int:
     try:
         write_marked_indices(args.output, run.outcome.marked)
     except OSError as exc:
-        # a missing directory or a directory as --output, as an unreadable --input
         print(f"dmark: error: {args.output}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if exc.errno not in _RESOURCE_ERRNOS:
+            # a missing directory or a directory as --output, as an unreadable --input
+            return EXIT_USAGE
+        # leave no partial index file behind; a device such as /dev/full stays
+        if args.output.is_file():
+            with contextlib.suppress(OSError):
+                args.output.unlink()
+        return EXIT_RESOURCE
     print(f"algorithm={run.algorithm}")
     print(f"n={iv.n}")
     print(f"theta={args.theta}")

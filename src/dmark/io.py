@@ -9,19 +9,21 @@ Two interchangeable on-disk formats, selected by extension:
   break that ``str.splitlines`` knows; a blank line is an error.
 
   A file of at least ``_VECTOR_MIN`` lines goes to a vector reader.  One LF
-  scan splits it into lines, and a kernel reads the lines of a plain
-  grammar with numpy, 8 bytes at a time: at most 24 bytes, digits with at
-  most one point, then optionally ``e`` or ``E``, an optional sign and
-  digits.  The digits, 19 at most, form an integer ``w``, and the line's
-  value is ``w / 10**k``.  With numpy's x87 longdouble (64-bit
-  significand), ``w`` and ``10**k`` for ``k <= 27`` are exact, so the
-  quotient is rounded once, to 64 bits; rounding that to a double gives the
-  correctly rounded double, ``float()``'s, unless the 64-bit quotient lies
-  on a midpoint between two doubles.  Elsewhere the kernel runs in float64 with ``w <= 2**53`` and
-  ``k <= 22``, where one division rounds correctly (Clinger 1990).  Every
-  other line - a midpoint, a longer line, an exponent past the digits after
-  the point (``1e+16``), whitespace, a sign, ``_`` - gets ``float()``.  A
-  file in which such a line is not ASCII, holds a CR, ``\v``, ``\f`` or
+  scan splits it into lines, the blanks and tabs at their ends are dropped,
+  and a kernel reads the lines of a plain grammar with numpy, 8 bytes at a
+  time: a mantissa of at most 24 bytes, digits with at most one point, then
+  optionally ``e`` or ``E``, a sign and two digits, as printf's ``%e`` and
+  ``repr`` write exponents.  The mantissa's digits, 19 at most, form an
+  integer ``w``, and the line's value is ``w / 10**k``.  With ``w <= 2**53``
+  and ``k <= 22`` one float64 division rounds correctly (Clinger 1990).
+  Otherwise the kernel divides ``w`` by ``5**k`` in float64 and checks the
+  quotient with exact int64 arithmetic (``_divide``): within half a unit of
+  the last place, it is ``w / 5**k`` correctly rounded, and ``2**-k`` times
+  it, exact, is ``float()``'s double.  The same operations run on every
+  host.  Every other line gets ``float()``: an exact tie, a longer line,
+  another exponent (``1e5``, ``1e-005``, or one past the digits after the
+  point, ``1e+16``), more than 26 places, a sign, ``_``.  A file in which
+  such a line is not ASCII, holds a CR, ``\v``, ``\f`` or
   ``\x1c``..``\x1e`` (where ``str.splitlines`` breaks lines that the LF
   scan does not), or fails ``float()`` is parsed line by line, as is every
   shorter file and every file whose first 8,192 lines hold more than one
@@ -41,6 +43,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import IndicatorVector, MarkingError, ParseError, index_array
 
@@ -79,17 +82,16 @@ def _read_text(p: Path) -> np.ndarray:
     return values
 
 
-# the fewest lines read by the vector reader: its fixed cost of some 60
-# numpy calls makes it slower than the line parse below about 700
-# repr-written lines; at 2,048 it takes 0.65 of that parse's time on them,
-# and 1.0-1.2x on short lines such as %e (CHANGES.md); every file of the
-# 1e6 workloads is above this count, and every boundary-small file (at most
-# 1,000 lines) below it
+# the fewest lines read by the vector reader: its fixed cost of some 70
+# numpy calls per chunk makes it slower than the line parse below about 600
+# repr-written lines and 1,000-1,200 short ones (%e, %g, 2-digit values); at
+# 2,048 it takes 0.53-0.75 of that parse's time (CHANGES.md); every file of
+# the 1e6 workloads is above this count, and every boundary-small file (at
+# most 1,000 lines) below it
 _VECTOR_MIN = 2048
 
-# lines per kernel call: of 2^11..2^16, 2^13 read files of 10^5 and 10^6
-# lines fastest; 2^12 and 2^14 took up to 1.05x and 1.34x as long, and 2^16
-# 1.16-1.62x
+# lines per kernel call: 2^12 took 1.12-1.26x the time of 2^13 on files of
+# 10^5 and 10^6 lines, 2^14 0.91-1.04x, and 2^15 up to 1.55x on 10^5 lines
 _CHUNK = 2**13
 
 # ASCII bytes other than LF that end a line for str.splitlines
@@ -99,8 +101,9 @@ _OTHER_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 def _read_text_vector(raw: bytes) -> Optional[np.ndarray]:
     """The values of a text file of at least ``_VECTOR_MIN`` lines, or ``None``.
 
-    One LF scan splits ``raw`` into lines and drops the CR of each CRLF and a
-    final CR.  ``_decimal_chunk`` reads the lines of the plain decimal
+    One LF scan splits ``raw`` into lines.  Chunk by chunk, the CR of each
+    CRLF and a final CR are dropped, and the blanks and tabs at either end
+    of a line; ``_decimal_chunk`` reads the lines of the plain decimal
     grammar, and every other line gets ``float()``.  ``None`` means the line
     parse must decide: the file is short, or the kernel leaves more than an
     eighth of its first chunk to ``float()``, or a line left to ``float()``
@@ -116,26 +119,38 @@ def _read_text_vector(raw: bytes) -> Optional[np.ndarray]:
     n = ends.size
     if n < _VECTOR_MIN:
         return None
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    # a CR before the LF is not the line's; an empty first line has no byte before it
-    stops = ends - ((u8[ends - 1] == ord("\r")) & (ends > starts))
-    lengths = stops - starts
+    crs = b"\r" in raw
+    blanks = b" " in raw or b"\t" in raw
     # words[i] is the little-endian word of raw[i:i + 8]
     words = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
     values = np.empty(n, dtype=np.float64)
     certified = np.empty(n, dtype=bool)
+    # the bounds of the lines left to float(), chunk by chunk
+    left = []
     for a in range(0, n, _CHUNK):
-        b = a + _CHUNK
-        values[a:b], certified[a:b] = _decimal_chunk(words, stops[a:b], lengths[a:b])
+        b = min(a + _CHUNK, n)
+        stops = ends[a:b]
+        starts = np.empty_like(stops)
+        starts[0] = ends[a - 1] + 1 if a else 0
+        np.add(ends[a : b - 1], 1, out=starts[1:])
+        if crs:
+            # a CR before the LF is not the line's; an empty first line has no byte before it
+            stops = stops - ((u8[stops - 1] == ord("\r")) & (stops > starts))
+        if blanks:
+            starts, stops = _strip_blanks(u8, starts, stops)
+        lo, hi = int(starts[0]), int(stops[-1])
+        exponents = raw.find(b"e", lo, hi) >= 0 or raw.find(b"E", lo, hi) >= 0
+        values[a:b], certified[a:b] = _decimal_chunk(words, stops, stops - starts, exponents)
+        rest = np.flatnonzero(~certified[a:b])
         # float() costs about 3x as much per line here as in the line parse,
         # so a file whose first chunk is mostly left to it is parsed by line
-        if a == 0 and 8 * np.count_nonzero(certified[:b]) < 7 * certified[:b].size:
+        if a == 0 and 8 * rest.size > b:
             return None
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        text = b"\n".join([raw[s:t] for s, t in zip(starts[rest].tolist(), stops[rest].tolist())])
+        if rest.size:
+            left.append((rest + a, starts[rest], stops[rest]))
+    if left:
+        rest, starts, stops = (np.concatenate(bounds) for bounds in zip(*left))
+        text = b"\n".join([raw[s:t] for s, t in zip(starts.tolist(), stops.tolist())])
         if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
             return None
         try:
@@ -147,137 +162,177 @@ def _read_text_vector(raw: bytes) -> Optional[np.ndarray]:
     return values
 
 
+def _strip_blanks(u8: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """``starts`` and ``stops`` moved past up to 8 blanks or tabs at each end
+    of each line; ``float()`` ignores them, and the kernel would not."""
+    for step in (1, -1):
+        for _ in range(8):
+            c = u8.take(starts if step > 0 else stops - 1, mode="clip")
+            blank = ((c == ord(" ")) | (c == ord("\t"))) & (starts < stops)
+            if not blank.any():
+                break
+            if step > 0:
+                starts = starts + blank
+            else:
+                stops = stops - blank
+    return starts, stops
+
+
 def _bytes(b: int) -> np.uint64:
     """A word with ``b`` in each of its 8 bytes."""
     return np.uint64(b * 0x0101010101010101)
 
 
-# the bytes of a line's digits that the kernel sees, as three words; a line
-# with more is left to float()
+# the bytes of a line that the kernel sees, as three words; a longer line
+# is left to float()
 _WIDTH = 24
 # word k of the window starts at byte 8k
 _WORD = np.array([[0], [8], [16]])
 # _HIGH[s]: a word whose s lowest bytes are clear
 _HIGH = ~np.array([(1 << 8 * s) - 1 for s in range(9)], dtype=np.uint64)
-# column c of _HIGH_FROM: word k's bytes from byte c of the window on, and
-# of _LOW_UPTO the others
-_HIGH_FROM = _HIGH[np.clip(np.arange(_WIDTH + 1) - _WORD, 0, 8)]
-_LOW_UPTO = ~_HIGH_FROM
-# _SUFFIX_BITS[e]: 8 times the bytes from an "e" in byte e - 1 of the last word
-_SUFFIX_BITS = np.array([0, *range(64, 0, -8)], dtype=np.uint64)
-# 0x01 in byte j of word k, times _PLACES[k], puts 8k + j + 1 in the top byte
+# column n of _INSIDE: the bytes of word k that hold the window's last n
+_INSIDE = _HIGH[np.clip(_WIDTH - np.arange(_WIDTH + 1) - _WORD, 0, 8)]
+# column c of _UPTO, c = 24 - the point's byte in the window: the bytes up
+# to the point, and none in column 0 (no point)
+_UPTO = ~_HIGH[np.clip(_WIDTH + 1 - np.arange(_WIDTH + 1) - _WORD, 0, 8)]
+_UPTO[:, 0] = 0
+# 0x01 in byte j of word k, times _PLACES[k], puts 24 - 8k - j in the top byte
 _PLACES = np.array(
-    [[sum((8 * k + 8 - j) << 8 * j for j in range(8))] for k in range(3)], dtype=np.uint64
+    [[sum((17 - 8 * k + i) << 8 * i for i in range(8))] for k in range(3)], dtype=np.uint64
 )
 _U7, _U8, _U56 = np.uint64(7), np.uint64(8), np.uint64(56)
 
-
-def _is_x87_extended() -> bool:
-    """Whether numpy's longdouble is the x87 80-bit format, its 64-bit
-    significand in the first 8 of 16 little-endian bytes."""
-    probe = np.array([1.5, np.longdouble(1) + np.longdouble(2.0**-63)], dtype=np.longdouble)
-    return probe.itemsize == 16 and probe.view("<u8")[::2].tolist() == [
-        0xC000000000000000,
-        0x8000000000000001,
-    ]
+# 10**k for k <= 22 and 5**k for k <= 26, exact
+_TENS = np.array([float(10**k) for k in range(23)])
+_FIVES = np.array([5**k for k in range(27)], dtype=np.int64)
 
 
-# w < 10**19 and 10**k for k <= 27 (5**27 < 2**64) are exact with a 64-bit
-# significand, and w <= 2**53 and 10**k for k <= 22 in float64; the module
-# docstring gives the rounding argument
-_EXTENDED = _is_x87_extended()
-_POWERS_LONG = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
-_POWERS_DOUBLE = _POWERS_LONG[:23].astype(np.float64)
-
-
-def _decimal_chunk(words: np.ndarray, stops: np.ndarray, lengths: np.ndarray):
+def _decimal_chunk(words: np.ndarray, stops: np.ndarray, lengths: np.ndarray, exponents: bool):
     """The doubles of the lines that end at ``stops``, and which of them are
     certified equal to ``float()``'s.
 
     A certified line is at most ``_WIDTH`` bytes: digits with at most one
-    point and at least one digit, then optionally ``e`` or ``E``, an
-    optional sign and digits.  It reads as ``w / 10**k``: ``w`` is its
+    point and at least one digit, then, if ``exponents``, optionally ``e``
+    or ``E``, a sign and two digits.  It reads as ``w / 10**k``: ``w`` is its
     digits without the point, and ``k`` the count of digits after the point
-    less the exponent, which must not be negative.  A line that ends within
-    the first ``_WIDTH`` bytes of the file is left to ``float()``, as its
-    window would start before the file.  Each step works on 8 bytes at
-    once, over as many words as the chunk's longest line needs, and in
-    place where it can: a fresh array costs its page faults.
+    less the exponent, at least 0 and at most 26.  A line whose
+    mantissa ends within the first ``_WIDTH`` bytes of the file is left to
+    ``float()``, as its window would start before the file.  Each step works
+    on 8 bytes at once, over as many words as the chunk's longest line and
+    then its longest mantissa need.
     """
+    certified = (lengths <= _WIDTH) & (stops >= _WIDTH)
     at = _WORD[-min(max(int(lengths.max()) + 7, 8) // 8, _WORD.size) :]
     x = _window(words, stops, lengths, at)
-    # an "e" or "E" among a line's last 8 bytes starts its exponent; the
-    # first one is taken, and a second is left to the checks below
-    marks = _zero_bytes((x[-1:] | _bytes(0x20)) ^ _bytes(ord("e") ^ 0x30 | 0x20))
-    marks &= np.uint64(0) - marks
-    # 1 + the byte of the "e", 0 without one
-    e = _byte_places(marks >> _U7, _PLACES[:1])
-    exponent = np.zeros(e.size, dtype=np.intp)
-    certified = (lengths <= _WIDTH) & (stops >= _WIDTH)
-    rows = np.flatnonzero(e)
-    if rows.size:
-        # all rows of a file written in exponent form: a slice, not a gather
-        rows = slice(None) if rows.size == e.size else rows
-        exponent[rows], well_formed = _exponent(x[-1, rows], e[rows])
-        certified[rows] &= well_formed
-        # shift the digits before the exponent to the end of the window
-        bits = _SUFFIX_BITS[e[rows]]
-        digits = x[:, rows]
-        spill = digits >> (np.uint64(64) - bits)
-        digits <<= bits
-        digits[1:] |= spill[:-1]
-        x[:, rows] = digits
-        lengths = lengths.copy()
-        lengths[rows] -= (bits >> np.uint64(3)).astype(np.intp)
-    nondigits = _nondigits(x)
-    # 0x01 at each point, and in `nondigits` the bytes neither digit nor point
+    exponent = 0
+    if exponents:
+        lengths, exponent, well_formed = _exponent(x, lengths)
+        certified &= well_formed
+        # the words wholly before every mantissa hold zeros only
+        at = _WORD[-min(max(int(lengths.max()) + 7, 8) // 8, _WORD.size) :]
+        x = x[-at.size :]
+    # 0x80 in each point, and in `stray` each byte neither digit nor point
     points = _zero_bytes(x ^ _bytes(ord(".") ^ 0x30))
-    points &= nondigits
-    nondigits ^= points
+    stray = _nondigits(x)
+    stray ^= points
     points >>= _U7
-    count = _byte_places(points, _bytes(1))
-    # with one point, 1 + its byte in the 24-byte window; 0 without one
-    column = _byte_places(points, _PLACES[-at.size :])
-    certified &= (np.bitwise_or.reduce(nondigits, axis=0) == 0) & (count <= 1) & (lengths > count)
+    count = _top(points, _bytes(1)).view(np.intp)
+    # 1 + the digits after the point, 0 without one
+    place = _top(points, _PLACES[-at.size :])
+    stray = stray[0] if at.size == 1 else np.bitwise_or.reduce(stray, axis=0)
+    certified &= (stray == 0) & (count <= 1) & (lengths > count)
     # drop the point: the bytes before it move one byte right
     moved = x << _U8
-    moved[1:] |= x[:-1] >> _U56
+    if at.size > 1:
+        moved[1:] |= x[:-1] >> _U56
     moved ^= x
-    moved &= _LOW_UPTO[-at.size :].take(column, axis=1, mode="clip")
+    moved &= _UPTO[-at.size :].take(place, axis=1, mode="clip")
     x ^= moved
     x = _eight_digits(x)
-    w = x[-1].copy()
+    w = x[-1]
     if at.size > 1:
         w += x[-2] * np.uint64(10**8)
     if at.size > 2:
         # at most 19 digits: w < 10**19 < 2**64
         certified &= x[0] < 1000
         w += x[0] * np.uint64(10**16)
-    k = np.where(column > 0, _WIDTH - column, 0)
+    k = place.view(np.intp) - count
     k -= exponent
-    certified &= k >= 0
-    small = (w <= 2**53) & (k < _POWERS_DOUBLE.size)
-    if not _EXTENDED or (small | ~certified).all():
-        certified &= small
-        return w / _POWERS_DOUBLE.take(k, mode="clip"), certified
-    certified &= k < _POWERS_LONG.size
-    q = w.astype(np.longdouble)
-    q /= _POWERS_LONG.take(k, mode="clip")
-    # the 11 bits below a double's 53 read 0b100_0000_0000: a midpoint
-    certified &= (q.view(np.uint64)[::2] & np.uint64(0x7FF)) != 0x400
-    return q.astype(np.float64), certified
+    certified &= (k >= 0) & (k < _FIVES.size)
+    return _divide(w, k, certified)
 
 
-def _exponent(last: np.ndarray, e: np.ndarray):
-    """The exponents that follow an ``e`` in byte ``e - 1`` (``e`` >= 1) of
-    each last word (bytes XOR 0x30), and whether each is an optional sign
-    and at least one digit."""
-    sign = (last >> (e * 8).astype(np.uint64)) & np.uint64(0xFF)
-    negative = sign == ord("-") ^ 0x30
-    head = e + (negative | (sign == ord("+") ^ 0x30))
-    digits = last & _HIGH[head]
-    value = _eight_digits(digits).astype(np.intp)
-    return np.where(negative, -value, value), (head < 8) & (_nondigits(digits) == 0)
+def _divide(w: np.ndarray, k: np.ndarray, certified: np.ndarray):
+    """``w / 10**k`` rounded as ``float()`` rounds it, and ``certified``
+    less the lines whose rounding could not be certified.
+
+    With ``w <= 2**53`` and ``k <= 22`` both operands are exact doubles and
+    one division rounds correctly (Clinger 1990).  Otherwise the double
+    quotient ``q = m * 2**e`` of ``w`` and ``5**k`` lies within 2.5 units
+    ``2**e`` of ``w / 5**k``, so ``d = w * 2**-e - m * 5**k`` (for ``e > 0``,
+    ``w - m * 5**k * 2**e`` against units ``u = 5**k * 2**e``; else
+    ``u = 5**k``) is at most ``2.5 * u <= 2.5 * 5**26 < 2**63`` in magnitude,
+    and int64 arithmetic modulo ``2**64`` gives it exactly.  ``m`` moves by
+    ``round(d / u)``, and ``d`` with it; then ``2 * |d| < u`` says that
+    ``m * 2**e`` is ``w / 5**k`` correctly rounded, and ``2**-k`` times it
+    is ``w / 10**k``'s.  A tie, and an ``m`` that leaves its binade or sits
+    at its foot with ``w / 5**k`` below it, are left to ``float()``.
+    """
+    if (((w <= 2**53) & (k <= 22)) | ~certified).all():
+        return w / _TENS.take(k, mode="clip"), certified
+    five = _FIVES.take(k, mode="clip")
+    q = w.astype(np.float64)
+    q /= five
+    bits = q.view(np.int64)
+    e = (bits >> 52) - 1075
+    m = bits & (2**52 - 1)
+    m |= 2**52
+    unit = five << np.maximum(e, 0)
+    d = w << np.maximum(-e, 0).view(np.uint64)
+    d -= m.view(np.uint64) * unit.view(np.uint64)
+    d = d.view(np.int64)
+    # at most 2.5 in magnitude on the lines the bound covers
+    step = np.rint(d / unit)
+    np.clip(step, -3, 3, out=step)
+    step = step.astype(np.int64)
+    d -= step * unit
+    m += step
+    exact = (np.abs(d) * 2 < unit) & (m >> 52 == 1) & ((d >= 0) | (m != 2**52))
+    bits += step
+    bits -= k << 52
+    zero = w == 0
+    bits[zero] = 0
+    certified &= exact | zero
+    return bits.view(np.float64), certified
+
+
+def _exponent(x: np.ndarray, lengths: np.ndarray):
+    """Splits off the exponents that printf's ``%e`` and ``repr`` write: the
+    last 4 bytes ``e`` or ``E``, a sign and two digits.  The mantissa before
+    one moves to the end of the window ``x``, in place.  Gives the
+    mantissas' lengths, the exponents (0 without one), and whether each line
+    has none or a well-formed one."""
+    # e, sign, digit, digit in the low 4 bytes
+    tail = x[-1] >> np.uint64(32)
+    # "e" and "E" alike
+    has = (tail & np.uint64(0xDF)) == ord("e") ^ 0x30
+    sign = tail & np.uint64(0xFF00)
+    negative = sign == (ord("-") ^ 0x30) << 8
+    positive = sign == (ord("+") ^ 0x30) << 8
+    tail >>= np.uint64(16)
+    well_formed = ((negative | positive) & (_nondigits(tail) == 0)) | ~has
+    # 10 * the first digit + the second, in the second byte
+    tail *= np.uint64(10 << 8 | 1)
+    tail >>= _U8
+    tail &= np.uint64(0xFF)
+    # -1, 0 or 1; a sign byte in a line without an exponent fails the mantissa
+    tail = tail.view(np.intp) * (positive.view(np.int8) - negative.view(np.int8))
+    # 32 bits for a line with an exponent, 0 without
+    bits = has * np.uint64(32)
+    spill = x[:-1] >> (np.uint64(64) - bits)
+    x <<= bits
+    x[1:] |= spill
+    return lengths - 4 * has, tail, well_formed
 
 
 def _window(
@@ -285,10 +340,21 @@ def _window(
 ) -> np.ndarray:
     """Row k holds the 8 bytes from ``at[k]`` of the ``_WIDTH`` before each
     stop, the first in the low byte, each XOR 0x30: digits become 0..9, and
-    the bytes before the line 0, as leading zeros."""
-    x = words[np.maximum(stops, _WIDTH) - (_WIDTH - at)]
-    x ^= _bytes(0x30)
-    x &= _HIGH_FROM[-at.size :].take(_WIDTH - lengths, axis=1, mode="clip")
+    the bytes before the line 0, as leading zeros.  A stop before byte
+    ``_WIDTH`` wraps to the file's end, and its row is not the line's."""
+    first, m = int(stops[0]), stops.size
+    step = (int(stops[-1]) - first) // max(m - 1, 1)
+    if first >= _WIDTH and first + step * (m - 1) == stops[-1] and (np.diff(stops) == step).all():
+        # evenly spaced lines, as fixed-width formats write them: a strided
+        # view reads 8 times fewer bytes than a gather
+        start = first - _WIDTH + int(at[0, 0])
+        x = np.bitwise_xor(
+            as_strided(words[start:], shape=(at.size, m), strides=(8, step)), _bytes(0x30), order="C"
+        )
+    else:
+        x = words[stops - (_WIDTH - at)]
+        x ^= _bytes(0x30)
+    x &= _INSIDE[-at.size :].take(lengths, axis=1, mode="clip")
     return x
 
 
@@ -311,13 +377,13 @@ def _nondigits(x: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _byte_places(ones: np.ndarray, places: np.ndarray) -> np.ndarray:
+def _top(ones: np.ndarray, places) -> np.ndarray:
     """The top bytes of ``ones * places``, summed over the words: with 0x01
-    in flagged bytes, ``_PLACES`` gives 1 + the place of a single one, and
+    in flagged bytes, ``_PLACES`` gives the place of a single one, and
     ``_bytes(1)`` the count of them."""
     top = ones * places
     top >>= _U56
-    return top.sum(axis=0).astype(np.intp)
+    return top[0] if len(top) == 1 else top.sum(axis=0)
 
 
 def _eight_digits(x: np.ndarray) -> np.ndarray:

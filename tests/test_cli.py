@@ -1,12 +1,15 @@
 """Command-line interface: marking files, exit codes."""
 
+import errno
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmark import mark
+from dmark import cli, mark
 from dmark.cli import main
 from dmark.io import _VECTOR_MIN, write_indicators
 from dmark.markers import ALGORITHM_NAMES
@@ -124,6 +127,32 @@ class TestMark:
         assert captured.out == ""
         assert captured.err.startswith(f"dmark: error: {out}: [Errno ")
         assert len(captured.err.splitlines()) == 1
+
+    def test_full_disk_exit_3_without_partial_output(self, indicator_file, tmp_path, capsys, monkeypatch):
+        # a write that runs out of space is resource exhaustion, and the
+        # partial index file is removed
+        out = tmp_path / "m.txt"
+
+        def write_part(path, indices):
+            Path(path).write_bytes(b"0\n1\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_marked_indices", write_part)
+        code = main(
+            ["mark", "--input", str(indicator_file), "--theta", "0.5", "--output", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"dmark: error: {out}: [Errno {errno.ENOSPC}]")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_dev_full_exit_3(self, indicator_file, capsys):
+        code = main(
+            ["mark", "--input", str(indicator_file), "--theta", "0.5", "--output", "/dev/full"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("dmark: error: /dev/full: [Errno ")
+        assert Path("/dev/full").exists()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         src = tmp_path / "missing.txt"

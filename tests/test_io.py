@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmark import IndicatorVector, InvalidIndicatorsError, MarkingError, ParseError, mark
@@ -201,7 +201,7 @@ def outcome(read, p):
 
 
 SOUP_BASE = [f"{v!r}\n" for v in np.random.default_rng(5).lognormal(0.0, 2.5, _VECTOR_MIN + 8).tolist()]
-# lines that the vector reader's kernel certifies with and without the x87 format
+# lines that the vector reader's kernel certifies
 PLAIN = [f"{v:.9f}\n" for v in np.random.default_rng(9).random(4 * _VECTOR_MIN).tolist()]
 SOUP_LINES = [
     "nan", "inf", "-inf", "1e400", "-0.0", " 3.5 ", "\t4", "1 2", "1_0", "1__0",
@@ -264,31 +264,34 @@ def test_line_ends_match_the_line_reference(tmp_path, lines, ends):
 
 
 # The vector reader's kernel: every double it certifies is float()'s, bit
-# for bit, in the x87 mode and in the float64 mode that other hosts run.
+# for bit.
 
-# lines the kernel certifies in both modes
+# lines the kernel certifies
 CERTIFIED = [
-    "0", "5", "5.", ".5", "00.00", "0.5", "7.25", "1.5e-05", "1E-2", "15e-1", "2.5e1", "1e-00",
+    "0", "5", "5.", ".5", "00.00", "0.5", "7.25", "1.5e-05", "1E-02", "15e-01", "2.5e+01", "1e-00",
     "9007199254740992", "0.0000000000000000000005", "123456789012345.5",
-]
-# lines the kernel certifies only with the x87 format: more than 2**53 or 10**22
-CERTIFIED_X87 = [
-    "1844674407370955161", "9999999999999999999", "0.12345678901234567", "1.2345678901234567e-05",
-    ".00000000000000000000005", "1e-27", "1e-23",
+    # blanks and tabs that float() strips
+    " 3.5", "\t4", "3.5 ", "  6.25e-03\t",
+    # more than 2**53 or 10**22, up to 19 digits and 26 places
+    "1844674407370955161", "9999999999999999999", "1844674407370955.161", "9999999999999999.999",
+    "0.12345678901234567", "1.2345678901234567e-05",
+    ".00000000000000000000005", "1e-23", "1e-26", "4.9e-24",
+    # at a power of two, where the units of the last place halve
+    "1.0000000000000002", "0.25", "0.49999999999999994", "1",
 ]
 # lines left to float(): not the grammar, or outside the exact bounds
 LEFT_TO_FLOAT = [
-    "", ".", "..", "1.2.3", "0..00000000000000", "0100.00.00010000000", "+1", "-1", " 1", "1 ",
-    "1_0", "1e", "1e+", "e5", ".e5", "1e5e3", "1e.5", "1.5E", "nan", "inf", "0x10",
-    # exponents past the digits after the point
-    "1e400", "1e+2", "2.5e2",
-    # 20 digits, 2**64 - 1 and 2**64; 25 bytes; 28 digits after the point
+    "", ".", "..", "1.2.3", "0..00000000000000", "0100.00.00010000000", "+1", "-1", "1 2", " ",
+    "1_0", "1e", "1e+", "e5", ".e5", "1e5e3", "1e.5", "1.5E", "nan", "inf", "0x10", "1\t2",
+    # exponents other than a sign and two digits, or past the digits after the point
+    "1e-5", "1e-005", "1e5", "1e400", "1e+2", "2.5e2", "1e+16", "2.5e+02", "1e-0x", "1e-.5", "2e+ 1", "1.5e-0:",
+    # 20 digits, 2**64 - 1 and 2**64; 25 bytes; 27 places
     "10000000000000000000", "18446744073709551615", "18446744073709551616",
-    "0.000000000000000000000005", "1e-28",
+    "0.000000000000000000000005", "1e-27",
     # 2**53 + 1, an exact midpoint between two doubles
     "9007199254740993",
-    # a window longer than 24 digits, an exponent longer than 8 bytes
-    "3101.1751469749995067000000", "1.5e-0000005",
+    # a mantissa longer than 24 bytes
+    "3101.1751469749995067000000",
 ]
 
 
@@ -315,21 +318,17 @@ def as_floats(lines) -> bytes:
     return np.array([float(line) for line in lines], dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("extended", [True, False])
-def test_kernel_certifies_its_grammar_only(monkeypatch, extended):
-    monkeypatch.setattr(io, "_EXTENDED", extended)
-    certified = CERTIFIED + CERTIFIED_X87 * extended
-    values, ok = vector_read(monkeypatch, certified)
+def test_kernel_certifies_its_grammar_only(monkeypatch):
+    values, ok = vector_read(monkeypatch, CERTIFIED)
     assert ok.all()
-    assert values.tobytes() == as_floats(certified)
-    assert not vector_read(monkeypatch, LEFT_TO_FLOAT + CERTIFIED_X87 * (not extended))[1].any()
+    assert values.tobytes() == as_floats(CERTIFIED)
+    assert not vector_read(monkeypatch, LEFT_TO_FLOAT)[1].any()
 
 
 @pytest.mark.parametrize("chunk", [64, 1000, io._CHUNK])
 def test_lines_on_both_sides_of_a_chunk_boundary(monkeypatch, chunk):
     # the special lines straddle the first chunk boundary after the prefix
-    certified = CERTIFIED + CERTIFIED_X87 * io._EXTENDED
-    special = certified + ["9007199254740993", "1e400", "1e+2"]
+    special = CERTIFIED + ["9007199254740993", "1e400", "1e+2"]
     boundary = -(-(_VECTOR_MIN + len(special)) // chunk) * chunk
     before = boundary - _VECTOR_MIN - len(special) // 2
     fill = [line.rstrip("\n") for line in PLAIN[: before + 8]]
@@ -337,7 +336,7 @@ def test_lines_on_both_sides_of_a_chunk_boundary(monkeypatch, chunk):
     monkeypatch.setattr(io, "_CHUNK", chunk)
     values, ok = vector_read(monkeypatch, lines)
     assert values.tobytes() == as_floats(lines)
-    assert ok[: before + len(certified)].all()
+    assert ok[: before + len(CERTIFIED)].all()
     assert np.count_nonzero(~ok) == 3
 
 
@@ -359,20 +358,107 @@ def decimal_lines(draw) -> str:
         ctx.rounding = draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN]))
         near = +exact
     value = exact if len(exact.as_tuple().digits) <= 20 and draw(st.booleans()) else near
-    return format(value, draw(st.sampled_from(["f", "e", "E"])))
+    form = draw(st.sampled_from(["f", "e", "E"]))
+    text = format(value, form)
+    if form == "f":
+        return text
+    # a sign and at least two digits in the exponent, as printf writes it
+    mantissa, _, power = text.partition(form)
+    return f"{mantissa}{form}{int(power):+03d}"
 
 
-@pytest.mark.parametrize("extended", [True, False])
 @given(lines=st.lists(decimal_lines(), min_size=1, max_size=30))
 @settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @example(lines=["9007199254740993", "9007199254740992", "9007199254740994"])
 @example(lines=["3101.1751469749995067", "18446744073709551616", "18446744073709551615"])
-def test_vector_reader_is_float_bitwise(monkeypatch, extended, lines):
-    monkeypatch.setattr(io, "_EXTENDED", extended)
+# just below a power of two, where the quotient may round up into the next binade
+@example(lines=["0.49999999999999997", "0.9999999999999999", "0.12345678901234567"])
+@example(lines=["9.5367431640624984e-07", "1.90734863281249968e-06"])
+def test_vector_reader_is_float_bitwise(monkeypatch, lines):
     values, _ = vector_read(monkeypatch, lines)
     assert values.tobytes() == as_floats(lines)
+
+
+@st.composite
+def quotients(draw):
+    """``(w, k)``: ``w < 10**19`` and ``k <= 26`` at random, or ``w / 10**k``
+    within a few units of ``w``'s last digit of a midpoint between two
+    adjacent doubles."""
+    k = draw(st.integers(0, 26))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 10**19 - 1)), k
+    bits = draw(st.integers(0x3C00000000000000, 0x4340000000000000))
+    low = float(np.uint64(bits).view(np.float64))
+    mid = (Fraction(low) + Fraction(float(np.nextafter(low, np.inf)))) / 2
+    if draw(st.booleans()):
+        # below a power of two, where the units of the last place halve
+        power = Fraction(2) ** (bits >> 52 & 0x7FF) / 2**1023
+        mid = power - draw(st.sampled_from([1, 2, 3, 4, 5])) * power / 2**54
+    w = round(mid * 10**k) + draw(st.integers(-2, 2))
+    assume(0 <= w < 10**19)
+    return w, k
+
+
+@pytest.mark.parametrize("checked", [False, True])
+@given(pairs=st.lists(quotients(), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+@example(pairs=[(9007199254740993, 0), (5, 1), (0, 26), (9999999999999999999, 0)])
+# a quotient one unit below a power of two, where the correction leaves the binade
+@example(pairs=[(95367431640624984, 23), (190734863281249968, 23)])
+def test_rounding_is_float_bitwise(checked, pairs):
+    # a last pair past 2**53 sends the whole batch through the checked
+    # rounding; without it, batches of exact operands take one division
+    if not checked:
+        pairs = [(w, k) for w, k in pairs if w <= 2**53 and k <= 22]
+    pairs.append((2**60, 3) if checked else (1, 0))
+    w, k = np.array([w for w, _ in pairs], dtype=np.uint64), np.array([k for _, k in pairs])
+    values, ok = io._divide(w, k, np.ones(w.size, dtype=bool))
+    want = np.array([int(a) / 10 ** int(b) for a, b in zip(w.tolist(), k.tolist())])
+    assert values[ok].tobytes() == want[ok].tobytes()
+    # a quotient next to a midpoint may be left to float(), exact operands not
+    assert ok[-1] and (checked or ok.all())
+
+
+def test_rounding_certifies_almost_every_quotient():
+    rng = np.random.default_rng(11)
+    w = rng.integers(0, 10**19, 10**5, dtype=np.uint64)
+    k = rng.integers(0, 27, w.size)
+    values, ok = io._divide(w, k, np.ones(w.size, dtype=bool))
+    # what is left are ties, which need w / 5**k past 2**53: 52 of these
+    assert np.count_nonzero(~ok) <= 100
+    assert all(int(a) > 2**53 * 5 ** int(b) for a, b in zip(w[~ok], k[~ok]))
+    want = np.array([a / 10**b for a, b in zip(w.tolist(), k.tolist())])
+    assert values[ok].tobytes() == want[ok].tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["{:.6e}", "{:>14.6E}", "{:.18e}", "{:>12.4f}"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_fixed_width_lines_read_through_a_strided_window(tmp_path, monkeypatch, fmt, end):
+    # evenly spaced line ends let the kernel view its words instead of gathering
+    # them, in every chunk but the first, whose first window starts before the file
+    strided = []
+    view = io.as_strided
+    monkeypatch.setattr(io, "as_strided", lambda *a, **kw: strided.append(1) or view(*a, **kw))
+    x = np.random.default_rng(12).lognormal(0.0, 2.5, 2 * io._CHUNK)
+    p = tmp_path / "fixed.txt"
+    p.write_bytes("".join(fmt.format(v) + end for v in x.tolist()).encode("ascii"))
+    assert io._read_text(p).tobytes() == reference_read(p).tobytes()
+    assert strided
+
+
+def test_unevenly_spaced_lines_are_gathered(tmp_path):
+    # a 3-byte and a 13-byte line among 8-byte ones keep the first and last
+    # line ends of their chunk where even spacing would put them; a strided
+    # window would read the first from the second's bytes
+    x = np.random.default_rng(13).uniform(1.0, 9.0, 2 * io._CHUNK)
+    lines = [f"{v:.6f}" for v in x.tolist()]
+    i = io._CHUNK + 100
+    lines[i], lines[i + 1] = "0.5", "1.23456789012"
+    p = tmp_path / "uneven.txt"
+    p.write_text("".join(f"{line}\n" for line in lines))
+    assert io._read_text(p).tobytes() == reference_read(p).tobytes()
 
 
 @pytest.mark.parametrize("padded", [1, 8])
@@ -380,8 +466,8 @@ def test_files_mostly_left_to_float_take_the_line_parse(tmp_path, padded):
     # float() costs more per line in the vector reader than in the line
     # parse, which takes a file whose first chunk the kernel mostly rejects
     lines = [line.rstrip("\n") for line in PLAIN[: 2 * _VECTOR_MIN]]
-    lines[::padded] = [f" {line} " for line in lines[::padded]]
-    p = tmp_path / "padded.txt"
+    lines[::padded] = [f"+{line}" for line in lines[::padded]]
+    p = tmp_path / "signed.txt"
     p.write_text("".join(f"{line}\n" for line in lines))
     assert (io._read_text_vector(p.read_bytes()) is None) == (padded == 1)
     assert outcome(io._read_text, p) == outcome(reference_read, p)
@@ -393,9 +479,8 @@ def test_kernel_certifies_almost_every_repr_line(monkeypatch, family):
     x = rng.random(10**4) if family == "uniform" else rng.lognormal(0.0, 2.5, 10**4)
     lines = [repr(v) for v in x.tolist()]
     values, ok = vector_read(monkeypatch, lines)
-    # the float64 mode leaves most 17-digit lines to float(), and the file to the line parse
-    assert values is None if not io._EXTENDED else values.tobytes() == x.tobytes()
-    assert np.count_nonzero(~ok) <= 20 or not io._EXTENDED
+    assert values.tobytes() == x.tobytes()
+    assert np.count_nonzero(~ok) <= 20
 
 
 @pytest.mark.parametrize("indices", [[0.9, 3.7], np.array([0.0, 3.0]), np.ones(4, dtype=bool)])
