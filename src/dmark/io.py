@@ -16,14 +16,17 @@ Two interchangeable on-disk formats, selected by extension:
   ``repr`` write exponents.  The mantissa's digits, 19 at most, form an
   integer ``w``, and the line's value is ``w / 10**k``.  With ``w <= 2**53``
   and ``k <= 22`` one float64 division rounds correctly (Clinger 1990).
-  Otherwise the kernel divides ``w`` by ``5**k`` in float64 and checks the
-  quotient with exact int64 arithmetic (``_divide``): within half a unit of
-  the last place, it is ``w / 5**k`` correctly rounded, and ``2**-k`` times
-  it, exact, is ``float()``'s double.  The same operations run on every
-  host.  Every other line gets ``float()``: an exact tie, a longer line,
-  another exponent (``1e5``, ``1e-005``, or one past the digits after the
-  point, ``1e+16``), more than 26 places, a sign, ``_``.  A file in which
-  such a line is not ASCII, holds a CR, ``\v``, ``\f`` or
+  Otherwise ``_divide`` multiplies ``w`` by a 64-bit truncation of
+  ``2**n / 5**k`` (after Lemire 2021): the quotient lies within two units
+  of the high word of that 128-bit product, so the product's top 53 bits
+  round as the quotient's do, unless the bits below them read one less than
+  half a unit.  Those lines, about one in 2,000 random quotients and none of
+  the 4 million repr-written lines of perfbench's 1e6 workloads (seeds 1
+  and 2), get ``float()``; so does every line outside the grammar: more
+  than 24 bytes, another exponent (``1e5``, ``1e-005``, or one past the
+  digits after the point, ``1e+16``), a sign, ``_``.  These are integer and
+  float64 operations, the same on every host.  A file in which such a line
+  is not ASCII, holds a CR, ``\v``, ``\f`` or
   ``\x1c``..``\x1e`` (where ``str.splitlines`` breaks lines that the LF
   scan does not), or fails ``float()`` is parsed line by line, as is every
   shorter file and every file whose first 8,192 lines hold more than one
@@ -202,9 +205,18 @@ _PLACES = np.array(
 )
 _U7, _U8, _U56 = np.uint64(7), np.uint64(8), np.uint64(56)
 
-# 10**k for k <= 22 and 5**k for k <= 26, exact
+# 10**k for k <= 22, exact
 _TENS = np.array([float(10**k) for k in range(23)])
-_FIVES = np.array([5**k for k in range(27)], dtype=np.int64)
+# the most places a line of the grammar has, 23 digits after the point and
+# an exponent of -99, so every k of a line indexes the tables below
+_K_MAX = 122
+# for k <= _K_MAX, L = the bits of 5**k and R = the integer part of
+# 2**(63 + L) / 5**k, less 1 for k = 0: in [2**63, 2**64), as 32-bit halves
+_FIVE_BITS = np.array([(5**k).bit_length() for k in range(_K_MAX + 1)])
+_RECIPROCALS = [(1 << 63 + int(b)) // 5**k - (k == 0) for k, b in enumerate(_FIVE_BITS)]
+_RECIPROCALS_LOW = np.array([r & 0xFFFFFFFF for r in _RECIPROCALS], dtype=np.uint64)
+_RECIPROCALS_HIGH = np.array([r >> 32 for r in _RECIPROCALS], dtype=np.uint64)
+_M32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _decimal_chunk(words: np.ndarray, stops: np.ndarray, lengths: np.ndarray, exponents: bool):
@@ -215,7 +227,7 @@ def _decimal_chunk(words: np.ndarray, stops: np.ndarray, lengths: np.ndarray, ex
     point and at least one digit, then, if ``exponents``, optionally ``e``
     or ``E``, a sign and two digits.  It reads as ``w / 10**k``: ``w`` is its
     digits without the point, and ``k`` the count of digits after the point
-    less the exponent, at least 0 and at most 26.  A line whose
+    less the exponent, at least 0.  A line whose
     mantissa ends within the first ``_WIDTH`` bytes of the file is left to
     ``float()``, as its window would start before the file.  Each step works
     on 8 bytes at once, over as many words as the chunk's longest line and
@@ -258,7 +270,7 @@ def _decimal_chunk(words: np.ndarray, stops: np.ndarray, lengths: np.ndarray, ex
         w += x[0] * np.uint64(10**16)
     k = place.view(np.intp) - count
     k -= exponent
-    certified &= (k >= 0) & (k < _FIVES.size)
+    certified &= k >= 0
     return _divide(w, k, certified)
 
 
@@ -267,43 +279,43 @@ def _divide(w: np.ndarray, k: np.ndarray, certified: np.ndarray):
     less the lines whose rounding could not be certified.
 
     With ``w <= 2**53`` and ``k <= 22`` both operands are exact doubles and
-    one division rounds correctly (Clinger 1990).  Otherwise the double
-    quotient ``q = m * 2**e`` of ``w`` and ``5**k`` lies within 2.5 units
-    ``2**e`` of ``w / 5**k``, so ``d = w * 2**-e - m * 5**k`` (for ``e > 0``,
-    ``w - m * 5**k * 2**e`` against units ``u = 5**k * 2**e``; else
-    ``u = 5**k``) is at most ``2.5 * u <= 2.5 * 5**26 < 2**63`` in magnitude,
-    and int64 arithmetic modulo ``2**64`` gives it exactly.  ``m`` moves by
-    ``round(d / u)``, and ``d`` with it; then ``2 * |d| < u`` says that
-    ``m * 2**e`` is ``w / 5**k`` correctly rounded, and ``2**-k`` times it
-    is ``w / 10**k``'s.  A tie, and an ``m`` that leaves its binade or sits
-    at its foot with ``w / 5**k`` below it, are left to ``float()``.
+    one division rounds correctly (Clinger 1990).  Otherwise, with ``w``
+    shifted to ``a = w * 2**z`` in ``[2**63, 2**64)`` and ``R = _RECIPROCALS[k]
+    = 2**(63 + L) / 5**k - f`` with ``0 < f <= 1``, ``w / 10**k`` is
+    ``T * 2**-(63 + L + z + k)`` with ``T = a * R + a * f``, so
+    ``T / 2**64`` lies in ``(H, H + 2)``, where ``H`` is the high word of the
+    128-bit product ``a * R``.  The top 53 bits of ``H`` round to those of
+    ``T`` unless the bits of ``H`` below them read one less than half a unit
+    (Lemire 2021); such lines, ties among them, are left to ``float()``,
+    unless their operands are exact.
     """
-    if (((w <= 2**53) & (k <= 22)) | ~certified).all():
+    exact = (w <= 2**53) & (k <= 22)
+    if (exact | ~certified).all():
         return w / _TENS.take(k, mode="clip"), certified
-    five = _FIVES.take(k, mode="clip")
-    q = w.astype(np.float64)
-    q /= five
-    bits = q.view(np.int64)
-    e = (bits >> 52) - 1075
-    m = bits & (2**52 - 1)
-    m |= 2**52
-    unit = five << np.maximum(e, 0)
-    d = w << np.maximum(-e, 0).view(np.uint64)
-    d -= m.view(np.uint64) * unit.view(np.uint64)
-    d = d.view(np.int64)
-    # at most 2.5 in magnitude on the lines the bound covers
-    step = np.rint(d / unit)
-    np.clip(step, -3, 3, out=step)
-    step = step.astype(np.int64)
-    d -= step * unit
-    m += step
-    exact = (np.abs(d) * 2 < unit) & (m >> 52 == 1) & ((d >= 0) | (m != 2**52))
-    bits += step
-    bits -= k << 52
-    zero = w == 0
-    bits[zero] = 0
-    certified &= exact | zero
-    return bits.view(np.float64), certified
+    # z, which moves w's top bit to bit 63, from the exponent of w's double;
+    # where that rounds up to a power of two, a is within 2**10 below 2**63,
+    # and a * R still has bit 126 or 127 on top, as every R exceeds 2**63 + 2**55
+    shift = 1086 - (w.astype(np.float64).view(np.int64) >> 52)
+    a = w << shift.view(np.uint64)
+    # the high word of a * R from four 32-bit products
+    a0, a1 = a & _M32, a >> _U32
+    r0, r1 = _RECIPROCALS_LOW.take(k, mode="clip"), _RECIPROCALS_HIGH.take(k, mode="clip")
+    mid = a0 * r1
+    cross = a1 * r0
+    carry = (a0 * r0 >> _U32) + (mid & _M32) + (cross & _M32)
+    high = a1 * r1 + (mid >> _U32) + (cross >> _U32) + (carry >> _U32)
+    # its top bit is bit 62 or 63: 53 bits from there, and the `bits` below them
+    bits = (high >> np.uint64(63)) + np.uint64(10)
+    below = high & ((np.uint64(1) << bits) - np.uint64(1))
+    half = np.uint64(1) << (bits - np.uint64(1))
+    m = (high >> bits) + (below >= half)
+    e = bits.view(np.intp) - _FIVE_BITS.take(k, mode="clip") - shift - k + 1075
+    values = ((e << 52) + m.view(np.intp)).view(np.float64)
+    # exact operands, and 0, still take one division
+    exact |= w == 0
+    np.copyto(values, w / _TENS.take(k, mode="clip"), where=exact)
+    certified &= (below != half - np.uint64(1)) | exact
+    return values, certified
 
 
 def _exponent(x: np.ndarray, lengths: np.ndarray):
