@@ -128,7 +128,9 @@ class TestMark:
         assert captured.err.startswith(f"dmark: error: {out}: [Errno ")
         assert len(captured.err.splitlines()) == 1
 
-    def test_full_disk_exit_3_without_partial_output(self, indicator_file, tmp_path, capsys, monkeypatch):
+    def test_full_disk_exit_3_without_partial_output(
+        self, indicator_file, tmp_path, capsys, monkeypatch
+    ):
         # a write that runs out of space is resource exhaustion, and the
         # partial index file is removed
         out = tmp_path / "m.txt"

@@ -287,8 +287,9 @@ LEFT_TO_FLOAT = [
     "", ".", "..", "1.2.3", "0..00000000000000", "0100.00.00010000000", "+1", "-1", "1 2", " ",
     "1_0", "1e", "1e+", "e5", ".e5", "1e5e3", "1e.5", "1.5E", "nan", "inf", "0x10", "1\t2",
     # exponents other than a sign and two digits, or past the digits after the point
-    "1e-5", "1e-005", "1e5", "1e400", "1e+2", "2.5e2", "1e+16", "2.5e+02", "1e-0x", "1e-.5", "2e+ 1", "1.5e-0:",
-    # 20 digits, 2**64 - 1 and 2**64; 25 bytes
+    "1e-5", "1e-005", "1e5", "1e400", "1e+2", "2.5e2", "1e+16", "2.5e+02",
+    "1e-0x", "1e-.5", "2e+ 1", "1.5e-0:",
+    # 20 digits, 2**64 - 1 and 2**64; more than 24 bytes
     "10000000000000000000", "18446744073709551615", "18446744073709551616",
     "0.000000000000000000000005", "0.0000000000000000000001e-99",
     # 2**53 + 1, an exact midpoint between two doubles
@@ -397,7 +398,7 @@ def quotients(draw):
     low = draw(st.floats(min_value=10.0 ** (14 - k), max_value=10.0 ** (19 - k)))
     mid = (Fraction(low) + Fraction(float(np.nextafter(low, np.inf)))) / 2
     if draw(st.booleans()):
-        power = Fraction(2) ** (Fraction(low).numerator.bit_length() - Fraction(low).denominator.bit_length())
+        power = Fraction(2) ** int(np.frexp(low)[1])
         mid = power - draw(st.sampled_from([1, 2, 3, 4, 5])) * power / 2**54
     w = round(mid * 10**k) + draw(st.integers(-2, 2))
     assume(0 <= w < 10**19)
