@@ -36,7 +36,6 @@ from .core import (
     as_indicators,
     check_nu,
     check_theta,
-    overflow_guard,
 )
 
 __all__ = ["BinLayout", "MAX_DEPTH", "bin_layout", "binning_mark"]
@@ -77,8 +76,8 @@ def _powers(iv: IndicatorVector, theta: float, nu: float) -> list[float]:
     ``nu`` within a few ulps of 1 the powers may fall up to twice as slowly
     as ``nu**k``; a depth that then ends above the cap raises as well.
     """
-    bound = (1.0 - theta) * iv.total() / iv.n
-    m_max = iv.max_value()
+    bound = (1.0 - theta) * iv._sum / iv.n
+    m_max = iv._max
     if bound > 0.0:
         log_ratio = math.log(bound / m_max)
     else:
@@ -134,20 +133,20 @@ def _layout(
     """
     powers = _powers(iv, theta, nu)
     depth = len(powers) - 2
-    m_max = iv.max_value()
+    values, m_max = iv._work, iv._max
     inv_log_nu = 1.0 / math.log(nu)
     delta = 2.0 * (depth + 2) * EPS * (2 * _LOG_ULPS + 2 - inv_log_nu)
     dtype = np.min_scalar_type(depth + 1)
     tail = powers[-1] * math.sqrt(nu)
     # one scratch array holds the ratio, its logarithm, the shifted estimate
     # and its fraction in turn
-    est = iv.values / m_max
+    est = values / m_max
     np.maximum(est, max(tail, _TINY), out=est)
     np.log(est, out=est)
     est *= inv_log_nu
     if delta >= 0.25 or tail < _TINY:
         np.minimum(est, depth + 1, out=est)
-        labels, settled = _walk(est.astype(dtype), iv.values / m_max, powers)
+        labels, settled = _walk(est.astype(dtype), values / m_max, powers)
     else:
         # shifted down by delta, an estimate near c has a fraction of at
         # least 1 - 2 * delta below c; truncation takes the floor, and gives
@@ -158,7 +157,7 @@ def _layout(
         near = (est >= 1.0 - 2.0 * delta).nonzero()[0]
         if near.size:
             c = labels[near] + 1
-            labels[near] = c - (iv.values[near] / m_max > np.array(powers)[c])
+            labels[near] = c - (values[near] / m_max > np.array(powers)[c])
         settled = near.size
     if counter is not None:
         # the depth steps, an estimate and a near test per entry, and the
@@ -202,18 +201,17 @@ def binning_mark(
     check_theta(theta)
     check_nu(nu)
     layout = _layout(iv, theta, nu, counter)
-    values, labels = iv.values, layout.labels
-    v = theta * iv.total()
+    values, labels = iv._work, layout.labels
+    v = theta * iv._sum
     # bincount adds each bin in index order; with the cumsums no float sum
     # below has more than this many additions
     m = iv.n + layout.depth + 2
-    with overflow_guard(iv.total()):
-        masses = np.bincount(labels, weights=values).cumsum()
-        j = _first_reaching(
-            masses, v, m, lambda k: _exact_sum(values, [(labels <= k).nonzero()[0]])
-        )
-        members = (labels == j).nonzero()[0]
-        prefix = values[members].cumsum() + (masses[j - 1] if j else 0.0)
+    masses = np.bincount(labels, weights=values).cumsum()
+    j = _first_reaching(
+        masses, v, m, lambda k: _exact_sum(values, [(labels <= k).nonzero()[0]])
+    )
+    members = (labels == j).nonzero()[0]
+    prefix = values[members].cumsum() + (masses[j - 1] if j else 0.0)
     taken = labels < j
     stop = _first_reaching(
         prefix, v, m, lambda i: _exact_sum(values, [taken.nonzero()[0], members[: i + 1]])

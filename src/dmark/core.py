@@ -16,18 +16,21 @@ the largest entry and once for the sum.  An input that no one can write
 to, a 1-D, contiguous, native float64 array that is read-only along with
 every array it views, is adopted without a copy, and every other input is
 copied; the caller promises not to make an adopted array writeable again
-(see :class:`IndicatorVector`).  The decrement and binning strategies share one
-stop rule: the first prefix of their walk whose correctly rounded sum
-reaches the goal, with ``math.fsum`` settling the prefixes within rounding
-of it.  The verification predicate :func:`satisfies_doerfler` is the only
-place where a floating-point slack is applied.
+(see :class:`IndicatorVector`).  Overflow is decided here alone: when ``N``
+times the largest entry reaches half the largest double, the strategies
+work on the entries scaled by a power of two, so that no float sum of them
+can overflow, and every number they report is scaled back.  The decrement
+and binning strategies share one stop rule: the first prefix of their walk
+whose correctly rounded sum reaches the goal, with ``math.fsum`` settling
+the prefixes within rounding of it.  The verification predicate
+:func:`satisfies_doerfler` is the only place where a floating-point slack
+is applied.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -36,7 +39,6 @@ import numpy as np
 EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 _SUM_LIMIT = float(np.finfo(np.float64).max) / 2
-_NO_GUARD = nullcontext()
 _F64, _U64 = np.dtype(np.float64), np.dtype(np.uint64)
 # the bit pattern of inf, and a double's bits as an unsigned integer
 _INF_BITS = 0x7FF0000000000000
@@ -112,18 +114,6 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(np.add.reduce(values))
 
 
-def overflow_guard(bound: float) -> AbstractContextManager:
-    """Context that lets float sums below ``2 * bound`` overflow quietly.
-
-    A float sum of any ``m <= N`` nonnegative entries, in any order, stays
-    below twice ``N`` times their largest and below twice the float sum of
-    all ``N``; unless ``bound``, one of these, reaches half the largest
-    double (or overflowed) the guard is a no-op, far cheaper than
-    ``np.errstate``.
-    """
-    return _NO_GUARD if bound < _SUM_LIMIT else np.errstate(over="ignore")
-
-
 def _first_reaching(
     prefix: np.ndarray, v: float, m: int, exact_sum: Callable[[int], float]
 ) -> int:
@@ -142,13 +132,12 @@ def _first_reaching(
     pos = int(prefix.searchsorted(v))
     # the answer lies in [lo, hi]: probes at the two neighbours of the float
     # cut usually settle it, and only a probe that overturns the float cut
-    # opens the whole window; an overflowed upper bound clears nothing, since
-    # a float sum of inf may round up
+    # opens the whole window
     lo = hi = pos
-    if pos < prefix.size and (above == math.inf or prefix[pos] < above):
+    if pos < prefix.size and prefix[pos] < above:
         if not exact_sum(pos) >= v:
             lo = pos + 1
-            hi = prefix.size if above == math.inf else int(prefix.searchsorted(above))
+            hi = int(prefix.searchsorted(above))
     if lo == pos > 0 and prefix[pos - 1] >= below and exact_sum(pos - 1) >= v:
         lo, hi = int(prefix.searchsorted(below)), pos - 1
     while lo < hi:
@@ -161,11 +150,8 @@ def _first_reaching(
 
 
 def _fsum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array, read as a memoryview; ``inf`` on overflow."""
-    try:
-        return math.fsum(memoryview(values))
-    except OverflowError:
-        return math.inf
+    """Correctly rounded sum of a float64 array, read as a memoryview."""
+    return math.fsum(memoryview(values))
 
 
 def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
@@ -208,8 +194,9 @@ def check_indicators(arr: np.ndarray) -> float:
     return hi
 
 
-def total_and_max(arr: np.ndarray) -> tuple[float, float]:
-    """The pairwise sum and the largest entry of a valid indicator array.
+def _working(arr: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """The working entries of a valid indicator array, their pairwise sum
+    and largest entry, and the scale that turns them back into ``arr``.
 
     Raises like :func:`check_indicators`, in two read passes instead of its
     two plus the sum.  Nonnegative doubles order like their bit patterns
@@ -220,6 +207,11 @@ def total_and_max(arr: np.ndarray) -> tuple[float, float]:
     negative entry, ``-0.0`` or all zeros) falls back to
     :func:`check_indicators`, which raises with the violated condition or
     returns the largest entry.
+
+    The working entries are ``arr`` at scale 1, or, when ``N * max``
+    reaches ``_SUM_LIMIT``, a read-only ``arr / 2**s`` with ``s`` read off
+    the exponents of ``N`` and ``max`` so that ``N * max / 2**s < 2**1022``:
+    no float sum of them, in any order, can overflow.
     """
     if arr.ndim != 1 or not arr.size:
         check_indicators(arr)
@@ -228,8 +220,13 @@ def total_and_max(arr: np.ndarray) -> tuple[float, float]:
         hi = _DOUBLE.unpack(_BITS.pack(top))[0]
     else:
         hi = check_indicators(arr)
-    with overflow_guard(arr.size * hi):
-        return pairwise_sum(arr), hi
+    scale = 1.0
+    if arr.size * hi >= _SUM_LIMIT:
+        scale = math.ldexp(1.0, arr.size.bit_length() + math.frexp(hi)[1] - 1022)
+        arr = arr * (1.0 / scale)
+        arr.setflags(write=False)
+        hi /= scale
+    return arr, pairwise_sum(arr), hi, scale
 
 
 def _adoptable(values: object) -> bool:
@@ -259,18 +256,26 @@ class IndicatorVector:
     with squared estimator contributions must square before constructing the
     vector; the library never squares on its own.
 
-    ``values`` is a read-only float64 view, so its sum and its maximum,
-    both from validation, are kept.  A 1-D, C-contiguous, aligned,
-    native float64 array that is read-only, over bases that are read-only
-    too and end at an array that owns its data or at ``bytes``, is adopted
-    without a copy: the view shares its memory.  Every other
-    input is copied, including a read-only view of a writeable array, lists,
-    other dtypes, byte-swapped and strided arrays.  The caller promises not
-    to turn the ``WRITEABLE`` flag of an adopted array, or of an array it
-    views, back on; numpy allows that only on an array that owns its data.
+    ``values`` is a read-only float64 view.  The strategies read the private
+    working entries ``_work``: ``values`` itself, or, when ``N * max``
+    reaches half the largest double, ``values / _scale`` for a power of two
+    that keeps every float sum finite (see :func:`_working`); ``_sum`` and
+    ``_max``, both from validation, are their sum and largest entry.  What
+    the vector and the strategies report is in the caller's units again:
+    :meth:`total`, :meth:`max_value` and :meth:`MarkingOutcome.trusted`
+    multiply by ``_scale``.
+
+    A 1-D, C-contiguous, aligned, native float64 array that is read-only,
+    over bases that are read-only too and end at an array that owns its data
+    or at ``bytes``, is adopted without a copy: ``values`` shares its
+    memory.  Every other input is copied, including a read-only view of a
+    writeable array, lists, other dtypes, byte-swapped and strided arrays.
+    The caller promises not to turn the ``WRITEABLE`` flag of an adopted
+    array, or of an array it views, back on; numpy allows that only on an
+    array that owns its data.
     """
 
-    __slots__ = ("values", "_max", "_total")
+    __slots__ = ("values", "_work", "_sum", "_max", "_scale")
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]):
         if _adoptable(values):
@@ -280,7 +285,7 @@ class IndicatorVector:
             owner.setflags(write=False)
             # a view, whose flag cannot be turned back on
             arr = owner.view()
-        self._total, self._max = total_and_max(arr)
+        self._work, self._sum, self._max, self._scale = _working(arr)
         self.values = arr
 
     def __len__(self) -> int:
@@ -291,10 +296,10 @@ class IndicatorVector:
         return int(self.values.size)
 
     def total(self) -> float:
-        return self._total
+        return self._sum * self._scale
 
     def max_value(self) -> float:
-        return self._max
+        return self._max * self._scale
 
     def scratch_copy(self) -> np.ndarray:
         """A mutable copy for destructive kernels; the vector itself stays intact."""
@@ -384,15 +389,20 @@ class MarkingOutcome:
         return cls.trusted(iv, idx)
 
     @classmethod
-    def trusted(cls, iv: IndicatorVector, idx: np.ndarray) -> "MarkingOutcome":
+    def trusted(
+        cls, iv: IndicatorVector, idx: np.ndarray, threshold: float | None = None
+    ) -> "MarkingOutcome":
         """Wrap an int64 index array that a marking strategy produced.
 
         The array must be distinct, in range and owned by the outcome; it is
-        not checked, and it is made read-only.
+        not checked, and it is made read-only.  ``threshold`` is a working
+        entry; it and the working sum of the set are scaled back into the
+        caller's units.
         """
         idx.setflags(write=False)
-        with overflow_guard(iv.total()):
-            return cls(idx, pairwise_sum(iv.values[idx]), int(idx.size))
+        if threshold is not None:
+            threshold *= iv._scale
+        return cls(idx, pairwise_sum(iv._work[idx]) * iv._scale, int(idx.size), threshold)
 
 
 def criterion_tolerance(x: IndicatorInput) -> float:
@@ -419,9 +429,8 @@ def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -
     check_theta(theta, allow_one=True)
     # the mask collapses duplicates and sums in ascending index order
     mask = _index_mask(iv.n, index_array(marked))
-    with overflow_guard(iv.total()):
-        marked_sum = pairwise_sum(iv.values[mask])
-    return marked_sum >= goal_value(iv, theta) - criterion_tolerance(iv)
+    marked_sum = pairwise_sum(iv._work[mask])
+    return marked_sum >= theta * iv._sum - criterion_tolerance(iv) / iv._scale
 
 
 def mark_theta_one(x: IndicatorInput) -> MarkingOutcome:

@@ -17,7 +17,6 @@ the selected set, not on the order of summation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ from .core import (
     as_indicators,
     check_nu,
     check_theta,
-    goal_value,
-    overflow_guard,
 )
 
 __all__ = ["DecrementState", "decrement_mark", "decrement_trace", "sweep_limit"]
@@ -74,10 +71,9 @@ def _decrement(x, theta, nu, counter) -> tuple[MarkingOutcome, int]:
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
-    with overflow_guard(iv.total()):
-        selection, sweeps_used = _sweeps(
-            iv.values, goal_value(iv, theta), iv.max_value(), nu, sweep_limit(nu), counter
-        )
+    selection, sweeps_used = _sweeps(
+        iv._work, theta * iv._sum, iv._max, nu, sweep_limit(nu), counter
+    )
     return MarkingOutcome.trusted(iv, selection), sweeps_used
 
 
@@ -109,7 +105,7 @@ def _sweeps(
         prefix = np.cumsum(x[candidates])
         prefix += running
         stop = candidates.size
-        if math.isfinite(v) and candidates.size:
+        if candidates.size:
             stop = _first_reaching(
                 prefix, v, taken + candidates.size,
                 lambda j: _exact_sum(x, parts + [candidates[: j + 1]]),
@@ -129,6 +125,6 @@ def _sweeps(
             return np.concatenate(parts), k
         above_prev = above
     # Exhausting the sweeps without reaching the goal (only through last-ulp
-    # shortfall for theta near 1, or an overflowed goal) selects every entry
-    # above the last threshold, which satisfies the criterion by definition.
+    # shortfall for theta near 1) selects every entry above the last
+    # threshold, which satisfies the criterion by definition.
     return np.concatenate(parts), sweeps

@@ -27,9 +27,7 @@ from .core import (
     check_nu,
     check_theta,
     criterion_tolerance,
-    goal_value,
     index_array,
-    overflow_guard,
     pairwise_sum,
 )
 from .sort_mark import sort_mark
@@ -57,8 +55,9 @@ def nmin_oracle(x: IndicatorInput, theta: float) -> int:
 def nmin_exhaustive(x: IndicatorInput, theta: float) -> int:
     """Minimal cardinality by enumerating all subsets; N <= 20 only.
 
-    Independent of any sorting: subset sums are built by doubling over the
-    elements in original order.  Used to validate the sorted-cut oracle
+    Independent of any sorting: subset sums of the working entries are
+    built by doubling over the elements in original order and compared with
+    ``theta`` times their sum.  Used to validate the sorted-cut oracle
     itself.
     """
     iv = as_indicators(x)
@@ -67,10 +66,10 @@ def nmin_exhaustive(x: IndicatorInput, theta: float) -> int:
         raise InstanceTooLargeError(
             f"exhaustive search is capped at N={EXHAUSTIVE_MAX_N}, got N={iv.n}"
         )
-    v = goal_value(iv, theta)
+    v = theta * iv._sum
     sums = np.zeros(1, dtype=np.float64)
     sizes = np.zeros(1, dtype=np.int64)
-    for xi in iv.values:
+    for xi in iv._work:
         sums = np.concatenate((sums, sums + xi))
         sizes = np.concatenate((sizes, sizes + 1))
     feasible = sums >= v
@@ -95,19 +94,22 @@ def is_valid_minimal_set(
     an index out of range raises :class:`IndexError`.
     """
     iv = as_indicators(x)
+    return _is_minimal(iv, marked, v / iv._scale)
+
+
+def _is_minimal(iv: IndicatorVector, marked: Iterable[int], v: float) -> bool:
+    """:func:`is_valid_minimal_set` on the working entries, for a goal ``v`` in their units."""
     mask = _index_mask(iv.n, index_array(marked))
-    member_vals = iv.values[mask]
+    member_vals = iv._work[mask]
     if not member_vals.size:
         return False
-    tol = criterion_tolerance(iv)
+    tol = criterion_tolerance(iv) / iv._scale
 
-    rest_vals = iv.values[~mask]
+    rest_vals = iv._work[~mask]
     if rest_vals.size and member_vals.min() < rest_vals.max():
         return False
-    with overflow_guard(iv.total()):
-        total = pairwise_sum(member_vals)
-        # not ``total - min``, which reads inf on an overflowed total
-        reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))
+    total = pairwise_sum(member_vals)
+    reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))
     return not (total < v - tol or (member_vals.size > 1 and reduced >= v + tol))
 
 

@@ -38,10 +38,10 @@ clear the goal by the rounding bound of its ``m`` summands, so that their
 exact sum carries it.  Then ``x_star > lo``, every tie at ``x_star`` is a
 candidate, and the kernel and the materialise step run on the candidates
 alone: no scratch copy of every entry and no full-length threshold pass.
-On a smaller input, an infinite or subnormal goal, ``lo <= 0`` and
-candidates that miss the goal, the kernel runs on a scratch copy of every
-entry as before; that fallback costs one extra pass and the sort of the
-sample at most, so the worst case stays linear.
+On a smaller input, a subnormal goal, ``lo <= 0`` and candidates that
+miss the goal, the kernel runs on a scratch copy of every entry as before;
+that fallback costs one extra pass and the sort of the sample at most, so
+the worst case stays linear.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel, the elements each level partitions plus the elements it sums,
@@ -65,15 +65,14 @@ from .core import (
     OpCounter,
     _TINY,
     _exact_sum,
+    _working,
     as_indicators,
     check_theta,
     criterion_tolerance,
     materialise,
-    overflow_guard,
     pairwise_sum,
-    total_and_max,
 )
-from .oracle import is_valid_minimal_set
+from .oracle import _is_minimal
 from .sort_mark import _settle
 
 __all__ = ["quickmark", "xstar_kernel"]
@@ -109,7 +108,8 @@ def quickmark(
     """
     iv = as_indicators(x)
     check_theta(theta)
-    return _quickmark(iv, theta, counter, criterion_tolerance(iv) if check_invariants else None)
+    tol = criterion_tolerance(iv) / iv._scale if check_invariants else None
+    return _quickmark(iv, theta, counter, tol)
 
 
 def _quickmark(
@@ -118,24 +118,25 @@ def _quickmark(
     counter: OpCounter | None = None,
     tol: float | None = None,
 ) -> MarkingOutcome:
-    """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``."""
-    goal = theta * iv.total()
-    with overflow_guard(iv.total()):
-        cut = _candidates(iv.values, theta, goal, tol, counter)
-        if cut is None:
-            x_star, count = _select(iv.scratch_copy(), goal, tol, counter)
-            marked = materialise(iv.values, x_star, count)
-        else:
-            idx, scratch = cut
-            x_star, count = _select(scratch, goal, tol, counter)
-            # the candidates in index order again, in the kernel's buffer,
-            # which is released before the marked indices are allocated
-            at_least = iv.values.take(idx, out=scratch, mode="clip") >= x_star
-            del cut, scratch
-            marked = materialise(iv.values, x_star, count, idx.compress(at_least))
-        outcome = MarkingOutcome(marked, pairwise_sum(iv.values[marked]), int(marked.size), x_star)
-        if tol is not None:
-            _verify_cut(iv, outcome, goal)
+    """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``;
+    ``tol`` is in the units of the working entries, which the kernel cuts."""
+    values = iv._work
+    goal = theta * iv._sum
+    cut = _candidates(values, theta, goal, tol, counter)
+    if cut is None:
+        x_star, count = _select(values.copy(), goal, tol, counter)
+        marked = materialise(values, x_star, count)
+    else:
+        idx, scratch = cut
+        x_star, count = _select(scratch, goal, tol, counter)
+        # the candidates in index order again, in the kernel's buffer,
+        # which is released before the marked indices are allocated
+        at_least = values.take(idx, out=scratch, mode="clip") >= x_star
+        del cut, scratch
+        marked = materialise(values, x_star, count, idx.compress(at_least))
+    outcome = MarkingOutcome.trusted(iv, marked, x_star)
+    if tol is not None:
+        _verify_cut(iv, outcome, goal)
     return outcome
 
 
@@ -150,16 +151,16 @@ def _candidates(
 
     Returns the ascending indices of the candidates and a fresh array of
     their values, or ``None`` when the kernel must run on every entry: ``N``
-    below ``_MIN_N``, a goal that overflowed or is subnormal, a bound that
-    is not positive, or candidates whose float sum does not clear the goal
-    by the rounding bound ``2 * (m + 1) * eps`` of ``m`` summands (the bound
-    of ``core._first_reaching``).  With ``tol`` the candidates are checked
+    below ``_MIN_N``, a subnormal goal, a bound that is not positive, or
+    candidates whose float sum does not clear the goal by the rounding bound
+    ``2 * (m + 1) * eps`` of ``m`` summands (the bound of
+    ``core._first_reaching``).  With ``tol`` the candidates are checked
     to hold every entry above the bound and to carry the goal exactly.  A
     ``counter`` gets the ``N`` comparisons of the filter and the ``m``
     summands.
     """
     n = int(values.size)
-    if n < _MIN_N or not _TINY <= goal < math.inf:
+    if n < _MIN_N or goal < _TINY:
         return None
     sample = np.sort(values[:: -(-n // _SAMPLE)])[::-1]
     mass = sample.cumsum()
@@ -209,14 +210,13 @@ def _select(
     """
     n_total = int(a.size)
     goal = v
-    # the float mass of a[hi:]; an inf (overflowed) goal is compared with
-    # it, a finite one is reduced to the residual ``v`` instead, which
-    # misses N_min less often at 10^4-10^5 entries than ``fixed + s >= goal``
+    # the float mass of a[hi:], which the base case adds to its prefix sums;
+    # the levels compare the residual ``v`` instead, which misses N_min less
+    # often at 10^4-10^5 entries than ``fixed + s >= goal``
     lo, hi, fixed = 0, n_total, 0.0
-    inf_goal = v == math.inf
     while True:
         if tol is not None:
-            _verify_level(a, lo, hi, v, goal, tol, fixed if inf_goal else 0.0)
+            _verify_level(a, lo, hi, v, goal, tol)
         m = hi - lo
         if m <= _M0:
             return _settle(a, lo, hi, goal, v, fixed, tol is not None, counter)
@@ -225,21 +225,19 @@ def _select(
         a[lo:hi].partition(r)
         pv = float(a[k])
         s = float(np.add.reduce(a[k + 1 : hi]))
-        upper = fixed + s if inf_goal else s
         if counter is not None:
             counter.add(m + (hi - k - 1))
-        if upper >= v:
+        if s >= v:
             lo = k + 1
-        elif upper + pv >= v:
+        elif s + pv >= v:
             return pv, n_total - k
         else:
-            if not inf_goal:
-                v -= upper + pv
+            v -= s + pv
             fixed = (fixed + s) + pv
             hi = k
 
 
-def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
+def _verify_level(a, lo, hi, v, goal, tol) -> None:
     if lo > 0 and not float(a[:lo].max()) <= float(a[lo:hi].min()):
         raise AdmissibilityError("prefix not below the active range")
     if hi < a.size and not float(a[lo:hi].max()) <= float(a[hi:].min()):
@@ -252,7 +250,7 @@ def _verify_level(a, lo, hi, v, goal, tol, fixed=0.0) -> None:
         raise AdmissibilityError(
             f"residual goal {v!r} inconsistent with the fixed mass (expected {expected!r})"
         )
-    if v > fixed + pairwise_sum(a[lo:hi]) + tol:
+    if v > pairwise_sum(a[lo:hi]) + tol:
         raise AdmissibilityError("residual goal exceeds the active range mass")
 
 
@@ -266,9 +264,9 @@ def _verify_candidates(values, lo, idx, goal) -> None:
 
 
 def _verify_cut(iv, outcome, goal) -> None:
-    if float(iv.values[outcome.marked].min()) != outcome.threshold:
+    if float(iv._work[outcome.marked].min()) != outcome.threshold / iv._scale:
         raise AdmissibilityError("threshold is not the smallest marked value")
-    if not is_valid_minimal_set(iv, outcome.marked, goal):
+    if not _is_minimal(iv, outcome.marked, goal):
         raise AdmissibilityError(
             "marked set does not dominate the rest, reach the goal and stay removal-minimal"
         )
@@ -281,20 +279,20 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     that :func:`quickmark` runs on the candidates above a sampled lower
     bound of the threshold, or, when that bound does not hold, reorders
     ``x_copy`` itself in place (contiguous accesses, no permutation
-    indirection), or a copy of it when it is read-only; a ``counter`` counts the
-    filter's and the kernel's element operations.  Returns the
-    smallest value contained in any minimal marked set.  The threshold alone
+    indirection), or a copy of it when it is read-only or its sums could
+    overflow (the working entries of :class:`~dmark.core.IndicatorVector`);
+    a ``counter`` counts the filter's and the kernel's element operations.
+    Returns the smallest value contained in any minimal marked set, in the
+    units of ``x_copy``.  The threshold alone
     does not fix the cut among ties in floating point; :func:`quickmark`
     returns the index set that the kernel's cut decides.
     """
     check_theta(theta)
-    a = np.asarray(x_copy, dtype=np.float64)
-    total = total_and_max(a)[0]
-    with overflow_guard(total):
-        goal = theta * total
-        cut = _candidates(a, theta, goal, counter=counter)
-        if cut is not None:
-            a = cut[1]
-        elif not a.flags.writeable:
-            a = a.copy()
-        return _select(a, goal, counter=counter)[0]
+    a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64))
+    goal = theta * total
+    cut = _candidates(a, theta, goal, counter=counter)
+    if cut is not None:
+        a = cut[1]
+    elif not a.flags.writeable:
+        a = a.copy()
+    return _select(a, goal, counter=counter)[0] * scale

@@ -10,8 +10,6 @@ the cut, ties by ascending index, so outputs are deterministic and ascending.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -24,7 +22,6 @@ from .core import (
     as_indicators,
     check_theta,
     materialise,
-    overflow_guard,
 )
 
 __all__ = ["sort_mark"]
@@ -66,13 +63,12 @@ def sort_mark(
     """
     iv = as_indicators(x)
     check_theta(theta)
-    goal = theta * iv.total()
-    with overflow_guard(iv.total()):
-        x_star, count = _settle(iv.scratch_copy(), 0, iv.n, goal, goal, 0.0)
+    goal = theta * iv._sum
+    x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal, 0.0)
     if counter is not None:
         _counted_sort_desc(iv.values.tolist(), counter)
         counter.add(count)
-    return MarkingOutcome.trusted(iv, materialise(iv.values, x_star, count))
+    return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count))
 
 
 def _settle(
@@ -89,11 +85,11 @@ def _settle(
 
     ``fixed`` is the float mass of ``a[hi:]``, every entry of which is at
     least the range's largest, and ``v`` the residual goal.  While ``a[lo:]``
-    holds at most ``_EXACT_MAX`` entries (or the goal overflowed) the cut
-    takes the ``j + 1`` largest entries of the range for the first ``j``
-    whose correctly rounded sum together with ``a[hi:]`` reaches ``goal``;
-    ``math.fsum`` settles only the prefixes within rounding of the goal,
-    each probe in one pass over the suffix ``a[hi - 1 - j:]``.  On a longer
+    holds at most ``_EXACT_MAX`` entries the cut takes the ``j + 1`` largest
+    entries of the range for the first ``j`` whose correctly rounded sum
+    together with ``a[hi:]`` reaches ``goal``; ``math.fsum`` settles only
+    the prefixes within rounding of the goal, each probe in one pass over
+    the suffix ``a[hi - 1 - j:]``.  On a longer
     suffix the float prefix sums of the range decide against ``v``.  Either
     cut takes the whole range when no prefix reaches the goal, so rounding
     that leaves the residual goal above the range mass cannot empty it.
@@ -106,7 +102,7 @@ def _settle(
     seg.sort()
     prefix = np.add.accumulate(seg[::-1])
     m = hi - lo
-    exact = a.size - lo <= _EXACT_MAX or v == math.inf
+    exact = a.size - lo <= _EXACT_MAX
     if exact:
         if fixed:
             prefix += fixed

@@ -225,6 +225,11 @@ class TestMarkingParams:
         with pytest.raises(ParameterError):
             check_nu(nu)
 
+    def test_unknown_algorithm(self):
+        with pytest.raises(ParameterError) as info:
+            mark([1.0, 2.0], 0.5, "nope")
+        assert str(info.value) == f"unknown algorithm 'nope'; choose from {ALGORITHM_NAMES}"
+
 
 class TestGoalValue:
     def test_simple(self):
@@ -411,7 +416,7 @@ def test_overflowing_sum_raises_no_warning(theta):
         "decrement": lambda: decrement_mark(x, theta, 0.5).marked,
         "binning": lambda: binning_mark(x, theta, 0.5).marked,
         "quickmark": lambda: quickmark(x, theta).marked,
-        "xstar": lambda: np.flatnonzero(np.array(x) >= xstar_kernel(np.array(x), theta)),
+        "xstar": lambda: quickmark(x, theta).marked,
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -419,10 +424,12 @@ def test_overflowing_sum_raises_no_warning(theta):
             marked = mark(x, theta, name).outcome.marked
             assert sorted(marked.tolist()) == sorted(direct[name]().tolist())
             assert satisfies_doerfler(x, theta, marked)
-        # the debug checks accept the set: the removal test must not read
-        # inf - 1e308 >= inf, and the kernel must count the mass it fixes
-        # toward the overflowed goal
-        assert quickmark(x, theta, check_invariants=True).marked.tolist() == [0, 1]
+        # the threshold does not fix the cut among the ties at 1e308
+        assert xstar_kernel(np.array(x), theta) == quickmark(x, theta).threshold == 1e308
+        # the debug checks accept the set, the exact N_min: one entry
+        # carries 0.3 and 0.45 of the sum, two carry 0.9
+        expected = [0, 1] if theta == 0.9 else [0]
+        assert quickmark(x, theta, check_invariants=True).marked.tolist() == expected
 
 
 @given(

@@ -242,15 +242,16 @@ def test_exact_fallback_decides_witness(monkeypatch):
 
 @pytest.mark.parametrize("theta", [0.3, 0.45, 0.9])
 def test_overflowed_goal_marks_every_positive_entry(theta):
-    # the sum overflows, so the goal is inf and no sweep stops
+    # the sum overflows a double, yet the sweeps stop at the exact goal
     x = [1e308, 1e308, 1e307]
     try:
         out = decrement_mark(x, theta, 0.5)
         state = decrement_trace(x, theta, 0.5)
     except MarkingError:
         pytest.fail("the overflowed goal is a valid input")
-    assert sorted(out.marked.tolist()) == [0, 1, 2]
-    assert sorted(state.outcome.marked.tolist()) == [0, 1, 2]
+    goal = Fraction(theta) * sum(map(Fraction, x))
+    for marked in (out.marked, state.outcome.marked):
+        assert sum(Fraction(x[i]) for i in marked.tolist()) >= goal
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.9])

@@ -87,6 +87,21 @@ def test_unsupported_extension(tmp_path):
         read_indicators(p)
 
 
+def test_unreadable_binary_file(tmp_path):
+    p = tmp_path / "missing.f64"
+    with pytest.raises(ParseError) as info:
+        read_indicators(p)
+    assert str(info.value) == f"{p}: [Errno 2] No such file or directory: '{p}'"
+
+
+def test_write_unsupported_extension(tmp_path):
+    p = tmp_path / "x.csv"
+    with pytest.raises(ParseError) as info:
+        write_indicators(p, np.array([1.0]))
+    assert str(info.value) == f"{p}: unsupported extension '.csv' (expected .txt or .f64)"
+    assert not p.exists()
+
+
 def test_binary_truncated(tmp_path):
     p = tmp_path / "x.f64"
     p.write_bytes(b"\x00" * 12)

@@ -24,7 +24,7 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
-from dmark.core import materialise, pairwise_sum
+from dmark.core import materialise
 from dmark.quickmark import (
     _M0,
     _MIN_N,
@@ -433,11 +433,10 @@ class TestCheckInvariants:
 
 
 def full_kernel(iv, theta, counter=None):
-    """The kernel on a scratch copy of every entry, then the materialise step."""
-    with np.errstate(over="ignore"):
-        x_star, count = _select(iv.scratch_copy(), goal_value(iv, theta), counter=counter)
-        marked = materialise(iv.values, x_star, count)
-        return marked, x_star, pairwise_sum(iv.values[marked])
+    """The kernel on a copy of every working entry, then the materialise step."""
+    x_star, count = _select(iv._work.copy(), theta * iv._sum, counter=counter)
+    out = MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
+    return out.marked, out.threshold, out.achieved_sum
 
 
 def family(rng, n, kind):
@@ -446,17 +445,21 @@ def family(rng, n, kind):
     if kind in ("sorted", "reversed"):
         vals = np.sort(rng.random(n))
         return vals if kind == "sorted" else vals[::-1].copy()
+    if kind == "overflowing":
+        return 1e308 * (0.5 + np.arange(n) / (2 * n))
     return instance(rng, n, kind)
 
 
 def took_candidates(iv, theta):
-    return _candidates(iv.values, theta, goal_value(iv, theta)) is not None
+    return _candidates(iv._work, theta, theta * iv._sum) is not None
 
 
 class TestCandidatePath:
     """Above ``_MIN_N`` entries the kernel runs on the candidates above a sampled bound."""
 
-    FAMILIES = ("uniform", "ties", "sparse", "integers", "lognormal", "sorted", "reversed")
+    FAMILIES = (
+        "uniform", "ties", "sparse", "integers", "lognormal", "sorted", "reversed", "overflowing"
+    )
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_matches_full_kernel(self, rng, kind):
@@ -518,7 +521,8 @@ def fallback_cases():
         ("periodic", periodic, 0.5),
         ("all-equal", np.full(n, 2.0), 0.5),
         ("mostly-zero", sparse, 0.5),
-        ("overflowing", 1e308 * (0.5 + i / (2 * n)), 0.5),
+        # the widened crossing rank passes the end of the sample
+        ("theta near 1", np.random.default_rng(6).random(n), 0.999),
         ("subnormal goal", 5e-324 * (1.0 + i % 1000), 0.3),
         ("goal 0", np.where(i == 7, 5e-324, 0.0), 0.3),
     ]
