@@ -25,29 +25,42 @@ cardinality for every input whose sums do not sit within rounding of the
 goal, and on at most ``_M0`` entries it is the rule's cut, the set that
 ``sort`` returns.
 
-From ``_MIN_N`` entries on, a sampled lower bound of ``x_star`` narrows
-the kernel to the candidates above it (Floyd & Rivest's sampled selection,
-applied to the mass-weighted cut).  A strided sample of at most
-``_SAMPLE`` entries is sorted, and the rank where its mass crosses a
-``theta`` share of its own total is widened by five standard deviations of
-a sampled count; the next smaller sample value is the bound ``lo``.  (This
-ratio estimate fell back less often on heavy tails than one that scales
-the sample's mass by ``N / s``.)  One pass takes the ascending indices of
-the entries above ``lo``, the largest entries, and their float sum must
-clear the goal by the rounding bound of its ``m`` summands, so that their
-exact sum carries it.  Then ``x_star > lo``, every tie at ``x_star`` is a
-candidate, and the kernel and the materialise step run on the candidates
-alone: no scratch copy of every entry and no full-length threshold pass.
-On a smaller input, a subnormal goal, ``lo <= 0`` and candidates that
-miss the goal, the kernel runs on a scratch copy of every entry as before;
-that fallback costs one extra pass and the sort of the sample at most, so
-the worst case stays linear.
+From ``_MIN_N`` entries on, a sampled bracket of ``x_star`` narrows the
+kernel (Floyd & Rivest's sampled selection, applied to the mass-weighted
+cut).  A strided sample of at most ``_SAMPLE`` entries is sorted, and the
+rank where its mass crosses a ``theta`` share of its own total is widened
+by five standard deviations of a sampled count each way: the next
+smaller sample value below the lower rank is the bound ``lo``, and the
+sample value at the upper rank the bound ``hi``.  (This ratio estimate fell
+back less often on heavy tails than one that scales the sample's mass by
+``N / s``.)  One pass takes the ascending indices of the entries above
+``lo``, the largest entries, and their float sum must clear the goal by the
+rounding bound of its ``m`` summands, so that their exact sum carries it.
+Then ``x_star > lo`` and every tie at ``x_star`` is a candidate.
+
+A second pass over the candidates splits off the band ``(lo, hi]``.  When
+more than ``_EXACT_MAX`` candidates lie above ``hi`` and their float mass,
+the candidate sum less the band sum, misses the goal by the rounding bound
+``2 * (m + 1) * eps`` of the candidate sum, every minimal set holds them,
+and the kernel runs on a copy of the band alone: it starts from the float
+residual ``goal - fixed`` with the mass ``fixed`` above the band, and adds
+their count to its cut.  Otherwise, when the rank above is not positive
+(``hi`` is ``inf``), when the count above would let the base case's exact
+cut miss their mass, or when their mass lies within rounding of the goal,
+the kernel runs on a copy of every candidate.  Either way the candidates
+stay intact and in index order, so one comparison with ``x_star`` gives
+the materialise step the marked candidates: no scratch copy of every entry
+and no full-length threshold pass.  On a smaller input, a subnormal goal,
+``lo <= 0`` and candidates that miss the goal, the kernel runs on a
+scratch copy of every entry as before; that fallback costs one extra pass
+and the sort of the sample at most, so the worst case stays linear.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel, the elements each level partitions plus the elements it sums,
 ``m * ceil(log2 m)`` for the base case's sort of ``m`` entries plus the
-length of its cut, and the filter's ``N`` comparisons and ``m`` summands,
-so the counted cost is the cost of the code that is timed.
+length of its cut, the filter's ``N`` comparisons and ``m`` summands, and
+the split's ``m`` comparisons and the band's summands, so the counted cost
+is the cost of the code that is timed.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ from .core import (
     OpCounter,
     _TINY,
     _exact_sum,
+    _fsum,
     _working,
     as_indicators,
     check_theta,
@@ -73,7 +87,7 @@ from .core import (
     pairwise_sum,
 )
 from .oracle import _is_minimal
-from .sort_mark import _settle
+from .sort_mark import _EXACT_MAX, _settle
 
 __all__ = ["quickmark", "xstar_kernel"]
 
@@ -94,17 +108,20 @@ def quickmark(
 ) -> MarkingOutcome:
     """Minimal-cardinality marking by median-partition recursion.
 
-    The value kernel runs on the candidates above a sampled lower bound of
-    ``x_star``, or on a scratch copy of every entry when the bound does not
-    hold (see the module docstring), and one materialise step builds the
-    set; the outcome's ``threshold`` is the kernel's ``x_star``, and a
-    ``counter`` counts the filter's and the kernel's element operations.
-    ``check_invariants`` re-verifies the range ordering, goal consistency and
-    goal reachability at every level, the base case's cut against the stop
-    rule, the dominance and removal-minimality of the final set, and that
-    the candidates hold every entry above their bound and carry the goal
-    exactly (debug mode; raises :class:`AdmissibilityError` on any
-    violation, which would indicate a bug).
+    The value kernel runs on the band or the candidates of a sampled
+    bracket of ``x_star``, or on a scratch copy of every entry when the
+    lower bound does not hold (see the module docstring), and one
+    materialise step builds the set; the outcome's ``threshold`` is the
+    kernel's ``x_star``, and a ``counter`` counts the filter's, the
+    split's and the kernel's element operations.  ``check_invariants``
+    re-verifies the range ordering, goal consistency (the mass fixed above
+    the band included) and goal reachability at every level, the base
+    case's cut against the stop rule, the dominance and removal-minimality
+    of the final set, that the candidates hold every entry above their
+    bound and carry the goal exactly, and that the candidates left out of
+    the band exceed its bound and fall short of the goal (debug mode;
+    raises :class:`AdmissibilityError` on any violation, which would
+    indicate a bug).
     """
     iv = as_indicators(x)
     check_theta(theta)
@@ -127,12 +144,15 @@ def _quickmark(
         x_star, count = _select(values.copy(), goal, tol, counter)
         marked = materialise(values, x_star, count)
     else:
-        idx, scratch = cut
-        x_star, count = _select(scratch, goal, tol, counter)
-        # the candidates in index order again, in the kernel's buffer,
-        # which is released before the marked indices are allocated
-        at_least = values.take(idx, out=scratch, mode="clip") >= x_star
-        del cut, scratch
+        idx, cand, band, fixed, above = cut
+        del cut
+        x_star, count = _select(band, goal, tol, counter, fixed, above)
+        # the candidates are intact and in index order; the kernel's buffer
+        # and then the candidates are released before the marked indices
+        # are allocated
+        del band
+        at_least = cand >= x_star
+        del cand
         marked = materialise(values, x_star, count, idx.compress(at_least))
     outcome = MarkingOutcome.trusted(iv, marked, x_star)
     if tol is not None:
@@ -146,59 +166,112 @@ def _candidates(
     goal: float,
     tol: float | None = None,
     counter: OpCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The entries above a sampled lower bound of ``x_star``: indices and values.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int] | None:
+    """The entries above a sampled lower bound of ``x_star``, and the kernel's start.
 
-    Returns the ascending indices of the candidates and a fresh array of
-    their values, or ``None`` when the kernel must run on every entry: ``N``
-    below ``_MIN_N``, a subnormal goal, a bound that is not positive, or
-    candidates whose float sum does not clear the goal by the rounding bound
+    Returns ``(idx, cand, band, fixed, above)``: the ascending indices of
+    the candidates, a fresh array of their values in that order, and the
+    kernel's start, a fresh array ``band`` with the float mass ``fixed`` and
+    the count ``above`` of the candidates left out of it.  Returns ``None``
+    when the kernel must run on every entry: ``N`` below ``_MIN_N``, a
+    subnormal goal, a lower bound that is not positive, or candidates whose
+    float sum does not clear the goal by the rounding bound
     ``2 * (m + 1) * eps`` of ``m`` summands (the bound of
-    ``core._first_reaching``).  With ``tol`` the candidates are checked
-    to hold every entry above the bound and to carry the goal exactly.  A
-    ``counter`` gets the ``N`` comparisons of the filter and the ``m``
-    summands.
+    ``core._first_reaching``).
+
+    The bracket ``(lo, hi)`` comes from :func:`_bracket`, and ``band``
+    holds the candidates at most ``hi``.  Every minimal set holds the
+    ``above`` candidates over ``hi`` when their exact sum falls short of the
+    goal, so the kernel starts on the band with the float residual goal
+    ``goal - fixed``, where ``fixed`` is the candidate sum less the band
+    sum.  The band is declined, and ``band`` is a copy of the candidates
+    with ``fixed = 0`` and ``above = 0``, when ``hi`` is ``inf``, when at
+    most ``_EXACT_MAX`` candidates lie above ``hi`` (the base case's exact
+    cut would not see their mass), or when ``fixed`` comes within
+    ``2 * (m + 1) * eps`` times the candidate sum of the goal, the rounding
+    bound of the two sums and their difference.  With ``tol`` the
+    candidates are checked to hold every entry above ``lo`` and to carry the
+    goal exactly, and a band to leave out only entries above ``hi`` whose
+    exact sum misses the goal.  A ``counter`` gets the ``N`` comparisons of
+    the filter and the ``m`` summands, and, when the band is split off, the
+    ``m`` comparisons of the split and the band's summands.
     """
     n = int(values.size)
     if n < _MIN_N or goal < _TINY:
         return None
-    sample = np.sort(values[:: -(-n // _SAMPLE)])[::-1]
-    mass = sample.cumsum()
-    # the rank where the sample's mass crosses its own theta share, widened
-    # by five standard deviations of a sampled count and a margin
-    j = int(mass.searchsorted(theta * mass[-1]))
-    j += int(5.0 * math.sqrt(j + 1.0)) + 16
-    if j >= sample.size:
+    bounds = _bracket(values, theta)
+    if bounds is None:
         return None
-    # the next smaller sample value, so that a tie at rank j stays whole
-    rest = sample[j:]
-    lo = float(rest[int((rest < rest[0]).argmax())])
-    if not 0.0 < lo < rest[0]:
-        return None
+    lo, hi = bounds
     idx = (values > lo).nonzero()[0]
     cand = values.take(idx)
+    m = int(idx.size)
+    total = float(np.add.reduce(cand))
     if counter is not None:
-        counter.add(n + idx.size)
-    if not float(np.add.reduce(cand)) >= goal * (1.0 + 2.0 * (idx.size + 1) * EPS):
+        counter.add(n + m)
+    if not total >= goal * (1.0 + 2.0 * (m + 1) * EPS):
         return None
     if tol is not None:
         _verify_candidates(values, lo, idx, goal)
-    return idx, cand
+    if hi < math.inf:
+        # ties at hi stay in the band
+        in_band = cand <= hi
+        band = cand.compress(in_band)
+        above = m - int(band.size)
+        fixed = total - float(np.add.reduce(band))
+        if counter is not None:
+            counter.add(m + band.size)
+        if above > _EXACT_MAX and fixed < goal - 2.0 * (m + 1) * EPS * total:
+            if tol is not None:
+                _verify_band(band, cand[~in_band], hi, goal)
+            return idx, cand, band, fixed, above
+    return idx, cand, cand.copy(), 0.0, 0
+
+
+def _bracket(values: np.ndarray, theta: float) -> tuple[float, float] | None:
+    """Sampled bounds ``lo < hi`` of ``x_star``, or ``None`` without a lower bound.
+
+    A strided sample of at most ``_SAMPLE`` entries is sorted, largest
+    first, and the rank ``j`` where its mass crosses its own ``theta`` share
+    is widened by ``w``, five standard deviations of a sampled count and a
+    margin.  ``lo`` is the next sample value below rank ``j + w``, so that a
+    tie there stays whole, and ``hi`` the sample value at rank ``j - w``,
+    or ``inf`` when that rank is not positive.  There is no lower bound when
+    rank ``j + w`` passes the end of the sample or ``lo`` is not positive.
+    """
+    n = int(values.size)
+    sample = np.sort(values[:: -(-n // _SAMPLE)])[::-1]
+    mass = sample.cumsum()
+    j = int(mass.searchsorted(theta * mass[-1]))
+    w = int(5.0 * math.sqrt(j + 1.0)) + 16
+    if j + w >= sample.size:
+        return None
+    rest = sample[j + w :]
+    lo = float(rest[int((rest < rest[0]).argmax())])
+    if not 0.0 < lo < rest[0]:
+        return None
+    return lo, float(sample[j - w]) if j - w > 0 else math.inf
 
 
 def _select(
     a: np.ndarray,
-    v: float,
+    goal: float,
     tol: float | None = None,
     counter: OpCounter | None = None,
+    fixed: float = 0.0,
+    above: int = 0,
 ) -> tuple[float, int]:
     """Destructive value kernel: threshold ``x_star`` and cut ``count``.
 
     Reorders ``a`` in place so that ``a[:k] <= x_star == a[k] <= a[k:]`` at
-    the stopping rank ``k`` and returns ``(a[k], N - k)``: the ``count``
-    largest values carry the goal ``v`` and the ``count - 1`` largest do not.
-    Each level partitions the active range of ``m`` entries around its lower
-    median rank ``(m - 1) // 2``.  A range of at most ``_M0`` entries goes to
+    the stopping rank ``k`` and returns ``(a[k], a.size - k + above)``: the
+    ``count`` largest values carry the goal and the ``count - 1`` largest do
+    not.  ``a`` is every entry, or the band of :func:`_candidates`, below
+    ``above`` entries of float mass ``fixed`` that every minimal set holds;
+    the kernel starts from the residual goal ``goal - fixed``, a float
+    difference that the band's rounding bound keeps positive.  Each level
+    partitions the active range of ``m`` entries around its lower median
+    rank ``(m - 1) // 2``.  A range of at most ``_M0`` entries goes to
     the base case, :func:`_settle`, which sorts it and cuts it by the shared
     stop rule (by its float prefix sums below a long suffix), clamped to the
     range, so rounding that leaves the residual goal above the range mass
@@ -208,18 +281,19 @@ def _select(
     elements summed above the rank, and for the base case
     ``m * ceil(log2 m)`` plus the length of its cut.
     """
-    n_total = int(a.size)
-    goal = v
-    # the float mass of a[hi:], which the base case adds to its prefix sums;
-    # the levels compare the residual ``v`` instead, which misses N_min less
-    # often at 10^4-10^5 entries than ``fixed + s >= goal``
-    lo, hi, fixed = 0, n_total, 0.0
+    n_total = int(a.size) + above
+    # the float mass of a[hi:] and of the entries above ``a``, which the
+    # base case adds to its prefix sums; the levels compare the residual
+    # ``v`` instead, which misses N_min less often at 10^4-10^5 entries than
+    # ``fixed + s >= goal``
+    start, v = fixed, goal - fixed
+    lo, hi = 0, int(a.size)
     while True:
         if tol is not None:
-            _verify_level(a, lo, hi, v, goal, tol)
+            _verify_level(a, lo, hi, v, goal, tol, start)
         m = hi - lo
         if m <= _M0:
-            return _settle(a, lo, hi, goal, v, fixed, tol is not None, counter)
+            return _settle(a, lo, hi, goal, v, fixed, tol is not None, counter, above)
         r = (m - 1) // 2
         k = lo + r
         a[lo:hi].partition(r)
@@ -237,7 +311,7 @@ def _select(
             hi = k
 
 
-def _verify_level(a, lo, hi, v, goal, tol) -> None:
+def _verify_level(a, lo, hi, v, goal, tol, start=0.0) -> None:
     if lo > 0 and not float(a[:lo].max()) <= float(a[lo:hi].min()):
         raise AdmissibilityError("prefix not below the active range")
     if hi < a.size and not float(a[lo:hi].max()) <= float(a[hi:].min()):
@@ -245,7 +319,8 @@ def _verify_level(a, lo, hi, v, goal, tol) -> None:
     # only a goal that underflows to 0 leaves a residual that is not positive
     if not (v > 0.0 or goal == 0.0):
         raise AdmissibilityError(f"residual goal not positive: {v!r}")
-    expected = goal - (pairwise_sum(a[hi:]) if hi < a.size else 0.0)
+    # ``start`` is the mass fixed above ``a`` before the first level
+    expected = goal - ((pairwise_sum(a[hi:]) if hi < a.size else 0.0) + start)
     if abs(v - expected) > tol:
         raise AdmissibilityError(
             f"residual goal {v!r} inconsistent with the fixed mass (expected {expected!r})"
@@ -263,6 +338,15 @@ def _verify_candidates(values, lo, idx, goal) -> None:
         raise AdmissibilityError("the candidates do not carry the goal")
 
 
+def _verify_band(band, outside, hi, goal) -> None:
+    if outside.size and not float(outside.min()) > hi:
+        raise AdmissibilityError("a candidate outside the band does not exceed its bound")
+    if not _fsum(outside) < goal:
+        raise AdmissibilityError("the candidates above the band carry the goal")
+    if not _fsum(np.concatenate((band, outside))) >= goal:
+        raise AdmissibilityError("the band and the candidates above it do not carry the goal")
+
+
 def _verify_cut(iv, outcome, goal) -> None:
     if float(iv._work[outcome.marked].min()) != outcome.threshold / iv._scale:
         raise AdmissibilityError("threshold is not the smallest marked value")
@@ -276,23 +360,26 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     """Threshold of the minimal marking, computed on a destructive scratch copy.
 
     ``x_copy`` must be a caller-owned scratch array.  The same value kernel
-    that :func:`quickmark` runs on the candidates above a sampled lower
-    bound of the threshold, or, when that bound does not hold, reorders
-    ``x_copy`` itself in place (contiguous accesses, no permutation
-    indirection), or a copy of it when it is read-only or its sums could
-    overflow (the working entries of :class:`~dmark.core.IndicatorVector`);
-    a ``counter`` counts the filter's and the kernel's element operations.
-    Returns the smallest value contained in any minimal marked set, in the
-    units of ``x_copy``.  The threshold alone
-    does not fix the cut among ties in floating point; :func:`quickmark`
-    returns the index set that the kernel's cut decides.
+    that :func:`quickmark` runs on the band or the candidates of a sampled
+    bracket of the threshold, or, when the lower bound does not hold,
+    reorders ``x_copy`` itself in place (contiguous accesses, no
+    permutation indirection), or a copy of it when it is read-only.  When
+    its sums could overflow, a writeable ``x_copy`` is scaled in place to
+    the working entries of :class:`~dmark.core.IndicatorVector`.  A
+    ``counter`` counts the filter's, the split's and the kernel's element
+    operations.  Returns the smallest value contained in any minimal
+    marked set, in the units of ``x_copy``.  The threshold alone does not
+    fix the cut among ties in floating point; :func:`quickmark` returns the
+    index set that the kernel's cut decides.
     """
     check_theta(theta)
-    a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64))
+    a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64), in_place=True)
     goal = theta * total
     cut = _candidates(a, theta, goal, counter=counter)
     if cut is not None:
-        a = cut[1]
-    elif not a.flags.writeable:
+        band, fixed, above = cut[2:]
+        del cut
+        return _select(band, goal, counter=counter, fixed=fixed, above=above)[0] * scale
+    if not a.flags.writeable:
         a = a.copy()
     return _select(a, goal, counter=counter)[0] * scale

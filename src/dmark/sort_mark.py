@@ -80,29 +80,32 @@ def _settle(
     fixed: float,
     check: bool = False,
     counter: OpCounter | None = None,
+    above: int = 0,
 ) -> tuple[float, int]:
     """Sort ``a[lo:hi]`` and cut it by the stop rule: the threshold and the count.
 
-    ``fixed`` is the float mass of ``a[hi:]``, every entry of which is at
-    least the range's largest, and ``v`` the residual goal.  While ``a[lo:]``
-    holds at most ``_EXACT_MAX`` entries the cut takes the ``j + 1`` largest
-    entries of the range for the first ``j`` whose correctly rounded sum
-    together with ``a[hi:]`` reaches ``goal``; ``math.fsum`` settles only
-    the prefixes within rounding of the goal, each probe in one pass over
-    the suffix ``a[hi - 1 - j:]``.  On a longer
+    ``fixed`` is the float mass of ``a[hi:]`` and of ``above`` entries left
+    out of ``a``, every entry of which is at least the range's largest, and
+    ``v`` the residual goal.  While ``a[lo:]`` and the ``above`` entries
+    hold at most ``_EXACT_MAX`` entries (never below the band of
+    ``quickmark._candidates``, which leaves out more), the cut takes the
+    ``j + 1`` largest entries of the range for the first ``j`` whose
+    correctly rounded sum together with ``a[hi:]`` reaches ``goal``;
+    ``math.fsum`` settles only the prefixes within rounding of the goal,
+    each probe in one pass over the suffix ``a[hi - 1 - j:]``.  On a longer
     suffix the float prefix sums of the range decide against ``v``.  Either
     cut takes the whole range when no prefix reaches the goal, so rounding
     that leaves the residual goal above the range mass cannot empty it.
-    Returns ``(a[k], a.size - k)`` at the cut's rank ``k``, with ``a[lo:hi]``
-    sorted ascending.  With ``check`` the exact cut is verified against the
-    rule.  A ``counter`` gets ``m * ceil(log2 m)`` for the sort of ``m``
-    entries plus the length of the cut.
+    Returns ``(a[k], a.size - k + above)`` at the cut's rank ``k``, with
+    ``a[lo:hi]`` sorted ascending.  With ``check`` the exact cut is verified
+    against the rule.  A ``counter`` gets ``m * ceil(log2 m)`` for the sort
+    of ``m`` entries plus the length of the cut.
     """
     seg = a[lo:hi]
     seg.sort()
     prefix = np.add.accumulate(seg[::-1])
     m = hi - lo
-    exact = a.size - lo <= _EXACT_MAX
+    exact = a.size - lo + above <= _EXACT_MAX
     if exact:
         if fixed:
             prefix += fixed
@@ -115,7 +118,7 @@ def _settle(
         counter.add(m * (m - 1).bit_length() + j + 1)
     if check and exact:
         _verify_base(a, lo, hi, k, goal)
-    return float(a[k]), int(a.size) - k
+    return float(a[k]), int(a.size) - k + above
 
 
 def _verify_base(a, lo, hi, k, goal) -> None:

@@ -28,8 +28,11 @@ from dmark.core import materialise
 from dmark.quickmark import (
     _M0,
     _MIN_N,
+    _SAMPLE,
+    _bracket,
     _candidates,
     _select,
+    _verify_band,
     _verify_candidates,
     _verify_cut,
     _verify_level,
@@ -397,6 +400,10 @@ class TestCheckInvariants:
             _verify_level(a, 1, 3, 6.0, 10.0, tol)
         with pytest.raises(AdmissibilityError, match="positive"):
             _verify_level(a, 1, 3, 0.0, 4.0, tol)
+        # with 2.0 fixed above ``a``, the residual of the goal 8 is 8 - 2 - 4
+        _verify_level(a, 1, 3, 2.0, 8.0, tol, 2.0)
+        with pytest.raises(AdmissibilityError, match="inconsistent"):
+            _verify_level(a, 1, 3, 2.0, 8.0, tol)
 
     def test_underflowing_goal_passes_the_checks(self):
         # 0.3 * 5e-324 rounds to a goal of 0, which the one-element set reaches
@@ -507,6 +514,173 @@ class TestCandidatePath:
         quickmark(iv, 0.5, counter=narrowed)
         assert took_candidates(iv, 0.5)
         assert narrowed.comparisons <= full.comparisons / 2
+
+
+def took_band(iv, theta):
+    cut = _candidates(iv._work, theta, theta * iv._sum)
+    return cut is not None and cut[4] > 0
+
+
+def mass_window_case():
+    """Entries above the sampled ``hi`` whose exact sum exceeds the goal by a hair.
+
+    Every 16th entry, the strided sample, is uniform and the rest are 0,
+    except 256 unsampled entries of one value, chosen so that the entries
+    above ``hi`` carry half of the total; ``theta`` is their share less
+    ``2**-42`` of it, so every minimal set lies above ``hi``.
+    """
+    n = 2**16
+    stride = -(-n // _SAMPLE)
+    x = np.zeros(n)
+    x[::stride] = np.random.default_rng(7).random(n // stride)
+    hi = _bracket(x, 0.5)[1]
+    above = x[x > hi]
+    x[1 : 256 * stride : stride] = (0.5 * math.fsum(x) - math.fsum(above)) / 128
+    return x, math.fsum(x[x > hi]) * (1.0 - 2.0**-42) / math.fsum(x)
+
+
+class TestBandPath:
+    """The kernel runs on the band ``(lo, hi]`` below the candidates that every minimal set holds."""
+
+    FAMILIES = TestCandidatePath.FAMILIES
+    # the thetas at which a family takes the band at every size: below them
+    # at most _EXACT_MAX entries of the tie-heavy and sparse families lie
+    # above hi, and the lognormal tail puts the sample's crossing rank
+    # within the widening of the top
+    BAND_THETAS = {
+        "uniform": (0.3, 0.5, 0.7),
+        "sorted": (0.3, 0.5, 0.7),
+        "reversed": (0.3, 0.5, 0.7),
+        "overflowing": (0.3, 0.5, 0.7),
+        "integers": (0.5, 0.7),
+        "ties": (0.7,),
+        "sparse": (0.7,),
+        "lognormal": (),
+    }
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_matches_full_kernel(self, kind):
+        # other draws than TestCandidatePath's, which share the fixture's seed
+        rng = np.random.default_rng(2121)
+        for n in (2**15, 2**16 + 3, 2**17 + 1, 2**18):
+            iv = IndicatorVector(family(rng, n, kind))
+            for theta in (0.3, 0.5, 0.7):
+                if theta in self.BAND_THETAS[kind]:
+                    assert took_band(iv, theta), (kind, n, theta)
+                out = quickmark(iv, theta)
+                marked, x_star, achieved = full_kernel(iv, theta)
+                assert np.array_equal(out.marked, marked), (kind, n, theta)
+                assert out.threshold == x_star
+                assert out.achieved_sum.hex() == achieved.hex()
+
+    @pytest.mark.parametrize("kind", ["uniform", "overflowing", "integers"])
+    def test_xstar_kernel_takes_the_same_band(self, rng, kind, monkeypatch):
+        module = importlib.import_module("dmark.quickmark")
+        starts = []
+
+        def select(a, goal, tol=None, counter=None, fixed=0.0, above=0):
+            starts.append((a.size, float(np.sum(a)), fixed, above))
+            return _select(a, goal, tol, counter, fixed, above)
+
+        monkeypatch.setattr(module, "_select", select)
+        iv = IndicatorVector(family(rng, 2**17, kind))
+        for theta in (0.5, 0.7):
+            assert took_band(iv, theta)
+            threshold = quickmark(iv, theta).threshold
+            assert xstar_kernel(iv.scratch_copy(), theta) == threshold
+            assert starts[-1] == starts[-2] and starts[-1][3] > 0
+
+    @pytest.mark.parametrize("kind", ["uniform", "sorted", "overflowing", "integers"])
+    def test_passes_the_checks(self, rng, kind, monkeypatch):
+        checked = []
+
+        def verify(band, outside, hi, goal):
+            checked.append(outside.size)
+            _verify_band(band, outside, hi, goal)
+
+        module = importlib.import_module("dmark.quickmark")
+        monkeypatch.setattr(module, "_verify_band", verify)
+        iv = IndicatorVector(family(rng, 2**15, kind))
+        for theta in (0.5, 0.7):
+            assert took_band(iv, theta)
+            out = quickmark(iv, theta, check_invariants=True)
+            assert np.array_equal(out.marked, full_kernel(iv, theta)[0])
+        assert len(checked) == 2 and min(checked) > _EXACT_MAX
+
+    def test_band_check_rejects_broken_sets(self):
+        band, outside = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
+        _verify_band(band, outside, 3.0, 12.0)  # admissible
+        with pytest.raises(AdmissibilityError, match="does not exceed"):
+            _verify_band(band, outside, 4.0, 12.0)
+        with pytest.raises(AdmissibilityError, match="above the band carry the goal"):
+            _verify_band(band, outside, 3.0, 9.0)
+        with pytest.raises(AdmissibilityError, match="do not carry the goal"):
+            _verify_band(band, outside, 3.0, 15.5)
+
+    def test_counts_the_split(self):
+        # the filter's N comparisons and m summands, the split's m
+        # comparisons and the band's summands, then the kernel on the band
+        iv = IndicatorVector(np.random.default_rng(12).random(2**17))
+        idx, cand, band, fixed, above = _candidates(iv._work, 0.5, 0.5 * iv._sum)
+        assert above > 0
+        kernel, total = OpCounter(), OpCounter()
+        _select(band, 0.5 * iv._sum, counter=kernel, fixed=fixed, above=above)
+        quickmark(iv, 0.5, counter=total)
+        assert total.comparisons - kernel.comparisons == iv.n + 2 * idx.size + band.size
+
+
+def declined(iv, theta):
+    """The candidate path is taken and the kernel starts on a copy of every candidate."""
+    cut = _candidates(iv._work, theta, theta * iv._sum)
+    assert cut is not None
+    idx, cand, band, fixed, above = cut
+    assert (fixed, above) == (0.0, 0) and np.array_equal(band, cand)
+    assert not np.shares_memory(band, cand)
+    out = quickmark(iv, theta, check_invariants=True)
+    marked, x_star, achieved = full_kernel(iv, theta)
+    assert np.array_equal(out.marked, marked) and out.threshold == x_star
+    assert out.achieved_sum.hex() == achieved.hex()
+    assert xstar_kernel(iv.scratch_copy(), theta) == x_star
+
+
+def test_band_declines_without_a_rank_above():
+    # the lognormal tail carries the sample's theta share within the
+    # widening of its top, so there is no upper bound
+    iv = IndicatorVector(np.random.default_rng(12).lognormal(0.0, 2.5, 2**15))
+    assert _bracket(iv._work, 0.3)[1] == math.inf
+    declined(iv, 0.3)
+
+
+@pytest.mark.parametrize(
+    "x,theta",
+    [
+        # hi is the largest value: nothing lies above it
+        (np.random.default_rng(13).integers(0, 6, 2**15).astype(np.float64), 0.3),
+        # a few hundred sparse entries lie above it
+        (np.where(np.random.default_rng(14).random(2**15) < 0.85, 0.0, 1.0)
+         * np.random.default_rng(15).random(2**15), 0.3),
+    ],
+    ids=["none-above", "few-above"],
+)
+def test_band_declines_with_few_entries_above(x, theta):
+    # the base case's exact cut would not see the mass above hi
+    iv = IndicatorVector(x)
+    hi = _bracket(iv._work, theta)[1]
+    assert hi < math.inf and np.count_nonzero(x > hi) <= _EXACT_MAX
+    declined(iv, theta)
+
+
+def test_band_declines_on_mass_within_rounding_of_the_goal():
+    x, theta = mass_window_case()
+    iv = IndicatorVector(x)
+    hi = _bracket(iv._work, theta)[1]
+    above = x[x > hi]
+    assert above.size > _EXACT_MAX
+    goal = theta * iv._sum
+    assert goal < math.fsum(above) <= goal * (1.0 + 1e-12)
+    declined(iv, theta)
+    # on the band, the kernel could not cut inside the entries above hi
+    assert quickmark(iv, theta).cardinality == above.size
 
 
 def fallback_cases():
