@@ -6,7 +6,8 @@ tail label for the rest.  Walking the bins in order, each in ascending
 index order, approximates a descending sort well enough that cutting the
 walk at the goal value yields a set of cardinality at most
 ``ceil(N_min / nu)``.  The cost is O(N + K): O(1) per entry, and the
-``K + 2`` powers of ``nu``.
+``K + 2`` powers of ``nu``; O(N log K) for ``nu`` within about ``1e-8``
+of 1 or below about ``1e-185`` (see :func:`_layout`).
 
 Bin boundaries are the exact powers of ``nu`` (repeated multiplication): a
 ratio equal to ``nu**k`` belongs to bin ``k``, one equal to ``nu**(k+1)``
@@ -98,13 +99,11 @@ def _too_deep(nu: float) -> ParameterError:
     )
 
 
-def bin_layout(
-    x: IndicatorInput, theta: float, nu: float, counter: OpCounter | None = None
-) -> BinLayout:
+def bin_layout(x: IndicatorInput, theta: float, nu: float) -> BinLayout:
     iv = as_indicators(x)
     check_theta(theta)
     check_nu(nu)
-    return _layout(iv, theta, nu, counter)
+    return _layout(iv, theta, nu, None)
 
 
 def _layout(
@@ -128,8 +127,9 @@ def _layout(
     ``5e14`` (``nu`` closer to 1 than ``1e-8`` at any depth under ten
     million): the powers then drift across whole bins.  ``tail`` falls
     below the normal doubles only for ``nu`` under about ``1e-185``.  In
-    either case the estimate only starts :func:`_walk` to the exact
-    boundaries.
+    either case no estimate is made: a binary search of the powers gives
+    each label from its definition, in ``ceil(log2(K + 3))`` comparisons
+    per entry, so these two regimes cost ``O(N log K)``.
     """
     powers = _powers(iv, theta, nu)
     depth = len(powers) - 2
@@ -138,16 +138,18 @@ def _layout(
     delta = 2.0 * (depth + 2) * EPS * (2 * _LOG_ULPS + 2 - inv_log_nu)
     dtype = np.min_scalar_type(depth + 1)
     tail = powers[-1] * math.sqrt(nu)
-    # one scratch array holds the ratio, its logarithm, the shifted estimate
-    # and its fraction in turn
-    est = values / m_max
-    np.maximum(est, max(tail, _TINY), out=est)
-    np.log(est, out=est)
-    est *= inv_log_nu
     if delta >= 0.25 or tail < _TINY:
-        np.minimum(est, depth + 1, out=est)
-        labels, settled = _walk(est.astype(dtype), values / m_max, powers)
+        # the negated powers ascend; the last one not above -r is the label
+        search = np.negative(powers).searchsorted(values / -m_max, side="right")
+        labels = (search - 1).astype(dtype)
+        compared = iv.n * (depth + 2).bit_length()
     else:
+        # one scratch array holds the ratio, its logarithm, the shifted
+        # estimate and its fraction in turn
+        est = values / m_max
+        np.maximum(est, tail, out=est)
+        np.log(est, out=est)
+        est *= inv_log_nu
         # shifted down by delta, an estimate near c has a fraction of at
         # least 1 - 2 * delta below c; truncation takes the floor, and gives
         # 0 to the estimates of ratios near 1, which fall just below 0
@@ -158,32 +160,11 @@ def _layout(
         if near.size:
             c = labels[near] + 1
             labels[near] = c - (values[near] / m_max > np.array(powers)[c])
-        settled = near.size
+        # an estimate and a near test per entry, and the settling comparisons
+        compared = 2 * iv.n + near.size
     if counter is not None:
-        # the depth steps, an estimate and a near test per entry, and the
-        # comparisons that settle the labels
-        counter.add(depth + 1 + 2 * iv.n + settled)
+        counter.add(depth + 1 + compared)
     return BinLayout(depth=depth, labels=labels)
-
-
-def _walk(labels: np.ndarray, ratios: np.ndarray, powers: list[float]) -> tuple[np.ndarray, int]:
-    """Move every label one bin per pass to the largest ``k`` with ``ratio <= powers[k]``.
-
-    Returns the labels and the comparisons made, two per entry and pass.
-    The passes number one more than the largest distance of a start label
-    from its bin.
-    """
-    bounds = np.array([*powers, -1.0])
-    k = labels.astype(np.intp)
-    compared = 0
-    while True:
-        down = ratios > bounds[k]
-        up = ratios <= bounds[k + 1]
-        compared += 2 * k.size
-        if not (down.any() or up.any()):
-            return k.astype(labels.dtype), compared
-        k += up
-        k -= down
 
 
 def binning_mark(

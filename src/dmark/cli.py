@@ -95,9 +95,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_RESOURCE
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -194,9 +194,7 @@ def check_indicators(arr: np.ndarray) -> float:
     return hi
 
 
-def _working(
-    arr: np.ndarray, in_place: bool = False
-) -> tuple[np.ndarray, float, float, float]:
+def _working(arr: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """The working entries of a valid indicator array, their pairwise sum
     and largest entry, and the scale that turns them back into ``arr``.
 
@@ -213,9 +211,9 @@ def _working(
     The working entries are ``arr`` at scale 1, or, when ``N * max``
     reaches ``_SUM_LIMIT``, a read-only ``arr / 2**s`` with ``s`` read off
     the exponents of ``N`` and ``max`` so that ``N * max / 2**s < 2**1022``:
-    no float sum of them, in any order, can overflow.  With ``in_place`` a
-    writeable ``arr``, a caller's scratch array, is scaled in place
-    instead, and stays writeable.
+    no float sum of them, in any order, can overflow.  A writeable ``arr``,
+    a caller's scratch array, is scaled in place instead, and stays
+    writeable.
     """
     if arr.ndim != 1 or not arr.size:
         check_indicators(arr)
@@ -227,7 +225,7 @@ def _working(
     scale = 1.0
     if arr.size * hi >= _SUM_LIMIT:
         scale = math.ldexp(1.0, arr.size.bit_length() + math.frexp(hi)[1] - 1022)
-        if in_place and arr.flags.writeable:
+        if arr.flags.writeable:
             arr *= 1.0 / scale
         else:
             arr = arr * (1.0 / scale)
@@ -307,10 +305,6 @@ class IndicatorVector:
 
     def max_value(self) -> float:
         return self._max * self._scale
-
-    def scratch_copy(self) -> np.ndarray:
-        """A mutable copy for destructive kernels; the vector itself stays intact."""
-        return self.values.copy()
 
     def __repr__(self) -> str:
         return f"IndicatorVector(n={self.n})"

@@ -25,6 +25,7 @@ from .core import (
     IndicatorInput,
     MarkingOutcome,
     OpCounter,
+    ParameterError,
     _exact_sum,
     _first_reaching,
     as_indicators,
@@ -32,7 +33,11 @@ from .core import (
     check_theta,
 )
 
-__all__ = ["DecrementState", "decrement_mark", "decrement_trace", "sweep_limit"]
+__all__ = ["DecrementState", "MAX_SWEEPS", "decrement_mark", "decrement_trace", "sweep_limit"]
+
+# the most sweeps run, ceil(1/nu) for nu = 2**-20; below nu of about 2**-53
+# the first thresholds (1 - k*nu) * max round to max and select nothing
+MAX_SWEEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,10 @@ def _decrement(x, theta, nu, counter) -> tuple[MarkingOutcome, int]:
     """Validate, run the sweeps and return the outcome and the sweeps used."""
     iv = as_indicators(x)
     check_theta(theta)
-    check_nu(nu)
-    selection, sweeps_used = _sweeps(
-        iv._work, theta * iv._sum, iv._max, nu, sweep_limit(nu), counter
-    )
+    sweeps = sweep_limit(nu)
+    if sweeps > MAX_SWEEPS:
+        raise ParameterError(f"nu = {nu!r} needs more than {MAX_SWEEPS} sweeps; choose a larger nu")
+    selection, sweeps_used = _sweeps(iv._work, theta * iv._sum, iv._max, nu, sweeps, counter)
     return MarkingOutcome.trusted(iv, selection), sweeps_used
 
 

@@ -15,6 +15,7 @@ from .core import (
     OpCounter,
     ParameterError,
     as_indicators,
+    check_nu,
     check_theta,
     mark_theta_one,
 )
@@ -50,6 +51,7 @@ def mark(
         )
     iv = as_indicators(x)
     check_theta(theta, allow_one=True)
+    check_nu(nu)
     if theta == 1.0:
         outcome = mark_theta_one(iv)
     elif algorithm == "sort":

@@ -356,7 +356,7 @@ def _verify_cut(iv, outcome, goal) -> None:
         )
 
 
-def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = None) -> float:
+def xstar_kernel(x_copy: np.ndarray, theta: float) -> float:
     """Threshold of the minimal marking, computed on a destructive scratch copy.
 
     ``x_copy`` must be a caller-owned scratch array.  The same value kernel
@@ -365,21 +365,20 @@ def xstar_kernel(x_copy: np.ndarray, theta: float, counter: OpCounter | None = N
     reorders ``x_copy`` itself in place (contiguous accesses, no
     permutation indirection), or a copy of it when it is read-only.  When
     its sums could overflow, a writeable ``x_copy`` is scaled in place to
-    the working entries of :class:`~dmark.core.IndicatorVector`.  A
-    ``counter`` counts the filter's, the split's and the kernel's element
-    operations.  Returns the smallest value contained in any minimal
-    marked set, in the units of ``x_copy``.  The threshold alone does not
-    fix the cut among ties in floating point; :func:`quickmark` returns the
-    index set that the kernel's cut decides.
+    the working entries of :class:`~dmark.core.IndicatorVector`.  Returns
+    the smallest value contained in any minimal marked set, in the units of
+    ``x_copy``.  The threshold alone does not fix the cut among ties in
+    floating point; :func:`quickmark` returns the index set that the
+    kernel's cut decides.
     """
     check_theta(theta)
-    a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64), in_place=True)
+    a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64))
     goal = theta * total
-    cut = _candidates(a, theta, goal, counter=counter)
+    cut = _candidates(a, theta, goal)
     if cut is not None:
         band, fixed, above = cut[2:]
         del cut
-        return _select(band, goal, counter=counter, fixed=fixed, above=above)[0] * scale
+        return _select(band, goal, fixed=fixed, above=above)[0] * scale
     if not a.flags.writeable:
         a = a.copy()
-    return _select(a, goal, counter=counter)[0] * scale
+    return _select(a, goal)[0] * scale

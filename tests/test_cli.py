@@ -114,6 +114,31 @@ class TestMark:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_bad_nu_exit_2(self, indicator_file, tmp_path, capsys, algorithm):
+        out = tmp_path / "m"
+        args = ["--input", str(indicator_file), "--output", str(out), "--theta", "0.5"]
+        code = main(["mark", *args, "--algorithm", algorithm, "--nu", "nan"])
+        assert code == 2
+        assert "nu must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decrement_sweep_cap_exit_2(self, tmp_path):
+        # a fresh process with a timeout, so that sweeps that do not end fail
+        # the test instead of hanging it
+        src, out = tmp_path / "a.txt", tmp_path / "o.txt"
+        src.write_text("1.0\n2.0\n3.0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmark.cli", "mark", "--input", str(src), "--output", str(out),
+             "--theta", "0.5", "--algorithm", "decrement", "--nu", "1e-300"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "sweeps; choose a larger nu" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["missing/m.txt", "."])
     def test_unwritable_output_exit_2(self, indicator_file, tmp_path, capsys, target):
         # a missing directory, or a directory, as --output is reported as an

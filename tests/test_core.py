@@ -98,12 +98,6 @@ class TestIndicatorVector:
         src[0] = 99.0
         assert iv.values[0] == 1.0
 
-    def test_scratch_copy_is_independent(self):
-        iv = IndicatorVector([1.0, 2.0])
-        scratch = iv.scratch_copy()
-        scratch[0] = 99.0
-        assert iv.values[0] == 1.0
-
 
 def read_only(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -224,6 +218,13 @@ class TestMarkingParams:
     def test_bad_nu(self, nu):
         with pytest.raises(ParameterError):
             check_nu(nu)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("nu", [math.nan, 0.0, 1.0])
+    def test_mark_checks_nu_for_every_algorithm(self, algorithm, theta, nu):
+        with pytest.raises(ParameterError, match="nu must lie in"):
+            mark([1.0, 2.0], theta, algorithm, nu=nu)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ParameterError) as info:

@@ -14,10 +14,11 @@ from dmark import (
     decrement_mark,
     decrement_trace,
     gen_counterexample,
+    mark,
     nmin_oracle,
     satisfies_doerfler,
 )
-from dmark.decrement import sweep_limit
+from dmark.decrement import MAX_SWEEPS, sweep_limit
 from test_quickmark import boundary_instance
 
 
@@ -139,6 +140,23 @@ def test_pinned_counts_on_witness():
 def test_parameter_validation(theta, nu):
     with pytest.raises(ParameterError):
         decrement_mark([1.0, 2.0], theta, nu)
+
+
+@pytest.mark.parametrize("nu", [1e-300, 2.0**-21])
+def test_sweep_cap_raises_before_the_first_sweep(nu):
+    # below about 2**-53 no threshold of the first sweeps falls below the
+    # largest entry, and ceil(1/nu) sweeps would not end
+    x = [1.0, 2.0, 3.0]
+    calls = [decrement_mark, decrement_trace, lambda *a: mark(*a[:2], "decrement", nu=a[2])]
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"more than {MAX_SWEEPS} sweeps"):
+            call(x, 0.5, nu)
+
+
+def test_sweep_cap_admits_its_own_count():
+    nu = 2.0**-20
+    assert sweep_limit(nu) == MAX_SWEEPS
+    assert decrement_trace([1.0, 2.0, 3.0], 0.5, nu).sweeps_used == 1
 
 
 def test_sweep_limit_matches_fraction(rng):

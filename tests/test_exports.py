@@ -1,11 +1,12 @@
-"""Every exported name resolves, every module imports first, and the public
-strategies' options are listed."""
+"""Every exported name resolves, every module imports first, the public
+strategies' options are listed, and every console script resolves."""
 
 import importlib
 import inspect
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,10 +52,10 @@ def test_module_imports_first(module_name):
 OPTIONS = {
     "mark": ["x", "theta", "algorithm", "nu", "counter"],
     "quickmark": ["x", "theta", "counter", "check_invariants"],
-    "xstar_kernel": ["x_copy", "theta", "counter"],
+    "xstar_kernel": ["x_copy", "theta"],
     "sort_mark": ["x", "theta", "counter"],
     "binning_mark": ["x", "theta", "nu", "counter"],
-    "bin_layout": ["x", "theta", "nu", "counter"],
+    "bin_layout": ["x", "theta", "nu"],
     "decrement_mark": ["x", "theta", "nu", "counter"],
     "decrement_trace": ["x", "theta", "nu"],
 }
@@ -63,3 +64,16 @@ OPTIONS = {
 @pytest.mark.parametrize("name", sorted(OPTIONS))
 def test_option_surface(name):
     assert list(inspect.signature(getattr(dmark, name)).parameters) == OPTIONS[name]
+
+
+def test_console_scripts_are_callable():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module_name, _, attr = target.partition(":")
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name

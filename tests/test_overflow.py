@@ -160,7 +160,7 @@ def test_reported_numbers_are_in_the_callers_units():
     iv = IndicatorVector(ROADMAP_EXAMPLE)
     assert iv.total() == math.inf and iv.max_value() == 1e308
     assert iv.values.tolist() == ROADMAP_EXAMPLE
-    assert iv.scratch_copy().tolist() == ROADMAP_EXAMPLE
+    assert iv.values.copy().tolist() == ROADMAP_EXAMPLE
     out = mark(ROADMAP_EXAMPLE, 0.3).outcome
     assert out.threshold == out.achieved_sum == 1e308
 

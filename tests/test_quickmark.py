@@ -117,7 +117,7 @@ class TestThresholdInvariance:
                     vals[0] = 0.5
             theta = float(rng.uniform(0.05, 0.95))
             iv = IndicatorVector(vals)
-            assert quickmark(iv, theta).threshold == xstar_kernel(iv.scratch_copy(), theta), trial
+            assert quickmark(iv, theta).threshold == xstar_kernel(iv.values.copy(), theta), trial
 
     def test_x_star_is_min_marked_value(self, rng):
         cases = []
@@ -183,7 +183,7 @@ class TestXStarKernel:
 
     def test_reorders_scratch_only(self):
         iv = IndicatorVector([4.0, 1.0, 2.0, 3.0])
-        scratch = iv.scratch_copy()
+        scratch = iv.values.copy()
         xstar_kernel(scratch, 0.5)
         assert np.array_equal(iv.values, [4.0, 1.0, 2.0, 3.0])
 
@@ -194,17 +194,6 @@ class TestXStarKernel:
                 vals[0] = 1.0
             theta = float(rng.uniform(0.05, 0.95))
             assert xstar_kernel(vals.copy(), theta) == quickmark(vals, theta).threshold
-
-    def test_counted_matches_fast(self, rng):
-        for _ in range(100):
-            vals = rng.random(int(rng.integers(1, 150)))
-            if not vals.any():
-                vals[0] = 1.0
-            counter = OpCounter()
-            counted = xstar_kernel(vals.copy(), 0.4, counter)
-            assert counted == xstar_kernel(vals.copy(), 0.4)
-            if len(vals) >= 2:
-                assert counter.comparisons > 0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -227,7 +216,7 @@ class TestXStarKernel:
             assert xstar_kernel(a, 0.5) == quickmark(a, 0.5).threshold
 
 
-class TestSetFromThreshold:
+class TestXStarSetIsMinimal:
     """The xstar set is minimal: its cut is the kernel's, not rebuilt from x_star."""
 
     def test_cardinality_matches_oracle(self, rng):
@@ -479,7 +468,7 @@ class TestCandidatePath:
                 assert np.array_equal(out.marked, marked), (kind, n, theta)
                 assert out.threshold == x_star
                 assert out.achieved_sum.hex() == achieved.hex()
-                assert xstar_kernel(iv.scratch_copy(), theta) == out.threshold
+                assert xstar_kernel(iv.values.copy(), theta) == out.threshold
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_passes_the_checks(self, rng, kind, monkeypatch):
@@ -587,7 +576,7 @@ class TestBandPath:
         for theta in (0.5, 0.7):
             assert took_band(iv, theta)
             threshold = quickmark(iv, theta).threshold
-            assert xstar_kernel(iv.scratch_copy(), theta) == threshold
+            assert xstar_kernel(iv.values.copy(), theta) == threshold
             assert starts[-1] == starts[-2] and starts[-1][3] > 0
 
     @pytest.mark.parametrize("kind", ["uniform", "sorted", "overflowing", "integers"])
@@ -640,7 +629,7 @@ def declined(iv, theta):
     marked, x_star, achieved = full_kernel(iv, theta)
     assert np.array_equal(out.marked, marked) and out.threshold == x_star
     assert out.achieved_sum.hex() == achieved.hex()
-    assert xstar_kernel(iv.scratch_copy(), theta) == x_star
+    assert xstar_kernel(iv.values.copy(), theta) == x_star
 
 
 def test_band_declines_without_a_rank_above():
@@ -710,4 +699,4 @@ def test_fallback_runs_the_full_kernel(name, x, theta):
     marked, x_star, achieved = full_kernel(iv, theta)
     assert np.array_equal(out.marked, marked) and out.threshold == x_star
     assert out.achieved_sum == achieved
-    assert xstar_kernel(iv.scratch_copy(), theta) == x_star
+    assert xstar_kernel(iv.values.copy(), theta) == x_star
