@@ -20,7 +20,7 @@ decide, and ``math.fsum`` settles the prefixes within rounding of the goal.
 ``sort_mark._EXACT_MAX`` entries.
 
 Every strategy returns a :class:`dmark.core.MarkingOutcome`, whose
-``threshold`` is set when the selection kernel decided the cut, and
+``threshold`` is the cut value of the minimal strategies, and
 :func:`dmark.markers.mark` runs any of them by name.  The package also has
 verification oracles (:mod:`dmark.oracle`), file formats (:mod:`dmark.io`)
 and a file-marking CLI (:mod:`dmark.cli`, command ``dmark``).

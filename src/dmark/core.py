@@ -29,7 +29,9 @@ is applied.
 
 from __future__ import annotations
 
+import bisect
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
@@ -43,6 +45,8 @@ _F64, _U64 = np.dtype(np.float64), np.dtype(np.uint64)
 # the bit pattern of inf, and a double's bits as an unsigned integer
 _INF_BITS = 0x7FF0000000000000
 _BITS, _DOUBLE = struct.Struct("=Q"), struct.Struct("=d")
+# the types of theta and nu: float first, which the ABC check is slow to admit
+_REAL = (float, numbers.Real)
 
 __all__ = [
     "EPS",
@@ -140,13 +144,9 @@ def _first_reaching(
             hi = int(prefix.searchsorted(above))
     if lo == pos > 0 and prefix[pos - 1] >= below and exact_sum(pos - 1) >= v:
         lo, hi = int(prefix.searchsorted(below)), pos - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exact_sum(mid) >= v:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    if lo < hi:
+        lo += bisect.bisect_left(range(lo, hi), True, key=lambda j: exact_sum(j) >= v)
+    return lo
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -160,14 +160,14 @@ def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
 
 
 def check_theta(theta: float, *, allow_one: bool = False) -> None:
-    hi_ok = theta <= 1.0 if allow_one else theta < 1.0
-    if not (0.0 < theta and hi_ok):
+    hi_ok = isinstance(theta, _REAL) and (theta <= 1.0 if allow_one else theta < 1.0)
+    if not (hi_ok and 0.0 < theta):
         bound = "(0, 1]" if allow_one else "(0, 1)"
         raise ParameterError(f"theta must lie in {bound}, got {theta!r}")
 
 
 def check_nu(nu: float) -> None:
-    if not (0.0 < nu < 1.0):
+    if not (isinstance(nu, _REAL) and 0.0 < nu < 1.0):
         raise ParameterError(f"nu must lie in (0, 1), got {nu!r}")
 
 
@@ -286,7 +286,12 @@ class IndicatorVector:
         if _adoptable(values):
             arr = values.view(np.ndarray)
         else:
-            owner = np.array(values, dtype=np.float64)
+            if getattr(values, "dtype", _F64).kind == "c":
+                raise InvalidIndicatorsError("indicators must be real, got a complex dtype")
+            try:
+                owner = np.array(values, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidIndicatorsError(f"indicators must be real numbers: {exc}") from None
             owner.setflags(write=False)
             # a view, whose flag cannot be turned back on
             arr = owner.view()
@@ -302,6 +307,10 @@ class IndicatorVector:
 
     def total(self) -> float:
         return self._sum * self._scale
+
+    def _goal(self, theta: float) -> float:
+        """The goal every strategy cuts against: ``theta`` times the working sum."""
+        return theta * self._sum
 
     def max_value(self) -> float:
         return self._max * self._scale
@@ -370,9 +379,9 @@ class MarkingOutcome:
     ``marked`` is a read-only int64 array, in selection order for
     ``decrement`` and ascending for every other strategy; the minimal ones
     take the lowest-index ties at their cut value through :func:`materialise`.
-    ``threshold`` is the smallest marked value when the selection kernel
-    (``quickmark``, ``xstar``) decided the cut, and ``None`` for every other
-    strategy.
+    ``threshold`` is the smallest marked value, the cut's ``x_star``, for
+    the minimal strategies (``quickmark``, ``xstar``, ``sort``), and ``None``
+    for ``binning``, ``decrement`` and ``theta == 1``.
     """
 
     marked: np.ndarray
@@ -413,10 +422,10 @@ def criterion_tolerance(x: IndicatorInput) -> float:
 
 
 def goal_value(x: IndicatorInput, theta: float) -> float:
-    """The goal value ``theta * sum(x)``, computed with pairwise summation."""
+    """The goal ``theta * sum(x)`` the strategies cut against, scaled back once."""
     iv = as_indicators(x)
     check_theta(theta, allow_one=True)
-    return theta * iv.total()
+    return iv._goal(theta) * iv._scale
 
 
 def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -> bool:
@@ -431,7 +440,7 @@ def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -
     # the mask collapses duplicates and sums in ascending index order
     mask = _index_mask(iv.n, index_array(marked))
     marked_sum = pairwise_sum(iv._work[mask])
-    return marked_sum >= theta * iv._sum - criterion_tolerance(iv) / iv._scale
+    return marked_sum >= iv._goal(theta) - criterion_tolerance(iv) / iv._scale
 
 
 def mark_theta_one(x: IndicatorInput) -> MarkingOutcome:

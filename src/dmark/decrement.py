@@ -78,7 +78,7 @@ def _decrement(x, theta, nu, counter) -> tuple[MarkingOutcome, int]:
     sweeps = sweep_limit(nu)
     if sweeps > MAX_SWEEPS:
         raise ParameterError(f"nu = {nu!r} needs more than {MAX_SWEEPS} sweeps; choose a larger nu")
-    selection, sweeps_used = _sweeps(iv._work, theta * iv._sum, iv._max, nu, sweeps, counter)
+    selection, sweeps_used = _sweeps(iv._work, iv._goal(theta), iv._max, nu, sweeps, counter)
     return MarkingOutcome.trusted(iv, selection), sweeps_used
 
 

@@ -66,7 +66,7 @@ def nmin_exhaustive(x: IndicatorInput, theta: float) -> int:
         raise InstanceTooLargeError(
             f"exhaustive search is capped at N={EXHAUSTIVE_MAX_N}, got N={iv.n}"
         )
-    v = theta * iv._sum
+    v = iv._goal(theta)
     sums = np.zeros(1, dtype=np.float64)
     sizes = np.zeros(1, dtype=np.int64)
     for xi in iv._work:

@@ -11,19 +11,16 @@ vector, :func:`dmark.sort_mark._settle`: sorted in place, the range is cut
 at the first of its descending prefixes whose correctly rounded sum,
 together with the mass fixed above the range, reaches the goal (the stop
 rule that every strategy shares, ``core._first_reaching``), clamped to the
-range.  The rule runs while the range and the mass above it hold at most
-``sort_mark._EXACT_MAX`` entries; below a longer suffix a ``math.fsum``
-pass over it would cost more than the whole kernel, so the range's float
-prefix sums decide against the residual goal instead, as every level above
-does.
-The kernel returns the threshold ``x_star`` and the cut ``count``, the
-cardinality of the marked set; one materialise step turns the two into the
-index set.  Each step halves the range, numpy's introselect partitions it
-in worst-case linear time and the base case sorts a constant number of
-entries, giving worst-case linear total cost; the returned set has minimal
-cardinality for every input whose sums do not sit within rounding of the
-goal, and on at most ``_M0`` entries it is the rule's cut, the set that
-``sort`` returns.
+range; below a suffix of more than ``sort_mark._EXACT_MAX`` entries the
+range's float prefix sums decide against the residual goal instead, as
+every level above does.  The kernel returns the threshold ``x_star`` and
+the cut ``count``, the cardinality of the marked set; one materialise step
+turns the two into the index set.  Each step halves the range, numpy's
+introselect partitions it in worst-case linear time and the base case
+sorts a constant number of entries, giving worst-case linear total cost;
+the returned set has minimal cardinality for every input whose sums do
+not sit within rounding of the goal, and on at most ``_M0`` entries it is
+the rule's cut, the set that ``sort`` returns.
 
 From ``_MIN_N`` entries on, a sampled bracket of ``x_star`` narrows the
 kernel (Floyd & Rivest's sampled selection, applied to the mass-weighted
@@ -41,19 +38,18 @@ Then ``x_star > lo`` and every tie at ``x_star`` is a candidate.
 A second pass over the candidates splits off the band ``(lo, hi]``.  When
 more than ``_EXACT_MAX`` candidates lie above ``hi`` and their float mass,
 the candidate sum less the band sum, misses the goal by the rounding bound
-``2 * (m + 1) * eps`` of the candidate sum, every minimal set holds them,
-and the kernel runs on a copy of the band alone: it starts from the float
-residual ``goal - fixed`` with the mass ``fixed`` above the band, and adds
-their count to its cut.  Otherwise, when the rank above is not positive
-(``hi`` is ``inf``), when the count above would let the base case's exact
-cut miss their mass, or when their mass lies within rounding of the goal,
-the kernel runs on a copy of every candidate.  Either way the candidates
-stay intact and in index order, so one comparison with ``x_star`` gives
-the materialise step the marked candidates: no scratch copy of every entry
-and no full-length threshold pass.  On a smaller input, a subnormal goal,
-``lo <= 0`` and candidates that miss the goal, the kernel runs on a
-scratch copy of every entry as before; that fallback costs one extra pass
-and the sort of the sample at most, so the worst case stays linear.
+``2 * (m + 1) * eps`` of the candidate sum, every minimal set holds them:
+the kernel runs on a copy of the band alone, from the float residual
+``goal - fixed`` with the mass ``fixed`` above the band, and adds their
+count to its cut.  Otherwise (no rank above, so ``hi`` is ``inf``; too few
+above for the base case's exact cut to see their mass; or their mass
+within rounding of the goal) it runs on a copy of every candidate.  The
+candidates stay intact and in index order, so one comparison with
+``x_star`` gives the materialise step the marked candidates.  On a smaller
+input, a subnormal goal, ``lo <= 0`` and candidates that miss the goal,
+the kernel runs on every entry, at the cost of one extra pass and the sort
+of the sample at most.  :func:`_candidates` chooses this start once, and
+:func:`quickmark` and :func:`xstar_kernel` run the kernel from it.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel, the elements each level partitions plus the elements it sums,
@@ -108,20 +104,18 @@ def quickmark(
 ) -> MarkingOutcome:
     """Minimal-cardinality marking by median-partition recursion.
 
-    The value kernel runs on the band or the candidates of a sampled
-    bracket of ``x_star``, or on a scratch copy of every entry when the
-    lower bound does not hold (see the module docstring), and one
-    materialise step builds the set; the outcome's ``threshold`` is the
-    kernel's ``x_star``, and a ``counter`` counts the filter's, the
-    split's and the kernel's element operations.  ``check_invariants``
-    re-verifies the range ordering, goal consistency (the mass fixed above
-    the band included) and goal reachability at every level, the base
-    case's cut against the stop rule, the dominance and removal-minimality
-    of the final set, that the candidates hold every entry above their
-    bound and carry the goal exactly, and that the candidates left out of
-    the band exceed its bound and fall short of the goal (debug mode;
-    raises :class:`AdmissibilityError` on any violation, which would
-    indicate a bug).
+    The value kernel runs from the start :func:`_candidates` chooses (see
+    the module docstring), and one materialise step builds the set; the
+    outcome's ``threshold`` is the kernel's ``x_star``, and a ``counter``
+    counts the filter's, the split's and the kernel's element operations.
+    ``check_invariants`` re-verifies the range ordering, goal consistency
+    (the mass fixed above the band included) and goal reachability at every
+    level, the base case's cut against the stop rule, the dominance and
+    removal-minimality of the final set, that the candidates hold every
+    entry above their bound and carry the goal exactly, and that the
+    candidates left out of the band exceed its bound and fall short of the
+    goal (debug mode; raises :class:`AdmissibilityError` on any violation,
+    which would indicate a bug).
     """
     iv = as_indicators(x)
     check_theta(theta)
@@ -138,22 +132,16 @@ def _quickmark(
     """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``;
     ``tol`` is in the units of the working entries, which the kernel cuts."""
     values = iv._work
-    goal = theta * iv._sum
-    cut = _candidates(values, theta, goal, tol, counter)
-    if cut is None:
-        x_star, count = _select(values.copy(), goal, tol, counter)
-        marked = materialise(values, x_star, count)
-    else:
-        idx, cand, band, fixed, above = cut
-        del cut
-        x_star, count = _select(band, goal, tol, counter, fixed, above)
-        # the candidates are intact and in index order; the kernel's buffer
-        # and then the candidates are released before the marked indices
-        # are allocated
-        del band
-        at_least = cand >= x_star
-        del cand
-        marked = materialise(values, x_star, count, idx.compress(at_least))
+    goal = iv._goal(theta)
+    idx, cand, band, fixed, above = _candidates(values, theta, goal, tol, counter)
+    x_star, count = _select(band, goal, tol, counter, fixed, above)
+    # the kernel's buffer, the candidates and their mask go before the next allocation
+    del band
+    at_least = cand >= x_star
+    del cand
+    marked = _compress(at_least, idx)
+    del at_least, idx
+    marked = materialise(values, x_star, count, marked)
     outcome = MarkingOutcome.trusted(iv, marked, x_star)
     if tol is not None:
         _verify_cut(iv, outcome, goal)
@@ -166,42 +154,34 @@ def _candidates(
     goal: float,
     tol: float | None = None,
     counter: OpCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int] | None:
-    """The entries above a sampled lower bound of ``x_star``, and the kernel's start.
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float, int]:
+    """The kernel's start, chosen once for :func:`_quickmark` and :func:`xstar_kernel`.
 
     Returns ``(idx, cand, band, fixed, above)``: the ascending indices of
-    the candidates, a fresh array of their values in that order, and the
-    kernel's start, a fresh array ``band`` with the float mass ``fixed`` and
-    the count ``above`` of the candidates left out of it.  Returns ``None``
-    when the kernel must run on every entry: ``N`` below ``_MIN_N``, a
-    subnormal goal, a lower bound that is not positive, or candidates whose
-    float sum does not clear the goal by the rounding bound
-    ``2 * (m + 1) * eps`` of ``m`` summands (the bound of
-    ``core._first_reaching``).
+    the candidates, the entries above the bound ``lo`` of :func:`_bracket`,
+    a fresh array of their values in that order, and the array ``band`` the
+    kernel starts on, below ``above`` candidates of float mass ``fixed``
+    that every minimal set holds.  ``band`` holds the candidates at most
+    ``hi``, or, when the band is declined (see the module docstring), it is
+    a copy of every candidate with ``fixed = 0`` and ``above = 0``.  Without
+    candidates (``N`` below ``_MIN_N``, a subnormal goal, no positive
+    ``lo``, or candidates whose float sum does not clear the goal by the
+    rounding bound ``2 * (m + 1) * eps`` of ``core._first_reaching``) the
+    start is every entry: ``idx`` is ``None``, ``cand`` is ``values``, and
+    ``band`` is ``values`` itself when it is writeable, as a caller's
+    scratch array is, and a copy of it otherwise.
 
-    The bracket ``(lo, hi)`` comes from :func:`_bracket`, and ``band``
-    holds the candidates at most ``hi``.  Every minimal set holds the
-    ``above`` candidates over ``hi`` when their exact sum falls short of the
-    goal, so the kernel starts on the band with the float residual goal
-    ``goal - fixed``, where ``fixed`` is the candidate sum less the band
-    sum.  The band is declined, and ``band`` is a copy of the candidates
-    with ``fixed = 0`` and ``above = 0``, when ``hi`` is ``inf``, when at
-    most ``_EXACT_MAX`` candidates lie above ``hi`` (the base case's exact
-    cut would not see their mass), or when ``fixed`` comes within
-    ``2 * (m + 1) * eps`` times the candidate sum of the goal, the rounding
-    bound of the two sums and their difference.  With ``tol`` the
-    candidates are checked to hold every entry above ``lo`` and to carry the
-    goal exactly, and a band to leave out only entries above ``hi`` whose
-    exact sum misses the goal.  A ``counter`` gets the ``N`` comparisons of
-    the filter and the ``m`` summands, and, when the band is split off, the
-    ``m`` comparisons of the split and the band's summands.
+    With ``tol`` the candidates are checked to hold every entry above ``lo``
+    and to carry the goal exactly, and a band to leave out only entries
+    above ``hi`` whose exact sum misses the goal.  A ``counter`` gets the
+    ``N`` comparisons of the filter and the ``m`` summands, and, when the
+    band is split off, the ``m`` comparisons of the split and the band's
+    summands.
     """
     n = int(values.size)
-    if n < _MIN_N or goal < _TINY:
-        return None
-    bounds = _bracket(values, theta)
+    bounds = _bracket(values, theta) if n >= _MIN_N and goal >= _TINY else None
     if bounds is None:
-        return None
+        return _every(values)
     lo, hi = bounds
     idx = (values > lo).nonzero()[0]
     cand = values.take(idx)
@@ -210,7 +190,8 @@ def _candidates(
     if counter is not None:
         counter.add(n + m)
     if not total >= goal * (1.0 + 2.0 * (m + 1) * EPS):
-        return None
+        del idx, cand  # released before the copy of every entry
+        return _every(values)
     if tol is not None:
         _verify_candidates(values, lo, idx, goal)
     if hi < math.inf:
@@ -226,6 +207,16 @@ def _candidates(
                 _verify_band(band, cand[~in_band], hi, goal)
             return idx, cand, band, fixed, above
     return idx, cand, cand.copy(), 0.0, 0
+
+
+def _every(values: np.ndarray) -> tuple[None, np.ndarray, np.ndarray, float, int]:
+    """The start on every entry: ``values`` itself when writeable, else a copy."""
+    return None, values, values if values.flags.writeable else values.copy(), 0.0, 0
+
+
+def _compress(at_least: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """The entries of ``idx``, or of ``range(N)`` when it is ``None``, where ``at_least`` holds."""
+    return at_least.nonzero()[0] if idx is None else idx.compress(at_least)
 
 
 def _bracket(values: np.ndarray, theta: float) -> tuple[float, float] | None:
@@ -359,26 +350,20 @@ def _verify_cut(iv, outcome, goal) -> None:
 def xstar_kernel(x_copy: np.ndarray, theta: float) -> float:
     """Threshold of the minimal marking, computed on a destructive scratch copy.
 
-    ``x_copy`` must be a caller-owned scratch array.  The same value kernel
-    that :func:`quickmark` runs on the band or the candidates of a sampled
-    bracket of the threshold, or, when the lower bound does not hold,
-    reorders ``x_copy`` itself in place (contiguous accesses, no
-    permutation indirection), or a copy of it when it is read-only.  When
-    its sums could overflow, a writeable ``x_copy`` is scaled in place to
-    the working entries of :class:`~dmark.core.IndicatorVector`.  Returns
-    the smallest value contained in any minimal marked set, in the units of
-    ``x_copy``.  The threshold alone does not fix the cut among ties in
-    floating point; :func:`quickmark` returns the index set that the
-    kernel's cut decides.
+    ``x_copy`` must be a caller-owned scratch array.  The value kernel of
+    :func:`quickmark` runs from the same start, :func:`_candidates`: the
+    band or the candidates of a sampled bracket, or else ``x_copy`` itself,
+    reordered in place (contiguous accesses, no permutation indirection),
+    or a copy of it when it is read-only.  When its sums could overflow, a
+    writeable ``x_copy`` is scaled in place to the working entries of
+    :class:`~dmark.core.IndicatorVector`.  Returns the smallest value
+    contained in any minimal marked set, in the units of ``x_copy``; it
+    alone does not fix the cut among ties in floating point, which
+    :func:`quickmark` decides.
     """
     check_theta(theta)
     a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64))
     goal = theta * total
-    cut = _candidates(a, theta, goal)
-    if cut is not None:
-        band, fixed, above = cut[2:]
-        del cut
-        return _select(band, goal, fixed=fixed, above=above)[0] * scale
-    if not a.flags.writeable:
-        a = a.copy()
-    return _select(a, goal)[0] * scale
+    # only the kernel's start is kept: the candidates are released before it runs
+    band, fixed, above = _candidates(a, theta, goal)[2:]
+    return _select(band, goal, fixed=fixed, above=above)[0] * scale

@@ -57,18 +57,19 @@ def sort_mark(
     """Mark a minimal-cardinality set via sorting.
 
     Returns the shortest descending prefix that reaches the goal, cut by
-    :func:`_settle` over the whole vector.  With a ``counter`` the
-    interpreter's comparison sort runs as well, and its comparisons and the
-    length of the cut are counted; the set is the same as without one.
+    :func:`_settle` over the whole vector, with the cut's value as the
+    outcome's ``threshold``.  With a ``counter`` the interpreter's
+    comparison sort runs as well, counting its comparisons and the length
+    of the cut; the set is the same as without one.
     """
     iv = as_indicators(x)
     check_theta(theta)
-    goal = theta * iv._sum
+    goal = iv._goal(theta)
     x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal, 0.0)
     if counter is not None:
         _counted_sort_desc(iv.values.tolist(), counter)
         counter.add(count)
-    return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count))
+    return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
 
 
 def _settle(

@@ -9,10 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmark import cli, mark
+import dmark
+from dmark import cli, goal_value, mark
 from dmark.cli import main
 from dmark.io import _VECTOR_MIN, write_indicators
 from dmark.markers import ALGORITHM_NAMES
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports the package these tests import,
+    however the test run found it (``PYTHONPATH`` or pytest's ``pythonpath``)."""
+    src = str(Path(dmark.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -134,6 +142,7 @@ class TestMark:
             capture_output=True,
             text=True,
             timeout=30,
+            env=child_env(),
         )
         assert proc.returncode == 2, proc.stderr
         assert "sweeps; choose a larger nu" in proc.stderr
@@ -229,7 +238,7 @@ class TestMark:
         "algorithm,lines",
         [
             ("quickmark", ["cardinality=2", "achieved_sum=1.0", "x_star=0.3"]),
-            ("sort", ["cardinality=2", "achieved_sum=1.0"]),
+            ("sort", ["cardinality=2", "achieved_sum=1.0", "x_star=0.3"]),
             ("binning", ["cardinality=2", "achieved_sum=0.8999999999999999"]),
             ("decrement", ["cardinality=3", "achieved_sum=1.0"]),
         ],
@@ -252,6 +261,18 @@ class TestMark:
             f"output={out}",
         ]
         assert capsys.readouterr().out.splitlines() == expected
+
+    def test_goal_value_is_finite_where_the_sum_overflows(self, tmp_path, capsys):
+        # the goal the strategies cut against, though the sum passes the largest double
+        src = tmp_path / "ind.txt"
+        src.write_text("1e308\n1e308\n1e307\n")
+        code = main(["mark", "--input", str(src), "--theta", "0.3", "--output", str(tmp_path / "m")])
+        assert code == 0
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        goal = float(report["goal_value"])
+        assert np.isfinite(goal) and goal == pytest.approx(6.3e307)
+        assert goal == goal_value([1e308, 1e308, 1e307], 0.3)
+        assert report["cardinality"] == "1"
 
     def test_goal_value_is_theta_times_numpy_sum(self, tmp_path, capsys, rng):
         x = rng.lognormal(0.0, 2.5, 10**4)
@@ -308,6 +329,7 @@ def test_mark_in_a_fresh_process(tmp_path):
          "--theta", "0.5"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == b"0\n3\n"
@@ -319,6 +341,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "dmark.cli", "--version"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "dmark" in proc.stdout

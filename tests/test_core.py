@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ class TestIndicatorVector:
         # validation reads only the extremes; NaN makes both of them NaN
         with pytest.raises(InvalidIndicatorsError, match=reason):
             IndicatorVector(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([1.0, "a"], dtype=object),
+            b"\x00\x00",
+            {1: 2},
+            [1.0, "a"],
+            np.array([1.0 + 2.0j, 2.0]),
+            np.array([1.0 + 0.0j, 2.0]),
+        ],
+        ids=["object-str", "bytes", "dict", "list-str", "complex", "complex-real-valued"],
+    )
+    def test_non_numeric_input_raises_invalid_indicators(self, bad):
+        # a complex array is rejected before a cast that would drop its imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (IndicatorVector, lambda x: mark(x, 0.5)):
+                with pytest.raises(InvalidIndicatorsError):
+                    call(bad)
 
     def test_total_is_summed_once(self, monkeypatch, rng):
         # the bin depth and the goal both read the total of one vector
@@ -219,6 +240,22 @@ class TestMarkingParams:
         with pytest.raises(ParameterError):
             check_nu(nu)
 
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5 + 0j, np.complex128(0.5), [0.5]])
+    def test_non_real_parameters_raise_parameter_error(self, value):
+        with pytest.raises(ParameterError, match="theta must lie in"):
+            mark([1.0, 2.0], value)
+        with pytest.raises(ParameterError, match="theta must lie in"):
+            check_theta(value, allow_one=True)
+        with pytest.raises(ParameterError, match="nu must lie in"):
+            mark([1.0, 2.0], 0.5, "binning", nu=value)
+
+    @pytest.mark.parametrize("theta", [np.float64(0.5), np.float32(0.5), Fraction(1, 2)])
+    def test_real_parameters_of_other_types_pass(self, theta):
+        check_theta(theta)
+        check_nu(theta)
+        check_theta(np.int64(1), allow_one=True)
+        assert mark([1.0, 2.0], np.float64(0.5), "binning", nu=theta).outcome.marked.tolist() == [1]
+
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("nu", [math.nan, 0.0, 1.0])
@@ -342,7 +379,8 @@ class TestMarkingOutcome:
     def test_threshold_set_by_the_kernel_only(self, algorithm, theta):
         run = mark([4.0, 1.0, 2.0, 3.0, 2.0], theta, algorithm)
         assert isinstance(run.outcome, MarkingOutcome)
-        kernel = algorithm in ("quickmark", "xstar") and theta < 1.0
+        # sort's cut is the kernel's base case over the whole vector
+        kernel = algorithm in ("quickmark", "xstar", "sort") and theta < 1.0
         assert run.outcome.threshold == (3.0 if kernel else None)
 
     def test_from_marked_array_input(self):

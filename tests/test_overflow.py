@@ -16,7 +16,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dmark import ALGORITHM_NAMES, IndicatorVector, mark, nmin_exhaustive, xstar_kernel
+from dmark import (
+    ALGORITHM_NAMES,
+    IndicatorVector,
+    goal_value,
+    is_valid_minimal_set,
+    mark,
+    nmin_exhaustive,
+    sort_mark,
+    xstar_kernel,
+)
 from dmark.quickmark import _candidates
 
 SUM_LIMIT = float(np.finfo(np.float64).max) / 2
@@ -136,7 +145,7 @@ def test_large_case_takes_the_candidate_path():
     x, theta = candidate_case()
     iv = IndicatorVector(x)
     assert iv.total() == math.inf
-    assert _candidates(iv._work, theta, theta * iv._sum) is not None
+    assert _candidates(iv._work, theta, iv._goal(theta))[0] is not None
 
 
 def test_xstar_kernel_scales_a_scratch_array_in_place():
@@ -163,6 +172,24 @@ def test_reported_numbers_are_in_the_callers_units():
     assert iv.values.copy().tolist() == ROADMAP_EXAMPLE
     out = mark(ROADMAP_EXAMPLE, 0.3).outcome
     assert out.threshold == out.achieved_sum == 1e308
+
+
+def test_goal_value_is_the_goal_the_strategies_cut_against():
+    # theta times the working sum, scaled back once: finite, though total() is inf
+    goal = goal_value(ROADMAP_EXAMPLE, 0.3)
+    iv = IndicatorVector(ROADMAP_EXAMPLE)
+    assert iv.total() == math.inf
+    assert math.isfinite(goal) and goal == pytest.approx(6.3e307)
+    assert goal == iv._goal(0.3) * iv._scale
+    assert is_valid_minimal_set(ROADMAP_EXAMPLE, [0], goal)
+    assert not is_valid_minimal_set(ROADMAP_EXAMPLE, [0, 1], goal)
+    assert mark(ROADMAP_EXAMPLE, 0.3).outcome.achieved_sum >= goal
+
+
+@pytest.mark.parametrize("x,theta", CASES)
+def test_sort_threshold_is_the_smallest_marked_value(x, theta):
+    out = sort_mark(x, theta)
+    assert out.threshold == float(np.asarray(x)[out.marked].min())
 
 
 def test_read_only_input_is_still_adopted():

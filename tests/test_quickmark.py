@@ -430,7 +430,7 @@ class TestCheckInvariants:
 
 def full_kernel(iv, theta, counter=None):
     """The kernel on a copy of every working entry, then the materialise step."""
-    x_star, count = _select(iv._work.copy(), theta * iv._sum, counter=counter)
+    x_star, count = _select(iv._work.copy(), iv._goal(theta), counter=counter)
     out = MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
     return out.marked, out.threshold, out.achieved_sum
 
@@ -447,7 +447,7 @@ def family(rng, n, kind):
 
 
 def took_candidates(iv, theta):
-    return _candidates(iv._work, theta, theta * iv._sum) is not None
+    return _candidates(iv._work, theta, iv._goal(theta))[0] is not None
 
 
 class TestCandidatePath:
@@ -506,8 +506,7 @@ class TestCandidatePath:
 
 
 def took_band(iv, theta):
-    cut = _candidates(iv._work, theta, theta * iv._sum)
-    return cut is not None and cut[4] > 0
+    return _candidates(iv._work, theta, iv._goal(theta))[4] > 0
 
 
 def mass_window_case():
@@ -610,19 +609,18 @@ class TestBandPath:
         # the filter's N comparisons and m summands, the split's m
         # comparisons and the band's summands, then the kernel on the band
         iv = IndicatorVector(np.random.default_rng(12).random(2**17))
-        idx, cand, band, fixed, above = _candidates(iv._work, 0.5, 0.5 * iv._sum)
+        idx, cand, band, fixed, above = _candidates(iv._work, 0.5, iv._goal(0.5))
         assert above > 0
         kernel, total = OpCounter(), OpCounter()
-        _select(band, 0.5 * iv._sum, counter=kernel, fixed=fixed, above=above)
+        _select(band, iv._goal(0.5), counter=kernel, fixed=fixed, above=above)
         quickmark(iv, 0.5, counter=total)
         assert total.comparisons - kernel.comparisons == iv.n + 2 * idx.size + band.size
 
 
 def declined(iv, theta):
     """The candidate path is taken and the kernel starts on a copy of every candidate."""
-    cut = _candidates(iv._work, theta, theta * iv._sum)
-    assert cut is not None
-    idx, cand, band, fixed, above = cut
+    idx, cand, band, fixed, above = _candidates(iv._work, theta, iv._goal(theta))
+    assert idx is not None
     assert (fixed, above) == (0.0, 0) and np.array_equal(band, cand)
     assert not np.shares_memory(band, cand)
     out = quickmark(iv, theta, check_invariants=True)
@@ -665,7 +663,7 @@ def test_band_declines_on_mass_within_rounding_of_the_goal():
     hi = _bracket(iv._work, theta)[1]
     above = x[x > hi]
     assert above.size > _EXACT_MAX
-    goal = theta * iv._sum
+    goal = iv._goal(theta)
     assert goal < math.fsum(above) <= goal * (1.0 + 1e-12)
     declined(iv, theta)
     # on the band, the kernel could not cut inside the entries above hi
@@ -689,6 +687,20 @@ def fallback_cases():
         ("subnormal goal", 5e-324 * (1.0 + i % 1000), 0.3),
         ("goal 0", np.where(i == 7, 5e-324, 0.0), 0.3),
     ]
+
+
+@pytest.mark.parametrize("n", [100, 2**16])
+def test_every_entry_start_is_the_scratch_array_or_a_copy(n):
+    # below _MIN_N, and from it on where the widened rank passes the sample
+    x = np.random.default_rng(8).random(n)
+    theta = 0.999
+    idx, cand, band, fixed, above = _candidates(x, theta, theta * float(np.sum(x)))
+    assert idx is None and cand is x and band is x and (fixed, above) == (0.0, 0)
+    x.setflags(write=False)
+    idx, cand, band, fixed, above = _candidates(x, theta, theta * float(np.sum(x)))
+    assert idx is None and cand is x and (fixed, above) == (0.0, 0)
+    assert band.flags.writeable and not np.shares_memory(band, x)
+    assert np.array_equal(band, x)
 
 
 @pytest.mark.parametrize("name,x,theta", fallback_cases())

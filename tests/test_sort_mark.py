@@ -42,6 +42,23 @@ def test_single_dominant_entry():
     assert set(out.marked.tolist()) == {0}
 
 
+def test_threshold_is_the_smallest_marked_value(rng):
+    # the cut's value: on tie-heavy boundary inputs, on both sides of
+    # _EXACT_MAX, and through a counter, which changes no outcome; up to
+    # _M0 entries quickmark runs the same cut
+    for n in (1, 2, 7, 40, _M0, 300, 3000):
+        for _ in range(20):
+            x, theta = boundary_instance(rng, n)
+            if theta >= 1.0:
+                continue
+            out = sort_mark(x, theta)
+            assert out.threshold == float(x[out.marked].min()), (n, theta)
+            if n <= _M0:
+                assert out.threshold == quickmark(x, theta).threshold
+    counted = sort_mark([4.0, 1.0, 2.0, 3.0, 2.0], 0.5, OpCounter())
+    assert counted.threshold == 3.0
+
+
 def test_theta_one_rejected():
     with pytest.raises(ParameterError):
         sort_mark([1.0, 2.0], 1.0)
