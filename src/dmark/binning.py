@@ -19,7 +19,6 @@ of the exact boundaries.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -67,17 +66,16 @@ class BinLayout:
     labels: np.ndarray
 
 
-def _powers(iv: IndicatorVector, theta: float, nu: float) -> np.ndarray:
+def _powers(iv: IndicatorVector, theta: float, nu: float) -> list[float]:
     """The bin boundaries ``nu**k`` for ``k = 0, ..., K + 1``, by repeated multiplication.
 
-    ``K`` is predicted first: ``nu**k * max`` falls to the bound by
-    ``k = log(bound / max) / log(nu)``, or, when the bound underflowed to 0,
-    to half the smallest subnormal, where it rounds to 0; a prediction above
-    :data:`MAX_DEPTH` raises :class:`ParameterError`.  Rounded powers fall
-    at most twice as slowly as ``nu**k``, so one ``np.multiply.accumulate``
-    builds twice the predicted number, at most the cap, and a binary search
-    finds ``K + 1``, the first index past 0 whose multiple of ``max`` falls
-    to the bound.  A table the bound misses, or a deeper one, raises too.
+    ``K`` is predicted before the loop: ``nu**k * max`` falls to the bound
+    by ``k = log(bound / max) / log(nu)``, or, when the bound underflowed to
+    0, to half the smallest subnormal, where it rounds to 0.  A prediction
+    above :data:`MAX_DEPTH` raises :class:`ParameterError`.  Each rounded
+    power lies within half an ulp of ``nu`` times the one before, so for
+    ``nu`` within a few ulps of 1 the powers may fall up to twice as slowly
+    as ``nu**k``; a depth that then ends above the cap raises as well.
     """
     bound = (1.0 - theta) * iv._sum / iv.n
     m_max = iv._max
@@ -87,15 +85,12 @@ def _powers(iv: IndicatorVector, theta: float, nu: float) -> np.ndarray:
         log_ratio = _LOG_HALF_SUBNORMAL - math.log(m_max)
     if log_ratio < MAX_DEPTH * math.log(nu):
         raise _too_deep(nu)
-    size = min(2 * max(int(log_ratio / math.log(nu)), 0) + 4, MAX_DEPTH + 3)
-    powers = np.empty(size)
-    powers.fill(nu)
-    powers[0] = 1.0
-    powers = np.multiply.accumulate(powers)
-    stop = bisect.bisect_left(powers, True, 1, key=lambda p: float(p) * m_max <= bound)
-    if stop > MAX_DEPTH + 1 or stop == size:
+    powers = [1.0, nu]
+    while powers[-1] * m_max > bound:
+        powers.append(powers[-1] * nu)
+    if len(powers) > MAX_DEPTH + 2:
         raise _too_deep(nu)
-    return powers[: stop + 1]
+    return powers
 
 
 def _too_deep(nu: float) -> ParameterError:
@@ -106,8 +101,8 @@ def _too_deep(nu: float) -> ParameterError:
 
 def bin_layout(x: IndicatorInput, theta: float, nu: float) -> BinLayout:
     iv = as_indicators(x)
-    check_theta(theta)
-    check_nu(nu)
+    theta = check_theta(theta)
+    nu = check_nu(nu)
     return _layout(iv, theta, nu, None)
 
 
@@ -142,10 +137,10 @@ def _layout(
     inv_log_nu = 1.0 / math.log(nu)
     delta = 2.0 * (depth + 2) * EPS * (2 * _LOG_ULPS + 2 - inv_log_nu)
     dtype = np.min_scalar_type(depth + 1)
-    tail = float(powers[-1]) * math.sqrt(nu)
+    tail = powers[-1] * math.sqrt(nu)
     if delta >= 0.25 or tail < _TINY:
         # the negated powers ascend; the last one not above -r is the label
-        search = (-powers).searchsorted(values / -m_max, side="right")
+        search = np.negative(powers).searchsorted(values / -m_max, side="right")
         labels = (search - 1).astype(dtype)
         compared = iv.n * (depth + 2).bit_length()
     else:
@@ -164,7 +159,7 @@ def _layout(
         near = (est >= 1.0 - 2.0 * delta).nonzero()[0]
         if near.size:
             c = labels[near] + 1
-            labels[near] = c - (values[near] / m_max > powers[c])
+            labels[near] = c - (values[near] / m_max > np.array(powers)[c])
         # an estimate and a near test per entry, and the settling comparisons
         compared = 2 * iv.n + near.size
     if counter is not None:
@@ -184,8 +179,8 @@ def binning_mark(
     is ascending, with cardinality at most ``ceil(N_min / nu)``.
     """
     iv = as_indicators(x)
-    check_theta(theta)
-    check_nu(nu)
+    theta = check_theta(theta)
+    nu = check_nu(nu)
     layout = _layout(iv, theta, nu, counter)
     values, labels = iv._work, layout.labels
     v = iv._goal(theta)

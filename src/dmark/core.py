@@ -159,16 +159,21 @@ def _exact_sum(x: np.ndarray, parts: list[np.ndarray]) -> float:
     return _fsum(x[np.concatenate(parts)])
 
 
-def check_theta(theta: float, *, allow_one: bool = False) -> None:
+def check_theta(theta: float, *, allow_one: bool = False) -> float:
+    """``theta`` as a float, or :class:`ParameterError` outside its range."""
     hi_ok = isinstance(theta, _REAL) and (theta <= 1.0 if allow_one else theta < 1.0)
     if not (hi_ok and 0.0 < theta):
         bound = "(0, 1]" if allow_one else "(0, 1)"
         raise ParameterError(f"theta must lie in {bound}, got {theta!r}")
+    # a narrower scalar, such as numpy.float32, would carry its precision into the goal
+    return float(theta)
 
 
-def check_nu(nu: float) -> None:
+def check_nu(nu: float) -> float:
+    """``nu`` as a float, or :class:`ParameterError` outside ``(0, 1)``."""
     if not (isinstance(nu, _REAL) and 0.0 < nu < 1.0):
         raise ParameterError(f"nu must lie in (0, 1), got {nu!r}")
+    return float(nu)
 
 
 def check_indicators(arr: np.ndarray) -> float:
@@ -424,7 +429,7 @@ def criterion_tolerance(x: IndicatorInput) -> float:
 def goal_value(x: IndicatorInput, theta: float) -> float:
     """The goal ``theta * sum(x)`` the strategies cut against, scaled back once."""
     iv = as_indicators(x)
-    check_theta(theta, allow_one=True)
+    theta = check_theta(theta, allow_one=True)
     return iv._goal(theta) * iv._scale
 
 
@@ -436,7 +441,7 @@ def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -
     compare without slack.
     """
     iv = as_indicators(x)
-    check_theta(theta, allow_one=True)
+    theta = check_theta(theta, allow_one=True)
     # the mask collapses duplicates and sums in ascending index order
     mask = _index_mask(iv.n, index_array(marked))
     marked_sum = pairwise_sum(iv._work[mask])

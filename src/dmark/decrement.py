@@ -54,7 +54,7 @@ class DecrementState:
 
 def sweep_limit(nu: float) -> int:
     """``ceil(1/nu)`` evaluated exactly on the binary value of ``nu``."""
-    check_nu(nu)
+    nu = check_nu(nu)
     num, den = nu.as_integer_ratio()
     return -(-den // num)
 
@@ -74,7 +74,7 @@ def decrement_trace(x: IndicatorInput, theta: float, nu: float) -> DecrementStat
 def _decrement(x, theta, nu, counter) -> tuple[MarkingOutcome, int]:
     """Validate, run the sweeps and return the outcome and the sweeps used."""
     iv = as_indicators(x)
-    check_theta(theta)
+    theta, nu = check_theta(theta), check_nu(nu)
     sweeps = sweep_limit(nu)
     if sweeps > MAX_SWEEPS:
         raise ParameterError(f"nu = {nu!r} needs more than {MAX_SWEEPS} sweeps; choose a larger nu")

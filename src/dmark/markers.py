@@ -50,8 +50,8 @@ def mark(
             f"unknown algorithm {algorithm!r}; choose from {ALGORITHM_NAMES}"
         )
     iv = as_indicators(x)
-    check_theta(theta, allow_one=True)
-    check_nu(nu)
+    theta = check_theta(theta, allow_one=True)
+    nu = check_nu(nu)
     if theta == 1.0:
         outcome = mark_theta_one(iv)
     elif algorithm == "sort":

@@ -61,7 +61,7 @@ def nmin_exhaustive(x: IndicatorInput, theta: float) -> int:
     itself.
     """
     iv = as_indicators(x)
-    check_theta(theta)
+    theta = check_theta(theta)
     if iv.n > EXHAUSTIVE_MAX_N:
         raise InstanceTooLargeError(
             f"exhaustive search is capped at N={EXHAUSTIVE_MAX_N}, got N={iv.n}"
@@ -151,8 +151,8 @@ def gen_counterexample(
     """
     if not (isinstance(C, int) and C >= 1):
         raise ParameterError(f"C must be a positive integer, got {C!r}")
-    check_theta(theta)
-    check_nu(nu)
+    theta = check_theta(theta)
+    nu = check_nu(nu)
 
     th = Fraction(theta)
     nv = Fraction(nu)

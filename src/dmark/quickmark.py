@@ -118,7 +118,7 @@ def quickmark(
     which would indicate a bug).
     """
     iv = as_indicators(x)
-    check_theta(theta)
+    theta = check_theta(theta)
     tol = criterion_tolerance(iv) / iv._scale if check_invariants else None
     return _quickmark(iv, theta, counter, tol)
 
@@ -361,7 +361,7 @@ def xstar_kernel(x_copy: np.ndarray, theta: float) -> float:
     alone does not fix the cut among ties in floating point, which
     :func:`quickmark` decides.
     """
-    check_theta(theta)
+    theta = check_theta(theta)
     a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64))
     goal = theta * total
     # only the kernel's start is kept: the candidates are released before it runs

@@ -63,7 +63,7 @@ def sort_mark(
     of the cut; the set is the same as without one.
     """
     iv = as_indicators(x)
-    check_theta(theta)
+    theta = check_theta(theta)
     goal = iv._goal(theta)
     x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal, 0.0)
     if counter is not None:

@@ -3,7 +3,6 @@
 import math
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import KINDS, instance
 from dmark import (
-    IndicatorVector,
     OpCounter,
     ParameterError,
     bin_layout,
@@ -20,8 +18,7 @@ from dmark import (
     nmin_oracle,
     satisfies_doerfler,
 )
-from dmark import binning
-from dmark.binning import MAX_DEPTH, _powers
+from dmark.binning import MAX_DEPTH
 from test_decrement import _correctly_rounded_sum
 from test_quickmark import boundary_instance
 
@@ -71,48 +68,6 @@ class TestDepth:
         assert MAX_DEPTH - 1002 <= bin_layout([1.0, 1e-300], 0.5, nu).depth <= MAX_DEPTH
         with pytest.raises(ParameterError):
             bin_layout([1.0, 1e-300], 0.5, 0.25 ** (1.0 / (MAX_DEPTH + 1000)))
-
-
-def _repeated_products(iv, theta, nu):
-    """The power table by the loop it replaced: multiply until ``nu**k * max``
-    falls to the bound."""
-    bound = (1.0 - theta) * iv._sum / iv.n
-    powers = [1.0, nu]
-    while powers[-1] * iv._max > bound:
-        powers.append(powers[-1] * nu)
-    return powers
-
-
-@pytest.mark.parametrize(
-    "nu,theta,spread",
-    [
-        (0.5, 0.5, 1.0),
-        (0.9, 0.3, 1.0),
-        (1e-300, 0.5, 1.0),
-        # nu close to 1: nearly equal entries and a small theta keep the
-        # depth (about 550,000 and 110,000) below the cap
-        (1 - 1e-9, 5e-4, 1e-4),
-        (1 - 2**-40, 1e-7, 1e-9),
-    ],
-)
-def test_power_table_is_the_repeated_products(nu, theta, spread):
-    iv = IndicatorVector(1.0 - spread * np.random.default_rng(17).random(1000))
-    powers = _powers(iv, theta, nu)
-    assert isinstance(powers, np.ndarray)
-    assert np.array_equal(powers, _repeated_products(iv, theta, nu))
-    assert bin_layout(iv, theta, nu).depth == powers.size - 2
-
-
-def test_power_table_covers_twice_the_predicted_depth(monkeypatch):
-    # a logarithm that predicts depth 1: the table holds 1.0 and 5 powers, so
-    # the bound 0.2 (needs 0.5**3) is found, and 0.001 (needs 0.5**10) raises
-    # rather than return a table that misses it
-    monkeypatch.setattr(binning, "math", SimpleNamespace(log=lambda v: -1.0))
-    iv = IndicatorVector([1.0])
-    powers = _powers(iv, 0.8, 0.5)
-    assert np.array_equal(powers, _repeated_products(iv, 0.8, 0.5)) and powers.size == 4
-    with pytest.raises(ParameterError, match="bins"):
-        _powers(iv, 0.999, 0.5)
 
 
 class TestLayout:

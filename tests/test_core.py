@@ -249,12 +249,22 @@ class TestMarkingParams:
         with pytest.raises(ParameterError, match="nu must lie in"):
             mark([1.0, 2.0], 0.5, "binning", nu=value)
 
-    @pytest.mark.parametrize("theta", [np.float64(0.5), np.float32(0.5), Fraction(1, 2)])
-    def test_real_parameters_of_other_types_pass(self, theta):
-        check_theta(theta)
-        check_nu(theta)
-        check_theta(np.int64(1), allow_one=True)
-        assert mark([1.0, 2.0], np.float64(0.5), "binning", nu=theta).outcome.marked.tolist() == [1]
+    @pytest.mark.parametrize("theta", [np.float64(0.3), np.float32(0.3), Fraction(3, 10)])
+    def test_real_parameters_of_other_types_pass_as_floats(self, theta):
+        assert type(check_theta(theta)) is float and check_theta(theta) == float(theta)
+        assert type(check_nu(theta)) is float and check_nu(theta) == float(theta)
+        assert type(check_theta(np.int64(1), allow_one=True)) is float
+        # taken as is, a float32 theta or nu would put the goal and the bounds
+        # in float32, whose range ends near 3.4e38, and mark every entry here
+        x = [1e308, 1e308, 1e307]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for algorithm in ALGORITHM_NAMES:
+                out = mark(x, theta, algorithm, nu=theta).outcome
+                assert out.marked.tolist() == [0] and out.achieved_sum == 1e308
+            for run in (decrement_mark, binning_mark):
+                assert run(x, theta, theta).marked.tolist() == [0]
+            assert math.isfinite(goal_value(x, theta))
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     @pytest.mark.parametrize("theta", [0.5, 1.0])
