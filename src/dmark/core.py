@@ -239,6 +239,17 @@ def _working(arr: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     return arr, pairwise_sum(arr), hi, scale
 
 
+def _real_array(values: object, copy: bool) -> np.ndarray:
+    """``values`` as float64, a fresh array when ``copy``; :class:`InvalidIndicatorsError`
+    for a complex dtype, whose cast drops the imaginary part, or no real numbers."""
+    if getattr(values, "dtype", _F64).kind == "c":
+        raise InvalidIndicatorsError("indicators must be real, got a complex dtype")
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidIndicatorsError(f"indicators must be real numbers: {exc}") from None
+
+
 def _adoptable(values: object) -> bool:
     """Whether ``values`` is a native float64 vector that no one can write to.
 
@@ -291,12 +302,7 @@ class IndicatorVector:
         if _adoptable(values):
             arr = values.view(np.ndarray)
         else:
-            if getattr(values, "dtype", _F64).kind == "c":
-                raise InvalidIndicatorsError("indicators must be real, got a complex dtype")
-            try:
-                owner = np.array(values, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise InvalidIndicatorsError(f"indicators must be real numbers: {exc}") from None
+            owner = _real_array(values, copy=True)
             owner.setflags(write=False)
             # a view, whose flag cannot be turned back on
             arr = owner.view()
@@ -337,11 +343,17 @@ def as_indicators(x: IndicatorInput) -> IndicatorVector:
 def index_array(indices: Iterable[int]) -> np.ndarray:
     """The indices as an int64 array (no copy for int64 arrays).
 
-    Raises :class:`MarkingError` for a nonempty input without an integer
+    Raises :class:`MarkingError` for anything but a one-dimensional
+    sequence of integers, and for a nonempty input without an integer
     dtype: a cast would truncate floats and read a boolean mask as indices.
     """
-    if not isinstance(indices, np.ndarray):
-        indices = np.asarray(list(indices))
+    try:
+        if not isinstance(indices, np.ndarray):
+            indices = np.asarray(list(indices))
+    except (TypeError, ValueError) as exc:
+        raise MarkingError(f"marked indices must be a sequence of integers: {exc}") from None
+    if indices.ndim != 1:
+        raise MarkingError(f"marked indices must be one-dimensional, got shape {indices.shape}")
     if indices.dtype.kind not in "iu" and indices.size:
         raise MarkingError(f"marked indices must be integers, got dtype {indices.dtype}")
     return indices.astype(np.int64, copy=False)

@@ -5,22 +5,24 @@ level it partitions the active range of ``m`` entries around the value of
 its lower median rank ``(m - 1) // 2``, then either recurses into the part
 above the rank (it already covers the goal), stops at the rank (the rank's
 value closes the gap), or recurses into the part below with the goal
-reduced by the mass it skips.  A range of at most ``_M0`` entries is
-finished in one step by the sorted cut that ``sort`` runs over the whole
-vector, :func:`dmark.sort_mark._settle`: sorted in place, the range is cut
-at the first of its descending prefixes whose correctly rounded sum,
-together with the mass fixed above the range, reaches the goal (the stop
-rule that every strategy shares, ``core._first_reaching``), clamped to the
-range; below a suffix of more than ``sort_mark._EXACT_MAX`` entries the
-range's float prefix sums decide against the residual goal instead, as
-every level above does.  The kernel returns the threshold ``x_star`` and
-the cut ``count``, the cardinality of the marked set; one materialise step
-turns the two into the index set.  Each step halves the range, numpy's
-introselect partitions it in worst-case linear time and the base case
-sorts a constant number of entries, giving worst-case linear total cost;
-the returned set has minimal cardinality for every input whose sums do
-not sit within rounding of the goal, and on at most ``_M0`` entries it is
-the rule's cut, the set that ``sort`` returns.
+reduced by the mass it skips: the levels carry one number, that residual
+goal.  A range of at most ``_M0`` entries is finished in one step by the
+sorted cut that ``sort`` runs over the whole vector,
+:func:`dmark.sort_mark._settle`: sorted in place, the range is cut at the
+first of its descending prefixes whose correctly rounded sum, together
+with the entries above the range, reaches the goal (the stop rule that
+every strategy shares, ``core._first_reaching``), clamped to the range;
+the base case adds the float mass above the range from the buffer itself.
+Below a band, or below a suffix of more than ``sort_mark._EXACT_MAX``
+entries, the range's float prefix sums decide against the residual goal
+instead, as every level above does.  The kernel returns the threshold
+``x_star`` and the cut ``count``, the cardinality of the marked set; one
+materialise step turns the two into the index set.  Each step halves the
+range, numpy's introselect partitions it in worst-case linear time and the
+base case sorts a constant number of entries, giving worst-case linear
+total cost; the returned set has minimal cardinality for every input whose
+sums do not sit within rounding of the goal, and on at most ``_M0`` entries
+it is the rule's cut, the set that ``sort`` returns.
 
 From ``_MIN_N`` entries on, a sampled bracket of ``x_star`` narrows the
 kernel (Floyd & Rivest's sampled selection, applied to the mass-weighted
@@ -39,17 +41,18 @@ A second pass over the candidates splits off the band ``(lo, hi]``.  When
 more than ``_EXACT_MAX`` candidates lie above ``hi`` and their float mass,
 the candidate sum less the band sum, misses the goal by the rounding bound
 ``2 * (m + 1) * eps`` of the candidate sum, every minimal set holds them:
-the kernel runs on a copy of the band alone, from the float residual
-``goal - fixed`` with the mass ``fixed`` above the band, and adds their
-count to its cut.  Otherwise (no rank above, so ``hi`` is ``inf``; too few
-above for the base case's exact cut to see their mass; or their mass
-within rounding of the goal) it runs on a copy of every candidate.  The
-candidates stay intact and in index order, so one comparison with
-``x_star`` gives the materialise step the marked candidates.  On a smaller
-input, a subnormal goal, ``lo <= 0`` and candidates that miss the goal,
-the kernel runs on every entry, at the cost of one extra pass and the sort
-of the sample at most.  :func:`_candidates` chooses this start once, and
-:func:`quickmark` and :func:`xstar_kernel` run the kernel from it.
+the kernel runs on a copy of the band alone, with the band's own goal
+``goal - fixed`` for the float mass ``fixed`` above it, and adds their
+count to its cut.  Otherwise (no rank above, so ``hi`` is ``inf``; at most
+``_EXACT_MAX`` above, where declining keeps the base case's exact cut; or
+their mass within rounding of the goal) it runs on a copy of every
+candidate.  The candidates stay intact and in index order, so one
+comparison with ``x_star`` gives the materialise step the marked
+candidates.  On a smaller input, a subnormal goal, ``lo <= 0`` and
+candidates that miss the goal, the kernel runs on every entry, at the cost
+of one extra pass and the sort of the sample at most.  :func:`_candidates`
+chooses this start once, and :func:`quickmark` and :func:`xstar_kernel`
+run the kernel from it.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel, the elements each level partitions plus the elements it sums,
@@ -75,6 +78,7 @@ from .core import (
     _TINY,
     _exact_sum,
     _fsum,
+    _real_array,
     _working,
     as_indicators,
     check_theta,
@@ -109,13 +113,12 @@ def quickmark(
     outcome's ``threshold`` is the kernel's ``x_star``, and a ``counter``
     counts the filter's, the split's and the kernel's element operations.
     ``check_invariants`` re-verifies the range ordering, goal consistency
-    (the mass fixed above the band included) and goal reachability at every
-    level, the base case's cut against the stop rule, the dominance and
-    removal-minimality of the final set, that the candidates hold every
-    entry above their bound and carry the goal exactly, and that the
-    candidates left out of the band exceed its bound and fall short of the
-    goal (debug mode; raises :class:`AdmissibilityError` on any violation,
-    which would indicate a bug).
+    and goal reachability at every level, the base case's cut against the
+    stop rule, the dominance and removal-minimality of the final set, that
+    the candidates hold every entry above their bound and carry the goal
+    exactly, and that the candidates left out of the band exceed its bound
+    and fall short of the goal (debug mode; raises
+    :class:`AdmissibilityError` on any violation, which would indicate a bug).
     """
     iv = as_indicators(x)
     theta = check_theta(theta)
@@ -134,7 +137,7 @@ def _quickmark(
     values = iv._work
     goal = iv._goal(theta)
     idx, cand, band, fixed, above = _candidates(values, theta, goal, tol, counter)
-    x_star, count = _select(band, goal, tol, counter, fixed, above)
+    x_star, count = _select(band, goal - fixed, tol, counter, above)
     # the kernel's buffer, the candidates and their mask go before the next allocation
     del band
     at_least = cand >= x_star
@@ -161,15 +164,17 @@ def _candidates(
     the candidates, the entries above the bound ``lo`` of :func:`_bracket`,
     a fresh array of their values in that order, and the array ``band`` the
     kernel starts on, below ``above`` candidates of float mass ``fixed``
-    that every minimal set holds.  ``band`` holds the candidates at most
-    ``hi``, or, when the band is declined (see the module docstring), it is
-    a copy of every candidate with ``fixed = 0`` and ``above = 0``.  Without
-    candidates (``N`` below ``_MIN_N``, a subnormal goal, no positive
-    ``lo``, or candidates whose float sum does not clear the goal by the
-    rounding bound ``2 * (m + 1) * eps`` of ``core._first_reaching``) the
-    start is every entry: ``idx`` is ``None``, ``cand`` is ``values``, and
-    ``band`` is ``values`` itself when it is writeable, as a caller's
-    scratch array is, and a copy of it otherwise.
+    that every minimal set holds; the kernel's goal is ``goal - fixed``.
+    ``band`` holds the candidates at most ``hi``, or, when the band is
+    declined (see the module docstring), it is a copy of every candidate
+    with ``fixed = 0`` and ``above = 0``.  With at most ``_EXACT_MAX``
+    candidates above ``hi`` the band is declined as a policy: that keeps the
+    base case's exact cut.  Without candidates (``N`` below ``_MIN_N``, a
+    subnormal goal, no positive ``lo``, or candidates whose float sum does
+    not clear the goal by the rounding bound ``2 * (m + 1) * eps`` of
+    ``core._first_reaching``) the start is every entry: ``idx`` is ``None``,
+    ``cand`` is ``values``, and ``band`` is ``values`` itself when it is
+    writeable, as a caller's scratch array is, and a copy of it otherwise.
 
     With ``tol`` the candidates are checked to hold every entry above ``lo``
     and to carry the goal exactly, and a band to leave out only entries
@@ -204,7 +209,7 @@ def _candidates(
             counter.add(m + band.size)
         if above > _EXACT_MAX and fixed < goal - 2.0 * (m + 1) * EPS * total:
             if tol is not None:
-                _verify_band(band, cand[~in_band], hi, goal)
+                _verify_band(cand[~in_band], hi, goal)
             return idx, cand, band, fixed, above
     return idx, cand, cand.copy(), 0.0, 0
 
@@ -249,7 +254,6 @@ def _select(
     goal: float,
     tol: float | None = None,
     counter: OpCounter | None = None,
-    fixed: float = 0.0,
     above: int = 0,
 ) -> tuple[float, int]:
     """Destructive value kernel: threshold ``x_star`` and cut ``count``.
@@ -257,34 +261,24 @@ def _select(
     Reorders ``a`` in place so that ``a[:k] <= x_star == a[k] <= a[k:]`` at
     the stopping rank ``k`` and returns ``(a[k], a.size - k + above)``: the
     ``count`` largest values carry the goal and the ``count - 1`` largest do
-    not.  ``a`` is every entry, or the band of :func:`_candidates`, below
-    ``above`` entries of float mass ``fixed`` that every minimal set holds;
-    the kernel starts from the residual goal ``goal - fixed``, a float
-    difference that the band's rounding bound keeps positive.  Each level
-    partitions the active range of ``m`` entries around its lower median
-    rank ``(m - 1) // 2``.  A range of at most ``_M0`` entries goes to
-    the base case, :func:`_settle`, which sorts it and cuts it by the shared
-    stop rule (by its float prefix sums below a long suffix), clamped to the
-    range, so rounding that leaves the residual goal above the range mass
-    cannot empty the range.  With ``tol`` every level is checked against the
-    goal with that slack, and the base case's exact cut against the rule.
-    A ``counter`` gets, per level, the elements partitioned plus the
-    elements summed above the rank, and for the base case
-    ``m * ceil(log2 m)`` plus the length of its cut.
+    not.  ``a`` is every entry, or the band of :func:`_candidates` with its
+    own goal, below ``above`` entries that every minimal set holds.  The
+    levels carry one number, the residual goal ``v`` (a running mass
+    compared with the goal missed ``N_min`` more often at 10^4-10^5
+    entries), and halve the active range at its lower median rank until
+    :func:`_settle` cuts at most ``_M0`` entries.  With ``tol`` every level
+    is checked against the goal with that slack, and the base case's exact
+    cut against the rule.  A ``counter`` gets, per level, the elements
+    partitioned plus the elements summed above the rank, and the base
+    case's count.
     """
-    n_total = int(a.size) + above
-    # the float mass of a[hi:] and of the entries above ``a``, which the
-    # base case adds to its prefix sums; the levels compare the residual
-    # ``v`` instead, which misses N_min less often at 10^4-10^5 entries than
-    # ``fixed + s >= goal``
-    start, v = fixed, goal - fixed
-    lo, hi = 0, int(a.size)
+    v, lo, hi = goal, 0, int(a.size)
     while True:
         if tol is not None:
-            _verify_level(a, lo, hi, v, goal, tol, start)
+            _verify_level(a, lo, hi, v, goal, tol)
         m = hi - lo
         if m <= _M0:
-            return _settle(a, lo, hi, goal, v, fixed, tol is not None, counter, above)
+            return _settle(a, lo, hi, goal, v, tol is not None, counter, above)
         r = (m - 1) // 2
         k = lo + r
         a[lo:hi].partition(r)
@@ -295,14 +289,13 @@ def _select(
         if s >= v:
             lo = k + 1
         elif s + pv >= v:
-            return pv, n_total - k
+            return pv, int(a.size) - k + above
         else:
             v -= s + pv
-            fixed = (fixed + s) + pv
             hi = k
 
 
-def _verify_level(a, lo, hi, v, goal, tol, start=0.0) -> None:
+def _verify_level(a, lo, hi, v, goal, tol) -> None:
     if lo > 0 and not float(a[:lo].max()) <= float(a[lo:hi].min()):
         raise AdmissibilityError("prefix not below the active range")
     if hi < a.size and not float(a[lo:hi].max()) <= float(a[hi:].min()):
@@ -310,12 +303,9 @@ def _verify_level(a, lo, hi, v, goal, tol, start=0.0) -> None:
     # only a goal that underflows to 0 leaves a residual that is not positive
     if not (v > 0.0 or goal == 0.0):
         raise AdmissibilityError(f"residual goal not positive: {v!r}")
-    # ``start`` is the mass fixed above ``a`` before the first level
-    expected = goal - ((pairwise_sum(a[hi:]) if hi < a.size else 0.0) + start)
+    expected = goal - pairwise_sum(a[hi:])
     if abs(v - expected) > tol:
-        raise AdmissibilityError(
-            f"residual goal {v!r} inconsistent with the fixed mass (expected {expected!r})"
-        )
+        raise AdmissibilityError(f"residual goal {v!r} inconsistent (expected {expected!r})")
     if v > pairwise_sum(a[lo:hi]) + tol:
         raise AdmissibilityError("residual goal exceeds the active range mass")
 
@@ -329,13 +319,11 @@ def _verify_candidates(values, lo, idx, goal) -> None:
         raise AdmissibilityError("the candidates do not carry the goal")
 
 
-def _verify_band(band, outside, hi, goal) -> None:
+def _verify_band(outside, hi, goal) -> None:
     if outside.size and not float(outside.min()) > hi:
         raise AdmissibilityError("a candidate outside the band does not exceed its bound")
     if not _fsum(outside) < goal:
         raise AdmissibilityError("the candidates above the band carry the goal")
-    if not _fsum(np.concatenate((band, outside))) >= goal:
-        raise AdmissibilityError("the band and the candidates above it do not carry the goal")
 
 
 def _verify_cut(iv, outcome, goal) -> None:
@@ -362,8 +350,8 @@ def xstar_kernel(x_copy: np.ndarray, theta: float) -> float:
     :func:`quickmark` decides.
     """
     theta = check_theta(theta)
-    a, total, _, scale = _working(np.asarray(x_copy, dtype=np.float64))
+    a, total, _, scale = _working(_real_array(x_copy, copy=False))
     goal = theta * total
     # only the kernel's start is kept: the candidates are released before it runs
     band, fixed, above = _candidates(a, theta, goal)[2:]
-    return _select(band, goal, fixed=fixed, above=above)[0] * scale
+    return _select(band, goal - fixed, above=above)[0] * scale

@@ -4,8 +4,9 @@ This is the classical log-linear reference strategy: sort the indicators and
 cut the descending order at the first prefix that reaches the goal.  The cut,
 :func:`_settle`, is also the base case of the selection kernel in
 :mod:`dmark.quickmark`, so on at most ``_M0`` entries the two strategies run
-the same code.  Only the values are sorted; the shared materialise step marks
-the cut, ties by ascending index, so outputs are deterministic and ascending.
+the same code; it sums the mass above its range from its own buffer.  Only
+the values are sorted; the shared materialise step marks the cut, ties by
+ascending index, so outputs are deterministic and ascending.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def sort_mark(
     iv = as_indicators(x)
     theta = check_theta(theta)
     goal = iv._goal(theta)
-    x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal, 0.0)
+    x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal)
     if counter is not None:
         _counted_sort_desc(iv.values.tolist(), counter)
         counter.add(count)
@@ -78,26 +79,23 @@ def _settle(
     hi: int,
     goal: float,
     v: float,
-    fixed: float,
     check: bool = False,
     counter: OpCounter | None = None,
     above: int = 0,
 ) -> tuple[float, int]:
     """Sort ``a[lo:hi]`` and cut it by the stop rule: the threshold and the count.
 
-    ``fixed`` is the float mass of ``a[hi:]`` and of ``above`` entries left
-    out of ``a``, every entry of which is at least the range's largest, and
-    ``v`` the residual goal.  While ``a[lo:]`` and the ``above`` entries
-    hold at most ``_EXACT_MAX`` entries (never below the band of
-    ``quickmark._candidates``, which leaves out more), the cut takes the
-    ``j + 1`` largest entries of the range for the first ``j`` whose
-    correctly rounded sum together with ``a[hi:]`` reaches ``goal``;
-    ``math.fsum`` settles only the prefixes within rounding of the goal,
-    each probe in one pass over the suffix ``a[hi - 1 - j:]``.  On a longer
-    suffix the float prefix sums of the range decide against ``v``.  Either
-    cut takes the whole range when no prefix reaches the goal, so rounding
-    that leaves the residual goal above the range mass cannot empty it.
-    Returns ``(a[k], a.size - k + above)`` at the cut's rank ``k``, with
+    Every entry of ``a[hi:]``, and ``above`` more outside ``a``, is at least
+    the range's largest; ``v`` is the residual goal.  When nothing lies
+    above ``a`` and ``a[lo:]`` holds at most ``_EXACT_MAX`` entries, the cut
+    takes the ``j + 1`` largest entries of the range for the first ``j``
+    whose correctly rounded sum with ``a[hi:]`` reaches ``goal``: the float
+    mass of ``a[hi:]`` joins the range's prefix sums, and ``math.fsum``
+    settles those within rounding of the goal, each probe in one pass over
+    ``a[hi - 1 - j:]``.  Otherwise the range's float prefix sums decide
+    against ``v``.  Either cut takes the whole range when no prefix reaches
+    the goal, so rounding cannot empty it.  Returns
+    ``(a[k], a.size - k + above)`` at the cut's rank ``k``, with
     ``a[lo:hi]`` sorted ascending.  With ``check`` the exact cut is verified
     against the rule.  A ``counter`` gets ``m * ceil(log2 m)`` for the sort
     of ``m`` entries plus the length of the cut.
@@ -106,10 +104,10 @@ def _settle(
     seg.sort()
     prefix = np.add.accumulate(seg[::-1])
     m = hi - lo
-    exact = a.size - lo + above <= _EXACT_MAX
+    exact = not above and a.size - lo <= _EXACT_MAX
     if exact:
-        if fixed:
-            prefix += fixed
+        if hi < a.size:
+            prefix += np.add.reduce(a[hi:])
         j = _first_reaching(prefix, goal, a.size - lo, lambda j: _fsum(a[hi - 1 - j :]))
     else:
         j = int(prefix.searchsorted(v))

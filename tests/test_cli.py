@@ -181,6 +181,19 @@ class TestMark:
         assert capsys.readouterr().err.startswith(f"dmark: error: {out}: [Errno {errno.ENOSPC}]")
         assert not out.exists()
 
+    def test_out_of_memory_exit_3(self, indicator_file, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "mark", exhausted)
+        out = tmp_path / "m.txt"
+        code = main(
+            ["mark", "--input", str(indicator_file), "--theta", "0.5", "--output", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "dmark: error: out of memory\n"
+        assert not out.exists()
+
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     def test_dev_full_exit_3(self, indicator_file, capsys):
         code = main(

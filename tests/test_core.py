@@ -32,6 +32,7 @@ from dmark import (
 )
 from dmark import core
 from dmark.core import check_nu, check_theta
+from dmark.io import write_marked_indices
 
 nonneg_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=40
@@ -94,6 +95,28 @@ class TestIndicatorVector:
             for call in (IndicatorVector, lambda x: mark(x, 0.5)):
                 with pytest.raises(InvalidIndicatorsError):
                     call(bad)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mark([10**400, 1], 0.5),
+            lambda: IndicatorVector([10**400, 1]),
+            lambda: xstar_kernel(["a"], 0.5),
+            lambda: xstar_kernel({1: 2}, 0.5),
+            lambda: xstar_kernel([10**400, 1.0], 0.5),
+            lambda: xstar_kernel(np.array([1 + 1j, 2]), 0.5),
+        ],
+        ids=["mark-huge-int", "vector-huge-int", "xstar-str", "xstar-dict", "xstar-huge-int",
+             "xstar-complex"],
+    )
+    def test_every_conversion_raises_invalid_indicators(self, call):
+        # IndicatorVector and xstar_kernel convert through one guard, so an
+        # integer beyond the doubles or a complex array raises no OverflowError
+        # or ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidIndicatorsError):
+                call()
 
     def test_total_is_summed_once(self, monkeypatch, rng):
         # the bin depth and the goal both read the total of one vector
@@ -420,6 +443,27 @@ def test_non_integer_index_sets_rejected(marked):
         MarkingOutcome.from_marked(x, marked)
     with pytest.raises(MarkingError, match="integers"):
         is_valid_minimal_set(x, marked, 5.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp: write_marked_indices(tmp / "m.txt", [[0]]),
+        lambda tmp: write_marked_indices(tmp / "m.txt", np.array([[0, 1]])),
+        lambda tmp: MarkingOutcome.from_marked([1.0, 2.0], [[0], [1]]),
+        lambda tmp: MarkingOutcome.from_marked([1.0, 2.0], np.array(1)),
+        lambda tmp: satisfies_doerfler([1.0, 2.0], 0.5, [[0, 1]]),
+        lambda tmp: satisfies_doerfler([1.0, 2.0], 0.5, 5),
+        lambda tmp: is_valid_minimal_set([1.0, 2.0], None, 1.0),
+    ],
+    ids=["write-nested", "write-2d", "from-marked-nested", "from-marked-0d",
+         "doerfler-nested", "doerfler-int", "minimal-none"],
+)
+def test_index_sets_must_be_one_dimensional(call, tmp_path):
+    # neither flattened nor written as a malformed line such as "[0]"
+    with pytest.raises(MarkingError, match="marked indices must be"):
+        call(tmp_path)
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_integer_and_empty_index_sets_accepted():

@@ -1,5 +1,6 @@
 """Verification oracles: exhaustive search, minimal-set predicate, witness family."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -35,6 +36,14 @@ class TestNminExhaustive:
         assert nmin_exhaustive([4, 1, 2, 3], 0.5) == 2
         assert nmin_exhaustive([1, 1], 0.6) == 2
         assert nmin_exhaustive([5, 5], 0.5) == 1
+
+    def test_no_reaching_subset_gives_n(self):
+        # every doubling sum rounds 1 + 2**-53 back to 1.0, while the goal
+        # from the pairwise sum is 1 + 7 ulp, so no subset sum reaches it
+        x = [1.0] + [2.0**-53] * 19
+        theta = math.nextafter(1.0, 0.0)
+        assert goal_value(x, theta) == 1.0 + 7 * 2.0**-52
+        assert nmin_exhaustive(x, theta) == 20
 
     def test_size_cap(self):
         with pytest.raises(InstanceTooLargeError):

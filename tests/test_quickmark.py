@@ -37,7 +37,7 @@ from dmark.quickmark import (
     _verify_cut,
     _verify_level,
 )
-from dmark.sort_mark import _EXACT_MAX, _verify_base
+from dmark.sort_mark import _EXACT_MAX, _settle, _verify_base
 
 dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
@@ -322,7 +322,7 @@ class TestBaseCase:
 
     def test_one_level_above_m0(self):
         # from _M0 + 1 entries the top level partitions before the base case;
-        # the base case's cut, fixed mass included, passes the exact check
+        # the base case's cut, with the mass above its range, passes the exact check
         rng = np.random.default_rng(4243)
         for n in [_M0 + 1] * 100 + [int(rng.integers(_M0 + 2, 8 * _M0)) for _ in range(100)]:
             x, theta = boundary_instance(rng, n)
@@ -352,6 +352,13 @@ class TestBaseCase:
             out = quickmark(x, theta, check_invariants=True)
             assert satisfies_doerfler(x, theta, out.marked)
         assert lengths and max(lengths) <= _EXACT_MAX
+
+    def test_exact_cut_only_with_nothing_above(self):
+        # the goal 3 cuts the sorted range at its largest entry; entries
+        # above the buffer leave the cut to the residual goal 4.5 instead
+        a = np.array([1.0, 2.0, 3.0])
+        assert _settle(a.copy(), 0, 3, 3.0, 4.5) == (3.0, 1)
+        assert _settle(a.copy(), 0, 3, 3.0, 4.5, above=1) == (2.0, 3)
 
     def test_counts_sort_and_cut(self):
         for m in (1, 2, 3, 5, _M0):
@@ -389,8 +396,8 @@ class TestCheckInvariants:
             _verify_level(a, 1, 3, 6.0, 10.0, tol)
         with pytest.raises(AdmissibilityError, match="positive"):
             _verify_level(a, 1, 3, 0.0, 4.0, tol)
-        # with 2.0 fixed above ``a``, the residual of the goal 8 is 8 - 2 - 4
-        _verify_level(a, 1, 3, 2.0, 8.0, tol, 2.0)
+        # a band below entries of mass 2.0 enters with its own goal, 8 - 2
+        _verify_level(a, 1, 3, 2.0, 8.0 - 2.0, tol)
         with pytest.raises(AdmissibilityError, match="inconsistent"):
             _verify_level(a, 1, 3, 2.0, 8.0, tol)
 
@@ -566,9 +573,9 @@ class TestBandPath:
         module = importlib.import_module("dmark.quickmark")
         starts = []
 
-        def select(a, goal, tol=None, counter=None, fixed=0.0, above=0):
-            starts.append((a.size, float(np.sum(a)), fixed, above))
-            return _select(a, goal, tol, counter, fixed, above)
+        def select(a, goal, tol=None, counter=None, above=0):
+            starts.append((a.size, float(np.sum(a)), goal, above))
+            return _select(a, goal, tol, counter, above)
 
         monkeypatch.setattr(module, "_select", select)
         iv = IndicatorVector(family(rng, 2**17, kind))
@@ -582,9 +589,9 @@ class TestBandPath:
     def test_passes_the_checks(self, rng, kind, monkeypatch):
         checked = []
 
-        def verify(band, outside, hi, goal):
+        def verify(outside, hi, goal):
             checked.append(outside.size)
-            _verify_band(band, outside, hi, goal)
+            _verify_band(outside, hi, goal)
 
         module = importlib.import_module("dmark.quickmark")
         monkeypatch.setattr(module, "_verify_band", verify)
@@ -596,14 +603,14 @@ class TestBandPath:
         assert len(checked) == 2 and min(checked) > _EXACT_MAX
 
     def test_band_check_rejects_broken_sets(self):
-        band, outside = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
-        _verify_band(band, outside, 3.0, 12.0)  # admissible
+        # that the band and the entries above it carry the goal is the
+        # candidates' check, test_candidate_check_rejects_broken_sets
+        outside = np.array([4.0, 5.0])
+        _verify_band(outside, 3.0, 12.0)  # admissible
         with pytest.raises(AdmissibilityError, match="does not exceed"):
-            _verify_band(band, outside, 4.0, 12.0)
+            _verify_band(outside, 4.0, 12.0)
         with pytest.raises(AdmissibilityError, match="above the band carry the goal"):
-            _verify_band(band, outside, 3.0, 9.0)
-        with pytest.raises(AdmissibilityError, match="do not carry the goal"):
-            _verify_band(band, outside, 3.0, 15.5)
+            _verify_band(outside, 3.0, 9.0)
 
     def test_counts_the_split(self):
         # the filter's N comparisons and m summands, the split's m
@@ -612,7 +619,7 @@ class TestBandPath:
         idx, cand, band, fixed, above = _candidates(iv._work, 0.5, iv._goal(0.5))
         assert above > 0
         kernel, total = OpCounter(), OpCounter()
-        _select(band, iv._goal(0.5), counter=kernel, fixed=fixed, above=above)
+        _select(band, iv._goal(0.5) - fixed, counter=kernel, above=above)
         quickmark(iv, 0.5, counter=total)
         assert total.comparisons - kernel.comparisons == iv.n + 2 * idx.size + band.size
 
