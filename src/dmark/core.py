@@ -12,7 +12,9 @@ cardinality guarantees and cost.  All indices are 0-based.
 
 Whole-vector sums are computed with numpy's pairwise summation, once per
 :class:`IndicatorVector`: its validation reads the input twice, once for
-the largest entry and once for the sum.  An input that no one can write
+the largest entry and once for the sum; up to ``_M0`` entries the first
+read is a sort, whose ascending copy the minimal strategies then cut
+without sorting again.  An input that no one can write
 to, a 1-D, contiguous, native float64 array that is read-only along with
 every array it views, is adopted without a copy, and every other input is
 copied; the caller promises not to make an adopted array writeable again
@@ -34,6 +36,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -47,6 +50,9 @@ _INF_BITS = 0x7FF0000000000000
 _BITS, _DOUBLE = struct.Struct("=Q"), struct.Struct("=d")
 # the types of theta and nu: float first, which the ABC check is slow to admit
 _REAL = (float, numbers.Real)
+# the largest vector validated by a sort, and the largest range the selection
+# kernel sorts instead of partitioning (sweep in CHANGES.md)
+_M0 = 128
 
 __all__ = [
     "EPS",
@@ -138,11 +144,11 @@ def _first_reaching(
     # cut usually settle it, and only a probe that overturns the float cut
     # opens the whole window
     lo = hi = pos
-    if pos < prefix.size and prefix[pos] < above:
+    if pos < prefix.size and prefix.item(pos) < above:
         if not exact_sum(pos) >= v:
             lo = pos + 1
             hi = int(prefix.searchsorted(above))
-    if lo == pos > 0 and prefix[pos - 1] >= below and exact_sum(pos - 1) >= v:
+    if lo == pos > 0 and prefix.item(pos - 1) >= below and exact_sum(pos - 1) >= v:
         lo, hi = int(prefix.searchsorted(below)), pos - 1
     if lo < hi:
         lo += bisect.bisect_left(range(lo, hi), True, key=lambda j: exact_sum(j) >= v)
@@ -199,17 +205,23 @@ def check_indicators(arr: np.ndarray) -> float:
     return hi
 
 
-def _working(arr: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+def _working(
+    arr: np.ndarray,
+) -> tuple[np.ndarray, float, float, float, np.ndarray | None]:
     """The working entries of a valid indicator array, their pairwise sum
-    and largest entry, and the scale that turns them back into ``arr``.
+    and largest entry, the scale that turns them back into ``arr``, and,
+    for at most ``_M0`` entries, their ascending copy.
 
     Raises like :func:`check_indicators`, in two read passes instead of its
-    two plus the sum.  Nonnegative doubles order like their bit patterns
-    read as unsigned integers, and a set sign bit puts a pattern above all
-    of theirs, so an unsigned maximum that is positive and below the
-    pattern of ``inf`` proves every entry finite and nonnegative, and not
-    all zero; it is the largest entry.  Any other maximum (NaN, ``inf``, a
-    negative entry, ``-0.0`` or all zeros) falls back to
+    two plus the sum.  Up to ``_M0`` entries the first pass sorts a copy:
+    a nonnegative first entry and a finite, positive last entry prove every
+    entry finite and nonnegative, and not all zero (a sort puts NaN last),
+    and the last is the largest entry.  Above ``_M0``, nonnegative doubles
+    order like their bit patterns read as unsigned integers, and a set sign
+    bit puts a pattern above all of theirs, so an unsigned maximum that is
+    positive and below the pattern of ``inf`` proves the same; it is the
+    largest entry.  Any other case (NaN, ``inf``, a negative entry, or all
+    zeros, and above ``_M0`` a ``-0.0``) falls back to
     :func:`check_indicators`, which raises with the violated condition or
     returns the largest entry.
 
@@ -218,15 +230,23 @@ def _working(arr: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     the exponents of ``N`` and ``max`` so that ``N * max / 2**s < 2**1022``:
     no float sum of them, in any order, can overflow.  A writeable ``arr``,
     a caller's scratch array, is scaled in place instead, and stays
-    writeable.
+    writeable.  The ascending copy is scaled with them, and read-only.
     """
     if arr.ndim != 1 or not arr.size:
         check_indicators(arr)
-    top = int(np.maximum.reduce(arr.view(_U64)))
-    if 0 < top < _INF_BITS:
-        hi = _DOUBLE.unpack(_BITS.pack(top))[0]
+    ascending = None
+    if arr.size <= _M0:
+        ascending = arr.copy()
+        ascending.sort()
+        hi = ascending.item(-1)
+        if not (ascending.item(0) >= 0.0 and 0.0 < hi < math.inf):
+            hi = check_indicators(arr)
     else:
-        hi = check_indicators(arr)
+        top = int(np.maximum.reduce(arr.view(_U64)))
+        if 0 < top < _INF_BITS:
+            hi = _DOUBLE.unpack(_BITS.pack(top))[0]
+        else:
+            hi = check_indicators(arr)
     scale = 1.0
     if arr.size * hi >= _SUM_LIMIT:
         scale = math.ldexp(1.0, arr.size.bit_length() + math.frexp(hi)[1] - 1022)
@@ -235,8 +255,12 @@ def _working(arr: np.ndarray) -> tuple[np.ndarray, float, float, float]:
         else:
             arr = arr * (1.0 / scale)
             arr.setflags(write=False)
+        if ascending is not None:
+            ascending *= 1.0 / scale
         hi /= scale
-    return arr, pairwise_sum(arr), hi, scale
+    if ascending is not None:
+        ascending.setflags(write=False)
+    return arr, pairwise_sum(arr), hi, scale, ascending
 
 
 def _real_array(values: object, copy: bool) -> np.ndarray:
@@ -281,7 +305,9 @@ class IndicatorVector:
     working entries ``_work``: ``values`` itself, or, when ``N * max``
     reaches half the largest double, ``values / _scale`` for a power of two
     that keeps every float sum finite (see :func:`_working`); ``_sum`` and
-    ``_max``, both from validation, are their sum and largest entry.  What
+    ``_max``, both from validation, are their sum and largest entry, and
+    ``_sorted``, the sort that validated at most ``_M0`` entries, is their
+    read-only ascending copy (``None`` above ``_M0``).  What
     the vector and the strategies report is in the caller's units again:
     :meth:`total`, :meth:`max_value` and :meth:`MarkingOutcome.trusted`
     multiply by ``_scale``.
@@ -296,7 +322,7 @@ class IndicatorVector:
     array that owns its data.
     """
 
-    __slots__ = ("values", "_work", "_sum", "_max", "_scale")
+    __slots__ = ("values", "_work", "_sum", "_max", "_scale", "_sorted")
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]):
         if _adoptable(values):
@@ -306,7 +332,7 @@ class IndicatorVector:
             owner.setflags(write=False)
             # a view, whose flag cannot be turned back on
             arr = owner.view()
-        self._work, self._sum, self._max, self._scale = _working(arr)
+        self._work, self._sum, self._max, self._scale, self._sorted = _working(arr)
         self.values = arr
 
     def __len__(self) -> int:
@@ -389,7 +415,6 @@ def materialise(
     return marked
 
 
-@dataclass(frozen=True, eq=False)
 class MarkingOutcome:
     """A marked index set together with its achieved sum and cardinality.
 
@@ -398,13 +423,34 @@ class MarkingOutcome:
     take the lowest-index ties at their cut value through :func:`materialise`.
     ``threshold`` is the smallest marked value, the cut's ``x_star``, for
     the minimal strategies (``quickmark``, ``xstar``, ``sort``), and ``None``
-    for ``binning``, ``decrement`` and ``theta == 1``.
+    for ``binning``, ``decrement`` and ``theta == 1``.  The four fields are
+    read-only properties.
     """
 
-    marked: np.ndarray
-    achieved_sum: float
-    cardinality: int
-    threshold: float | None = None
+    __slots__ = ("_marked", "_achieved_sum", "_cardinality", "_threshold")
+
+    def __init__(
+        self,
+        marked: np.ndarray,
+        achieved_sum: float,
+        cardinality: int,
+        threshold: float | None = None,
+    ):
+        self._marked = marked
+        self._achieved_sum = achieved_sum
+        self._cardinality = cardinality
+        self._threshold = threshold
+
+    marked = property(attrgetter("_marked"))
+    achieved_sum = property(attrgetter("_achieved_sum"))
+    cardinality = property(attrgetter("_cardinality"))
+    threshold = property(attrgetter("_threshold"))
+
+    def __repr__(self) -> str:
+        return (
+            f"MarkingOutcome(marked={self._marked!r}, achieved_sum={self._achieved_sum!r}, "
+            f"cardinality={self._cardinality!r}, threshold={self._threshold!r})"
+        )
 
     @classmethod
     def from_marked(cls, x: IndicatorInput, indices: Iterable[int]) -> "MarkingOutcome":

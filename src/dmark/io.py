@@ -48,7 +48,14 @@ from typing import Iterable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import IndicatorVector, MarkingError, ParseError, index_array
+from .core import (
+    IndicatorVector,
+    InvalidIndicatorsError,
+    MarkingError,
+    ParseError,
+    _real_array,
+    index_array,
+)
 
 __all__ = ["read_indicators", "write_indicators", "write_marked_indices"]
 
@@ -449,8 +456,18 @@ def _read_binary(p: Path) -> np.ndarray:
 
 
 def write_indicators(path: PathLike, values: np.ndarray) -> None:
+    """Write the values as ``.txt`` (one ``repr`` per line) or ``.f64``.
+
+    Raises :class:`InvalidIndicatorsError` for values that are not a
+    one-dimensional sequence of real numbers, through the conversion guard
+    of :class:`IndicatorVector`; the values are not checked further.
+    """
     p = Path(path)
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _real_array(values, copy=False)
+    if arr.ndim != 1:
+        raise InvalidIndicatorsError(
+            f"indicators must be one-dimensional, got shape {arr.shape}"
+        )
     suffix = p.suffix.lower()
     if suffix == ".txt":
         p.write_text("".join(f"{v!r}\n" for v in arr.tolist()), encoding="utf-8")

@@ -6,7 +6,7 @@ the dedicated positive-support path, which is minimal for every strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .binning import binning_mark
 from .core import (
@@ -28,12 +28,23 @@ __all__ = ["ALGORITHM_NAMES", "MarkerRun", "mark"]
 ALGORITHM_NAMES = ("sort", "decrement", "binning", "quickmark", "xstar")
 
 
-@dataclass(frozen=True)
 class MarkerRun:
-    """Outcome of one marking call under the name of its strategy."""
+    """Outcome of one marking call under the name of its strategy.
 
-    algorithm: str
-    outcome: MarkingOutcome
+    Both fields are read-only properties.
+    """
+
+    __slots__ = ("_algorithm", "_outcome")
+
+    def __init__(self, algorithm: str, outcome: MarkingOutcome):
+        self._algorithm = algorithm
+        self._outcome = outcome
+
+    algorithm = property(attrgetter("_algorithm"))
+    outcome = property(attrgetter("_outcome"))
+
+    def __repr__(self) -> str:
+        return f"MarkerRun(algorithm={self._algorithm!r}, outcome={self._outcome!r})"
 
 
 def mark(

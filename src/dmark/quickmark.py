@@ -24,6 +24,12 @@ total cost; the returned set has minimal cardinality for every input whose
 sums do not sit within rounding of the goal, and on at most ``_M0`` entries
 it is the rule's cut, the set that ``sort`` returns.
 
+A vector of at most ``_M0`` entries does not reach the kernel at all: the
+sort that validated it (``core._working``) is its base case, and
+:func:`dmark.sort_mark._small` cuts that sorted copy by the same rule, for
+``quickmark``, ``xstar``, ``sort`` and :func:`xstar_kernel` alike, so a
+small call sorts once and copies its entries once.
+
 From ``_MIN_N`` entries on, a sampled bracket of ``x_star`` narrows the
 kernel (Floyd & Rivest's sampled selection, applied to the mass-weighted
 cut).  A strided sample of at most ``_SAMPLE`` entries is sorted, and the
@@ -59,7 +65,8 @@ same kernel, the elements each level partitions plus the elements it sums,
 ``m * ceil(log2 m)`` for the base case's sort of ``m`` entries plus the
 length of its cut, the filter's ``N`` comparisons and ``m`` summands, and
 the split's ``m`` comparisons and the band's summands, so the counted cost
-is the cost of the code that is timed.
+is the cost of the code that is timed; on at most ``_M0`` entries it counts
+the validation's sort as the base case's.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from .core import (
     IndicatorVector,
     MarkingOutcome,
     OpCounter,
+    _M0,
     _TINY,
     _exact_sum,
     _fsum,
@@ -87,7 +95,7 @@ from .core import (
     pairwise_sum,
 )
 from .oracle import _is_minimal
-from .sort_mark import _EXACT_MAX, _settle
+from .sort_mark import _EXACT_MAX, _cut, _settle, _small
 
 __all__ = ["quickmark", "xstar_kernel"]
 
@@ -95,8 +103,6 @@ __all__ = ["quickmark", "xstar_kernel"]
 # sample and the filter make cheaper (crossover measured in CHANGES.md)
 _SAMPLE = 4096
 _MIN_N = 32768
-# the largest range the kernel sorts instead of partitioning (sweep in CHANGES.md)
-_M0 = 128
 
 
 def quickmark(
@@ -109,7 +115,9 @@ def quickmark(
     """Minimal-cardinality marking by median-partition recursion.
 
     The value kernel runs from the start :func:`_candidates` chooses (see
-    the module docstring), and one materialise step builds the set; the
+    the module docstring), or, on at most ``_M0`` entries, the base case
+    cuts the sorted copy that validated the vector; one materialise step
+    builds the set; the
     outcome's ``threshold`` is the kernel's ``x_star``, and a ``counter``
     counts the filter's, the split's and the kernel's element operations.
     ``check_invariants`` re-verifies the range ordering, goal consistency
@@ -134,18 +142,21 @@ def _quickmark(
 ) -> MarkingOutcome:
     """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``;
     ``tol`` is in the units of the working entries, which the kernel cuts."""
-    values = iv._work
     goal = iv._goal(theta)
-    idx, cand, band, fixed, above = _candidates(values, theta, goal, tol, counter)
-    x_star, count = _select(band, goal - fixed, tol, counter, above)
-    # the kernel's buffer, the candidates and their mask go before the next allocation
-    del band
-    at_least = cand >= x_star
-    del cand
-    marked = _compress(at_least, idx)
-    del at_least, idx
-    marked = materialise(values, x_star, count, marked)
-    outcome = MarkingOutcome.trusted(iv, marked, x_star)
+    if iv._sorted is not None:
+        outcome = _small(iv, goal, counter, tol is not None)
+    else:
+        values = iv._work
+        idx, cand, band, fixed, above = _candidates(values, theta, goal, tol, counter)
+        x_star, count = _select(band, goal - fixed, tol, counter, above)
+        # the kernel's buffer, the candidates and their mask go before the next allocation
+        del band
+        at_least = cand >= x_star
+        del cand
+        marked = _compress(at_least, idx)
+        del at_least, idx
+        marked = materialise(values, x_star, count, marked)
+        outcome = MarkingOutcome.trusted(iv, marked, x_star)
     if tol is not None:
         _verify_cut(iv, outcome, goal)
     return outcome
@@ -342,7 +353,9 @@ def xstar_kernel(x_copy: np.ndarray, theta: float) -> float:
     :func:`quickmark` runs from the same start, :func:`_candidates`: the
     band or the candidates of a sampled bracket, or else ``x_copy`` itself,
     reordered in place (contiguous accesses, no permutation indirection),
-    or a copy of it when it is read-only.  When its sums could overflow, a
+    or a copy of it when it is read-only.  On at most ``_M0`` entries the
+    base case cuts the sorted copy that validated ``x_copy``, which keeps
+    its order.  When its sums could overflow, a
     writeable ``x_copy`` is scaled in place to the working entries of
     :class:`~dmark.core.IndicatorVector`.  Returns the smallest value
     contained in any minimal marked set, in the units of ``x_copy``; it
@@ -350,8 +363,10 @@ def xstar_kernel(x_copy: np.ndarray, theta: float) -> float:
     :func:`quickmark` decides.
     """
     theta = check_theta(theta)
-    a, total, _, scale = _working(_real_array(x_copy, copy=False))
+    a, total, _, scale, ascending = _working(_real_array(x_copy, copy=False))
     goal = theta * total
+    if ascending is not None:
+        return _cut(ascending, 0, ascending.size, goal, goal)[0] * scale
     # only the kernel's start is kept: the candidates are released before it runs
     band, fixed, above = _candidates(a, theta, goal)[2:]
     return _select(band, goal - fixed, above=above)[0] * scale

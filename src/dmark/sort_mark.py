@@ -2,11 +2,13 @@
 
 This is the classical log-linear reference strategy: sort the indicators and
 cut the descending order at the first prefix that reaches the goal.  The cut,
-:func:`_settle`, is also the base case of the selection kernel in
-:mod:`dmark.quickmark`, so on at most ``_M0`` entries the two strategies run
-the same code; it sums the mass above its range from its own buffer.  Only
-the values are sorted; the shared materialise step marks the cut, ties by
-ascending index, so outputs are deterministic and ascending.
+:func:`_cut`, is also the base case of the selection kernel in
+:mod:`dmark.quickmark` (:func:`_settle` sorts a range and cuts it; it sums
+the mass above its range from its own buffer).  On at most ``_M0`` entries
+the sort is the one that validated the vector, and the two strategies run
+the same code, :func:`_small`, on that ascending copy.  Only the values are
+sorted; the shared materialise step marks the cut, ties by ascending index,
+so outputs are deterministic and ascending.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .core import (
     AdmissibilityError,
     IndicatorInput,
+    IndicatorVector,
     MarkingOutcome,
     OpCounter,
     _first_reaching,
@@ -58,18 +61,39 @@ def sort_mark(
     """Mark a minimal-cardinality set via sorting.
 
     Returns the shortest descending prefix that reaches the goal, cut by
-    :func:`_settle` over the whole vector, with the cut's value as the
-    outcome's ``threshold``.  With a ``counter`` the interpreter's
-    comparison sort runs as well, counting its comparisons and the length
-    of the cut; the set is the same as without one.
+    :func:`_cut` over the whole vector, with the cut's value as the
+    outcome's ``threshold``.  On at most ``_M0`` entries it cuts the sorted
+    copy that validated the vector (:func:`_small`), and a ``counter``
+    counts that sort and cut as the selection kernel's base case does.
+    Above ``_M0`` a ``counter`` runs the interpreter's comparison sort as
+    well, counting its comparisons and the length of the cut; the set is
+    the same as without one.
     """
     iv = as_indicators(x)
     theta = check_theta(theta)
     goal = iv._goal(theta)
+    if iv._sorted is not None:
+        return _small(iv, goal, counter)
     x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal)
     if counter is not None:
         _counted_sort_desc(iv.values.tolist(), counter)
         counter.add(count)
+    return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
+
+
+def _small(
+    iv: IndicatorVector, goal: float, counter: OpCounter | None = None, check: bool = False
+) -> MarkingOutcome:
+    """The minimal marking of at most ``_M0`` entries: one cut of ``iv._sorted``.
+
+    The vector's validation sorted its working entries once; :func:`_cut`
+    takes that ascending copy as the selection kernel's base case takes a
+    range it has sorted, and the materialise step marks the cut.  A
+    ``counter`` gets the count of the sort and the cut, and ``check``
+    verifies the cut against the rule, as in :func:`_settle`.
+    """
+    ascending = iv._sorted
+    x_star, count = _cut(ascending, 0, ascending.size, goal, goal, check, counter)
     return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
 
 
@@ -83,7 +107,22 @@ def _settle(
     counter: OpCounter | None = None,
     above: int = 0,
 ) -> tuple[float, int]:
-    """Sort ``a[lo:hi]`` and cut it by the stop rule: the threshold and the count.
+    """Sort ``a[lo:hi]`` in place and cut it by :func:`_cut`: the threshold and the count."""
+    a[lo:hi].sort()
+    return _cut(a, lo, hi, goal, v, check, counter, above)
+
+
+def _cut(
+    a: np.ndarray,
+    lo: int,
+    hi: int,
+    goal: float,
+    v: float,
+    check: bool = False,
+    counter: OpCounter | None = None,
+    above: int = 0,
+) -> tuple[float, int]:
+    """Cut the ascending range ``a[lo:hi]`` by the stop rule: the threshold and the count.
 
     Every entry of ``a[hi:]``, and ``above`` more outside ``a``, is at least
     the range's largest; ``v`` is the residual goal.  When nothing lies
@@ -95,14 +134,12 @@ def _settle(
     ``a[hi - 1 - j:]``.  Otherwise the range's float prefix sums decide
     against ``v``.  Either cut takes the whole range when no prefix reaches
     the goal, so rounding cannot empty it.  Returns
-    ``(a[k], a.size - k + above)`` at the cut's rank ``k``, with
-    ``a[lo:hi]`` sorted ascending.  With ``check`` the exact cut is verified
-    against the rule.  A ``counter`` gets ``m * ceil(log2 m)`` for the sort
-    of ``m`` entries plus the length of the cut.
+    ``(a[k], a.size - k + above)`` at the cut's rank ``k``; ``a`` is only
+    read.  With ``check`` the exact cut is verified against the rule.  A
+    ``counter`` gets ``m * ceil(log2 m)`` for the sort of the ``m`` entries
+    plus the length of the cut.
     """
-    seg = a[lo:hi]
-    seg.sort()
-    prefix = np.add.accumulate(seg[::-1])
+    prefix = np.add.accumulate(a[lo:hi][::-1])
     m = hi - lo
     exact = not above and a.size - lo <= _EXACT_MAX
     if exact:
@@ -117,7 +154,7 @@ def _settle(
         counter.add(m * (m - 1).bit_length() + j + 1)
     if check and exact:
         _verify_base(a, lo, hi, k, goal)
-    return float(a[k]), int(a.size) - k + above
+    return a.item(k), a.size - k + above
 
 
 def _verify_base(a, lo, hi, k, goal) -> None:

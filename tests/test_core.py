@@ -76,6 +76,57 @@ class TestIndicatorVector:
         with pytest.raises(InvalidIndicatorsError, match=reason):
             IndicatorVector(bad)
 
+    @pytest.mark.parametrize("n", [1, 2, core._M0, core._M0 + 1])
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("nan", "indicators must be finite"),
+            ("+inf", "indicators must be finite"),
+            ("-inf", "indicators must be finite"),
+            ("negative", "indicators must be nonnegative"),
+            ("zeros", "at least one indicator must be positive"),
+            ("negative zeros", "at least one indicator must be positive"),
+            ("empty", "indicator vector must not be empty"),
+            ("2-D", "indicators must be one-dimensional, got shape (1, {n})"),
+        ],
+    )
+    def test_sorted_and_unsigned_validation_raise_alike(self, n, case, message):
+        # up to _M0 entries validation reads a sorted copy, above it the
+        # unsigned maximum; both leave the message to check_indicators
+        x = np.ones(n)
+        if case in ("nan", "+inf", "-inf", "negative"):
+            x[n // 2] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "negative": -1.0}[case]
+        elif case == "zeros":
+            x[:] = 0.0
+        elif case == "negative zeros":
+            x[:] = -0.0
+        elif case == "empty":
+            x = x[:0]
+        else:
+            x = x.reshape(1, n)
+        message = message.format(n=n)
+        for call in (
+            IndicatorVector,
+            lambda x: IndicatorVector(read_only(x)),
+            lambda x: IndicatorVector(x.tolist()),
+            lambda x: xstar_kernel(x.copy(), 0.5),
+            *(lambda x, a=a: mark(x, 0.5, a) for a in ALGORITHM_NAMES),
+        ):
+            with pytest.raises(InvalidIndicatorsError) as info:
+                call(x)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [2, core._M0, core._M0 + 1])
+    def test_negative_zeros_beside_positive_entries_are_valid(self, n):
+        x = np.ones(n)
+        x[::2] = -0.0
+        iv = IndicatorVector(x)
+        assert (iv._sorted is not None) == (n <= core._M0)
+        assert iv.max_value() == 1.0 and iv.total() == n // 2
+        for algorithm in ALGORITHM_NAMES:
+            assert satisfies_doerfler(x, 0.5, mark(x, 0.5, algorithm).outcome.marked)
+        assert xstar_kernel(x.copy(), 0.5) == 1.0
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -373,6 +424,24 @@ class TestMarkThetaOne:
         out = mark_theta_one(xs)
         assert out.cardinality == sum(1 for v in xs if v > 0)
         assert satisfies_doerfler(xs, 1.0, out.marked)
+
+
+@pytest.mark.parametrize("field", ["marked", "achieved_sum", "cardinality", "threshold"])
+def test_outcome_fields_are_read_only(field):
+    out = quickmark([4.0, 1.0, 2.0, 3.0], 0.5)
+    before = getattr(out, field)
+    with pytest.raises(AttributeError):
+        setattr(out, field, None)
+    assert getattr(out, field) is before
+
+
+@pytest.mark.parametrize("field", ["algorithm", "outcome"])
+def test_run_fields_are_read_only(field):
+    run = mark([4.0, 1.0, 2.0, 3.0], 0.5)
+    before = getattr(run, field)
+    with pytest.raises(AttributeError):
+        setattr(run, field, None)
+    assert getattr(run, field) is before
 
 
 class TestMarkingOutcome:

@@ -102,6 +102,19 @@ def test_write_unsupported_extension(tmp_path):
     assert not p.exists()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[[1.0, 2.0]], [10**400], ["a"], {1: 2}, np.array([1 + 1j, 2])],
+    ids=["2-D", "overflow", "string", "dict", "complex"],
+)
+@pytest.mark.parametrize("suffix", [".txt", ".f64"])
+def test_write_rejects_what_is_not_a_real_vector(tmp_path, values, suffix):
+    p = tmp_path / f"x{suffix}"
+    with pytest.raises(InvalidIndicatorsError):
+        write_indicators(p, values)
+    assert not p.exists()
+
+
 def test_binary_truncated(tmp_path):
     p = tmp_path / "x.f64"
     p.write_bytes(b"\x00" * 12)

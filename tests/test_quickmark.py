@@ -2,7 +2,6 @@
 
 import importlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,6 +367,67 @@ class TestBaseCase:
             assert counter.comparisons == m * math.ceil(math.log2(m)) + count
 
 
+class TestSmallPath:
+    """Up to ``_M0`` entries every minimal strategy cuts the sort that validated the vector."""
+
+    def test_returns_the_base_case_on_a_fresh_copy(self):
+        rng = np.random.default_rng(4245)
+        for n in [n for n in range(2, _M0 + 2) for _ in range(4)]:
+            x, theta = boundary_instance(rng, n)
+            iv = IndicatorVector(x)
+            assert (iv._sorted is not None) == (n <= _M0)
+            goal = iv._goal(theta)
+            x_star, count = _settle(iv._work.copy(), 0, n, goal, goal)
+            base = MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
+            expected = (base.marked.tolist(), base.threshold, base.achieved_sum.hex())
+            runs = {"sort": lambda c: sort_mark(x, theta, c)}
+            if n <= _M0:
+                runs["quickmark"] = lambda c: quickmark(x, theta, counter=c)
+                runs["xstar"] = lambda c: mark(x, theta, "xstar", counter=c).outcome
+            for name, run in runs.items():
+                for counter in (None, OpCounter()):
+                    out = run(counter)
+                    got = (out.marked.tolist(), out.threshold, out.achieved_sum.hex())
+                    assert got == expected, (name, n)
+                    if counter is not None and n <= _M0:
+                        assert counter.comparisons == n * (n - 1).bit_length() + count
+            checked = quickmark(x, theta, check_invariants=True)
+            if n <= _M0:
+                assert checked.marked.tolist() == expected[0]
+
+    def test_cuts_the_sorted_copy_without_sorting_again(self, monkeypatch):
+        # validation sorts once; the cut reads that copy, and no strategy
+        # starts the kernel or sorts the entries again
+        calls = []
+        for module, name in (
+            ("dmark.quickmark", "_candidates"),
+            ("dmark.quickmark", "_select"),
+            ("dmark.quickmark", "_settle"),
+            ("dmark.sort_mark", "_settle"),
+        ):
+            monkeypatch.setattr(
+                importlib.import_module(module), name, lambda *a, name=name, **k: calls.append(name)
+            )
+        x, theta = boundary_instance(np.random.default_rng(4246), _M0)
+        iv = IndicatorVector(x)
+        ascending = iv._sorted.copy()
+        for algorithm in ("quickmark", "xstar", "sort"):
+            assert satisfies_doerfler(iv, theta, mark(iv, theta, algorithm).outcome.marked)
+        assert quickmark(iv, theta, check_invariants=True).threshold is not None
+        assert xstar_kernel(x.copy(), theta) == quickmark(iv, theta).threshold
+        assert calls == []
+        assert not iv._sorted.flags.writeable
+        assert np.array_equal(iv._sorted, ascending)
+
+    def test_overflowing_input_scales_the_sorted_copy(self):
+        x = np.array([1e308, 1e308, 1e307, 5e-324, 3.0])
+        iv = IndicatorVector(x)
+        assert iv._scale > 1.0
+        assert iv._sorted.tolist() == sorted(iv._work.tolist())
+        out = quickmark(x, 0.3)
+        assert out.marked.tolist() == [0] and out.threshold == 1e308
+
+
 class TestMaterialise:
     def test_lowest_index_ties_fill_the_cut(self):
         values = np.array([1.0, 3.0, 2.0, 2.0, 5.0, 2.0])
@@ -412,7 +472,8 @@ class TestCheckInvariants:
         iv = IndicatorVector([4.0, 1.0, 2.0, 3.0])
 
         def cut(marked, x_star):
-            return replace(MarkingOutcome.from_marked(iv, marked), threshold=x_star)
+            out = MarkingOutcome.from_marked(iv, marked)
+            return MarkingOutcome(out.marked, out.achieved_sum, out.cardinality, x_star)
 
         _verify_cut(iv, cut([0, 3], 3.0), 5.0)  # admissible
         with pytest.raises(AdmissibilityError, match="smallest"):
