@@ -370,18 +370,26 @@ def index_array(indices: Iterable[int]) -> np.ndarray:
     """The indices as an int64 array (no copy for int64 arrays).
 
     Raises :class:`MarkingError` for anything but a one-dimensional
-    sequence of integers, and for a nonempty input without an integer
-    dtype: a cast would truncate floats and read a boolean mask as indices.
+    sequence of integers, for a nonempty input without an integer dtype (a
+    cast would truncate floats and read a boolean mask as indices), and for
+    an integer outside the int64 range, which the cast would wrap.
     """
     try:
         if not isinstance(indices, np.ndarray):
-            indices = np.asarray(list(indices))
+            items = list(indices)
+            indices = np.asarray(items)
+            # numpy holds Python ints beyond int64 as float64 or object
+            if indices.dtype.kind in "fO" and items and all(isinstance(i, int) for i in items):
+                big = next(i for i in items if not -(2**63) <= i < 2**63)
+                raise MarkingError(f"marked index {big} is outside the int64 range")
     except (TypeError, ValueError) as exc:
         raise MarkingError(f"marked indices must be a sequence of integers: {exc}") from None
     if indices.ndim != 1:
         raise MarkingError(f"marked indices must be one-dimensional, got shape {indices.shape}")
     if indices.dtype.kind not in "iu" and indices.size:
         raise MarkingError(f"marked indices must be integers, got dtype {indices.dtype}")
+    if indices.dtype == np.uint64 and indices.size and indices.max() >= 2**63:
+        raise MarkingError(f"marked index {int(indices.max())} is outside the int64 range")
     return indices.astype(np.int64, copy=False)
 
 

@@ -482,7 +482,8 @@ def write_indicators(path: PathLike, values: np.ndarray) -> None:
 def write_marked_indices(path: PathLike, indices: Iterable[int]) -> None:
     """Write the indices in ascending order, one decimal per line.
 
-    Raises :class:`MarkingError` for a negative index.
+    Raises :class:`MarkingError` for a negative index and for an integer
+    outside the int64 range.
     """
     idx = index_array(indices)
     # every strategy but decrement already produces an ascending set
@@ -497,30 +498,44 @@ def write_marked_indices(path: PathLike, indices: Iterable[int]) -> None:
 
 
 # the largest set written by str.join: 124 of the 180 CLI instances of
-# boundary-small (seeds 1-3) write at most this many, in a median 4-6 us
-# against 16-22 us for the numpy writer; the 1e6 workloads write thousands
-# (CHANGES.md)
+# boundary-small (seeds 1-3) write at most this many; on sets of indices
+# below 1,000 the numpy encoder took 1.19x the join's time at 60 entries
+# and 0.93x at 80, and the 1e6 workloads write thousands (CHANGES.md)
 _JOIN_MAX = 80
 
 
-# "00", "01", ..., "99" as 2-byte units, so one store writes two digits
-_DIGIT_PAIRS = np.frombuffer(
-    "".join(f"{i:02d}" for i in range(100)).encode("ascii"), dtype=np.uint16
+# the ASCII digits of every number below 10**w, zero-padded to w digits, as
+# one w-byte unit each for w = 1..4 (uint8, uint16, 3-byte void, uint32), so
+# one store writes w digits: _LEADS[4] (40 KB) writes every 4-digit group
+# below the top one, and _LEADS[w] a top group of w digits
+_LEADS = (None,) + tuple(
+    np.frombuffer(
+        "".join(f"{i:0{w}d}" for i in range(10**w)).encode("ascii"), dtype=dtype
+    )
+    for w, dtype in ((1, np.uint8), (2, np.uint16), (3, "V3"), (4, np.uint32))
 )
 # 10**1 .. 10**18: the entries below 10**d have at most d digits (int64 has at most 19)
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+# entries per slice of a digit block: the three scratch arrays (at most
+# 768 KB) are reused from slice to slice and stay in cache; on sets of
+# 3*10^5 to 10^6 indices 2^15 took 0.70-1.01x the time of 2^14 and 2^16,
+# and 0.54-0.89x that of one slice per block (CHANGES.md)
+_SLICE = 2**15
 
 
 def _decimal_lines(idx: np.ndarray) -> np.ndarray:
     """The bytes of ``f"{i}\\n"`` for each entry of an ascending nonnegative int64 array.
 
     Entries with ``d`` digits form one contiguous block, written as an
-    ``(n_d, d + 1)`` byte matrix: digits right to left, two per division by
-    100, and LF in the last column.
+    ``(n_d, d + 1)`` byte matrix, ``_SLICE`` rows at a time: digits right to
+    left, four per division by 10**4, then the top 1 to 4 digits straight
+    from a table, and LF in the last column.
     """
     # edges[d - 1]:edges[d] holds the entries with d digits
     edges = [0, *np.searchsorted(idx, _POWERS_OF_TEN).tolist(), idx.size]
     out = np.empty(sum((edges[d] - edges[d - 1]) * (d + 1) for d in range(1, 20)), dtype=np.uint8)
+    scratch = np.empty((3, min(_SLICE, idx.size)), dtype=np.uint64)
     offset = 0
     for d in range(1, 20):
         lo, hi = edges[d - 1], edges[d]
@@ -529,13 +544,28 @@ def _decimal_lines(idx: np.ndarray) -> np.ndarray:
         block = out[offset : offset + (hi - lo) * (d + 1)].reshape(hi - lo, d + 1)
         offset += block.size
         block[:, d] = ord("\n")
-        # unsigned division is cheaper, and 32 bits cheaper still
-        q = idx[lo:hi].astype(np.uint32 if d <= 9 else np.uint64)
-        col = d
-        while col >= 2:
-            q, r = np.divmod(q, 100)
-            block[:, col - 2 : col].view(np.uint16)[:, 0] = _DIGIT_PAIRS[r]
-            col -= 2
-        if col == 1:
-            block[:, 0] = q + ord("0")
+        lead = _LEADS[(d - 1) % 4 + 1]
+        # np.divmod by a scalar took 6x the time of np.floor_divide (1.65
+        # against 0.27 ms on 9*10^5 uint32 entries), which alone has numpy's
+        # fast division by a scalar; uint64 division took 3x the time of
+        # uint32, which holds up to 10**9 - 1
+        words = scratch.view(np.uint32 if d <= 9 else np.uint64)
+        for a in range(lo, hi, _SLICE):
+            b = min(a + _SLICE, hi)
+            rows = block[a - lo : b - lo]
+            q, col = idx[a:b], d
+            if col > 4:
+                q, high, low = words[:, : b - a]
+                np.copyto(q, idx[a:b], casting="unsafe")
+            while col > 4:
+                np.floor_divide(q, 10**4, out=high)
+                np.multiply(high, 10**4, out=low)
+                np.subtract(q, low, out=low)
+                # take gathers in 0.46 of the time of a fancy index; "wrap"
+                # skips its range check (every index is below the table's
+                # size) and saved 6-14% of the encoder's time
+                rows[:, col - 4 : col].view(np.uint32)[:, 0] = _LEADS[4].take(low, mode="wrap")
+                q, high = high, q
+                col -= 4
+            rows[:, :col].view(lead.dtype)[:, 0] = lead.take(q, mode="wrap")
     return out

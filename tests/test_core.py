@@ -544,6 +544,40 @@ def test_integer_and_empty_index_sets_accepted():
     assert MarkingOutcome.from_marked(x, []).cardinality == 0
 
 
+BEYOND_INT64 = [
+    (np.array([5, 2**63], dtype=np.uint64), 2**63),
+    (np.array([2**64 - 1, 0], dtype=np.uint64), 2**64 - 1),
+    ([5, 2**63], 2**63),
+    ([0, -(2**63) - 1], -(2**63) - 1),
+    ([2**70], 2**70),
+]
+
+
+@pytest.mark.parametrize("marked,value", BEYOND_INT64)
+def test_indices_beyond_int64_named(marked, value):
+    # the cast to int64 would wrap 2**63 to -2**63, a value never passed
+    x = [4.0, 1.0, 2.0, 3.0]
+    message = f"marked index {value} is outside the int64 range"
+    with pytest.raises(MarkingError, match=message):
+        satisfies_doerfler(x, 0.5, marked)
+    with pytest.raises(MarkingError, match=message):
+        MarkingOutcome.from_marked(x, marked)
+    with pytest.raises(MarkingError, match=message):
+        is_valid_minimal_set(x, marked, 5.0)
+
+
+def test_uint64_indices_in_the_int64_range():
+    x = [4.0, 1.0, 2.0, 3.0]
+    assert satisfies_doerfler(x, 0.5, np.array([3, 0], dtype=np.uint64)) is True
+    assert MarkingOutcome.from_marked(x, np.array([3, 0], dtype=np.uint64)).cardinality == 2
+    # in the int64 range but not in the vector: the documented IndexError
+    for marked in (np.array([2**63 - 1], dtype=np.uint64), [2**63 - 1]):
+        with pytest.raises(IndexError):
+            satisfies_doerfler(x, 0.5, marked)
+        with pytest.raises(IndexError):
+            MarkingOutcome.from_marked(x, marked)
+
+
 def test_satisfies_doerfler_collapses_duplicates():
     # [0, 0] carries 4 < 5 once the duplicate collapses, not 8
     assert satisfies_doerfler([4, 1, 2, 3], 0.5, [0, 0]) is False

@@ -563,6 +563,40 @@ class TestMarkedIndexBytes:
             self.check(tmp_path, np.sort(values))
             self.check(tmp_path, values.tolist())
 
+    @pytest.mark.parametrize("size", [io._SLICE - 1, io._SLICE, io._SLICE + 1])
+    def test_each_side_of_the_slice_size(self, tmp_path, size):
+        # a block of exactly one slice, and one row short of or past it, after
+        # a shorter block, in 32-bit (6 digits) and 64-bit (11 digits) words
+        for first in (10**5, 10**10):
+            self.check(tmp_path, np.arange(first - 3, first + size, dtype=np.int64))
+
+    def test_every_digit_count_over_several_slices(self, tmp_path):
+        # 2 * _SLICE + 1 entries from 10**(d - 1) to 10**d - 1 for each d, the
+        # 19-digit block ending at 2**63 - 1; up to 4 digits they repeat
+        n = 2 * io._SLICE + 1
+        values = []
+        for d in range(1, 20):
+            lo, hi = 10 ** (d - 1) if d > 1 else 0, 10**d - 1 if d < 19 else 2**63 - 1
+            values += [lo + k * (hi - lo) // (n - 1) for k in range(n)]
+        self.check(tmp_path, np.array(values, dtype=np.int64))
+
+    @given(
+        near=st.lists(
+            st.tuples(st.integers(1, 19), st.integers(-40, 40)), min_size=_JOIN_MAX + 1, max_size=400
+        ),
+        size=st.sampled_from([1, 2, 3, 7, 64]),
+    )
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_entries_near_digit_boundaries(self, tmp_path, monkeypatch, near, size):
+        # slices of a few rows, so that every block spans several of them
+        monkeypatch.setattr(io, "_SLICE", size)
+        values = np.sort(
+            np.array([min(max(10**k + step, 0), 2**63 - 1) for k, step in near], dtype=np.int64)
+        )
+        self.check(tmp_path, values)
+
     def test_unsorted_duplicates_lists_and_int32(self, tmp_path, rng):
         values = rng.integers(0, 10**6, 2000)
         self.check(tmp_path, values.tolist())
@@ -581,3 +615,12 @@ class TestMarkedIndexBytes:
             with pytest.raises(MarkingError, match="negative"):
                 write_marked_indices(p, indices)
         assert not p.exists()
+
+    def test_indices_beyond_int64_named(self, tmp_path):
+        # the cast to int64 would wrap 2**63 to -2**63 and report that as negative
+        p = tmp_path / "m.txt"
+        for indices in (np.array([5, 2**63], dtype=np.uint64), [5, 2**63]):
+            with pytest.raises(MarkingError, match=f"marked index {2**63} is outside the int64 range"):
+                write_marked_indices(p, indices)
+        assert not p.exists()
+        self.check(tmp_path, np.array([2**63 - 1, 5], dtype=np.uint64))
