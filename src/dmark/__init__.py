@@ -5,7 +5,7 @@ returns an index set whose entries carry at least ``theta`` of the total
 indicator mass.  The package provides:
 
 * :func:`dmark.quickmark.quickmark` - minimal cardinality at worst-case
-  linear cost (the recommended strategy); its destructive kernel alone,
+  linear cost (the recommended strategy); its threshold step alone,
   :func:`dmark.quickmark.xstar_kernel`, returns just the threshold,
 * :func:`dmark.sort_mark.sort_mark` - minimal cardinality via a full sort
   (log-linear reference and oracle), cut by the selection kernel's base case,

@@ -228,9 +228,8 @@ def _working(
     The working entries are ``arr`` at scale 1, or, when ``N * max``
     reaches ``_SUM_LIMIT``, a read-only ``arr / 2**s`` with ``s`` read off
     the exponents of ``N`` and ``max`` so that ``N * max / 2**s < 2**1022``:
-    no float sum of them, in any order, can overflow.  A writeable ``arr``,
-    a caller's scratch array, is scaled in place instead, and stays
-    writeable.  The ascending copy is scaled with them, and read-only.
+    no float sum of them, in any order, can overflow.  The ascending copy
+    is scaled with them, and read-only.
     """
     if arr.ndim != 1 or not arr.size:
         check_indicators(arr)
@@ -250,11 +249,8 @@ def _working(
     scale = 1.0
     if arr.size * hi >= _SUM_LIMIT:
         scale = math.ldexp(1.0, arr.size.bit_length() + math.frexp(hi)[1] - 1022)
-        if arr.flags.writeable:
-            arr *= 1.0 / scale
-        else:
-            arr = arr * (1.0 / scale)
-            arr.setflags(write=False)
+        arr = arr * (1.0 / scale)
+        arr.setflags(write=False)
         if ascending is not None:
             ascending *= 1.0 / scale
         hi /= scale

@@ -110,7 +110,8 @@ def _is_minimal(iv: IndicatorVector, marked: Iterable[int], v: float) -> bool:
         return False
     total = pairwise_sum(member_vals)
     reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))
-    return not (total < v - tol or (member_vals.size > 1 and reduced >= v + tol))
+    # in positive form, so that a NaN goal fails
+    return total >= v - tol and not (member_vals.size > 1 and reduced >= v + tol)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Minimal-cardinality marking in linear time by selection-style recursion.
 
-The value kernel reorders a scratch copy of the indicators in place.  At each
+The value kernel reorders a fresh copy of the indicators in place.  At each
 level it partitions the active range of ``m`` entries around the value of
 its lower median rank ``(m - 1) // 2``, then either recurses into the part
 above the rank (it already covers the goal), stops at the rank (the rank's
@@ -25,10 +25,9 @@ sums do not sit within rounding of the goal, and on at most ``_M0`` entries
 it is the rule's cut, the set that ``sort`` returns.
 
 A vector of at most ``_M0`` entries does not reach the kernel at all: the
-sort that validated it (``core._working``) is its base case, and
-:func:`dmark.sort_mark._small` cuts that sorted copy by the same rule, for
-``quickmark``, ``xstar``, ``sort`` and :func:`xstar_kernel` alike, so a
-small call sorts once and copies its entries once.
+sort that validated it (``core._working``) is its base case, and one
+:func:`dmark.sort_mark._cut` of that copy serves ``quickmark``, ``xstar``,
+``sort`` and :func:`xstar_kernel` alike: a small call sorts once.
 
 From ``_MIN_N`` entries on, a sampled bracket of ``x_star`` narrows the
 kernel (Floyd & Rivest's sampled selection, applied to the mass-weighted
@@ -57,8 +56,8 @@ comparison with ``x_star`` gives the materialise step the marked
 candidates.  On a smaller input, a subnormal goal, ``lo <= 0`` and
 candidates that miss the goal, the kernel runs on every entry, at the cost
 of one extra pass and the sort of the sample at most.  :func:`_candidates`
-chooses this start once, and :func:`quickmark` and :func:`xstar_kernel`
-run the kernel from it.
+chooses this start once, and :func:`_threshold` runs the kernel from it
+for :func:`quickmark` and :func:`xstar_kernel` alike.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel, the elements each level partitions plus the elements it sums,
@@ -86,8 +85,6 @@ from .core import (
     _TINY,
     _exact_sum,
     _fsum,
-    _real_array,
-    _working,
     as_indicators,
     check_theta,
     criterion_tolerance,
@@ -95,7 +92,7 @@ from .core import (
     pairwise_sum,
 )
 from .oracle import _is_minimal
-from .sort_mark import _EXACT_MAX, _cut, _settle, _small
+from .sort_mark import _EXACT_MAX, _cut, _settle
 
 __all__ = ["quickmark", "xstar_kernel"]
 
@@ -114,12 +111,10 @@ def quickmark(
 ) -> MarkingOutcome:
     """Minimal-cardinality marking by median-partition recursion.
 
-    The value kernel runs from the start :func:`_candidates` chooses (see
-    the module docstring), or, on at most ``_M0`` entries, the base case
-    cuts the sorted copy that validated the vector; one materialise step
-    builds the set; the
-    outcome's ``threshold`` is the kernel's ``x_star``, and a ``counter``
-    counts the filter's, the split's and the kernel's element operations.
+    One threshold step, :func:`_threshold`, finds the kernel's ``x_star``
+    and cut (see the module docstring), and one materialise step builds the
+    set; the outcome's ``threshold`` is ``x_star``, and a ``counter`` counts
+    the filter's, the split's and the kernel's element operations.
     ``check_invariants`` re-verifies the range ordering, goal consistency
     and goal reachability at every level, the base case's cut against the
     stop rule, the dominance and removal-minimality of the final set, that
@@ -135,69 +130,70 @@ def quickmark(
 
 
 def _quickmark(
-    iv: IndicatorVector,
-    theta: float,
-    counter: OpCounter | None = None,
-    tol: float | None = None,
+    iv: IndicatorVector, theta: float, counter: OpCounter | None = None, tol: float | None = None
 ) -> MarkingOutcome:
     """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``;
     ``tol`` is in the units of the working entries, which the kernel cuts."""
-    goal = iv._goal(theta)
-    if iv._sorted is not None:
-        outcome = _small(iv, goal, counter, tol is not None)
-    else:
-        values = iv._work
-        idx, cand, band, fixed, above = _candidates(values, theta, goal, tol, counter)
-        x_star, count = _select(band, goal - fixed, tol, counter, above)
-        # the kernel's buffer, the candidates and their mask go before the next allocation
-        del band
+    x_star, count, idx, cand = _threshold(iv, theta, tol, counter)
+    if idx is not None:
+        # the candidates and their mask go before the next allocation
         at_least = cand >= x_star
         del cand
-        marked = _compress(at_least, idx)
-        del at_least, idx
-        marked = materialise(values, x_star, count, marked)
-        outcome = MarkingOutcome.trusted(iv, marked, x_star)
+        idx = idx.compress(at_least)
+        del at_least
+    outcome = MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count, idx), x_star)
     if tol is not None:
-        _verify_cut(iv, outcome, goal)
+        _verify_cut(iv, outcome, iv._goal(theta))
     return outcome
+
+
+def _threshold(
+    iv: IndicatorVector, theta: float, tol: float | None = None, counter: OpCounter | None = None
+) -> tuple[float, int, np.ndarray | None, np.ndarray | None]:
+    """``(x_star, count, idx, cand)``: the kernel's cut, or on at most ``_M0`` entries
+    the cut of ``iv._sorted``, and the candidates of :func:`_candidates`, or ``None``
+    twice without them; the one threshold step of :func:`_quickmark` and :func:`xstar_kernel`."""
+    goal = iv._goal(theta)
+    if iv._sorted is not None:
+        return *_cut(iv._sorted, 0, iv.n, goal, goal, tol is not None, counter), None, None
+    idx, cand, band, fixed, above = _candidates(iv._work, theta, goal, tol is not None, counter)
+    return *_select(band, goal - fixed, tol, counter, above), idx, cand
 
 
 def _candidates(
     values: np.ndarray,
     theta: float,
     goal: float,
-    tol: float | None = None,
+    check: bool = False,
     counter: OpCounter | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float, int]:
-    """The kernel's start, chosen once for :func:`_quickmark` and :func:`xstar_kernel`.
+    """The kernel's start, chosen once for :func:`_threshold`.
 
     Returns ``(idx, cand, band, fixed, above)``: the ascending indices of
     the candidates, the entries above the bound ``lo`` of :func:`_bracket`,
-    a fresh array of their values in that order, and the array ``band`` the
-    kernel starts on, below ``above`` candidates of float mass ``fixed``
-    that every minimal set holds; the kernel's goal is ``goal - fixed``.
-    ``band`` holds the candidates at most ``hi``, or, when the band is
-    declined (see the module docstring), it is a copy of every candidate
-    with ``fixed = 0`` and ``above = 0``.  With at most ``_EXACT_MAX``
-    candidates above ``hi`` the band is declined as a policy: that keeps the
-    base case's exact cut.  Without candidates (``N`` below ``_MIN_N``, a
-    subnormal goal, no positive ``lo``, or candidates whose float sum does
-    not clear the goal by the rounding bound ``2 * (m + 1) * eps`` of
-    ``core._first_reaching``) the start is every entry: ``idx`` is ``None``,
-    ``cand`` is ``values``, and ``band`` is ``values`` itself when it is
-    writeable, as a caller's scratch array is, and a copy of it otherwise.
+    a fresh array of their values in that order, and the fresh array
+    ``band`` the kernel starts on, below ``above`` candidates of float mass
+    ``fixed`` that every minimal set holds; the kernel's goal is
+    ``goal - fixed``.  ``band`` holds the candidates at most ``hi``, or a
+    copy of every candidate when the band is declined (see the module
+    docstring), with ``fixed = 0`` and ``above = 0``.  Without candidates
+    (``N`` below ``_MIN_N``, a subnormal goal, no positive ``lo``, or
+    candidates whose float sum does not clear the goal by the rounding
+    bound ``2 * (m + 1) * eps`` of ``core._first_reaching``) the start is
+    every entry: ``idx`` is ``None``, ``cand`` is ``values`` and ``band`` a
+    copy of it.
 
-    With ``tol`` the candidates are checked to hold every entry above ``lo``
-    and to carry the goal exactly, and a band to leave out only entries
-    above ``hi`` whose exact sum misses the goal.  A ``counter`` gets the
-    ``N`` comparisons of the filter and the ``m`` summands, and, when the
-    band is split off, the ``m`` comparisons of the split and the band's
-    summands.
+    With ``check`` the candidates are checked to hold every entry above
+    ``lo`` and to carry the goal exactly, and a band to leave out only
+    entries above ``hi`` whose exact sum misses the goal.  A ``counter``
+    gets the ``N`` comparisons of the filter and the ``m`` summands, and,
+    when the band is split off, the ``m`` comparisons of the split and the
+    band's summands.
     """
     n = int(values.size)
     bounds = _bracket(values, theta) if n >= _MIN_N and goal >= _TINY else None
     if bounds is None:
-        return _every(values)
+        return None, values, values.copy(), 0.0, 0
     lo, hi = bounds
     idx = (values > lo).nonzero()[0]
     cand = values.take(idx)
@@ -207,8 +203,8 @@ def _candidates(
         counter.add(n + m)
     if not total >= goal * (1.0 + 2.0 * (m + 1) * EPS):
         del idx, cand  # released before the copy of every entry
-        return _every(values)
-    if tol is not None:
+        return None, values, values.copy(), 0.0, 0
+    if check:
         _verify_candidates(values, lo, idx, goal)
     if hi < math.inf:
         # ties at hi stay in the band
@@ -219,20 +215,10 @@ def _candidates(
         if counter is not None:
             counter.add(m + band.size)
         if above > _EXACT_MAX and fixed < goal - 2.0 * (m + 1) * EPS * total:
-            if tol is not None:
+            if check:
                 _verify_band(cand[~in_band], hi, goal)
             return idx, cand, band, fixed, above
     return idx, cand, cand.copy(), 0.0, 0
-
-
-def _every(values: np.ndarray) -> tuple[None, np.ndarray, np.ndarray, float, int]:
-    """The start on every entry: ``values`` itself when writeable, else a copy."""
-    return None, values, values if values.flags.writeable else values.copy(), 0.0, 0
-
-
-def _compress(at_least: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """The entries of ``idx``, or of ``range(N)`` when it is ``None``, where ``at_least`` holds."""
-    return at_least.nonzero()[0] if idx is None else idx.compress(at_least)
 
 
 def _bracket(values: np.ndarray, theta: float) -> tuple[float, float] | None:
@@ -346,27 +332,15 @@ def _verify_cut(iv, outcome, goal) -> None:
         )
 
 
-def xstar_kernel(x_copy: np.ndarray, theta: float) -> float:
-    """Threshold of the minimal marking, computed on a destructive scratch copy.
+def xstar_kernel(x_copy: IndicatorInput, theta: float) -> float:
+    """Threshold of the minimal marking, from the threshold step of :func:`quickmark`.
 
-    ``x_copy`` must be a caller-owned scratch array.  The value kernel of
-    :func:`quickmark` runs from the same start, :func:`_candidates`: the
-    band or the candidates of a sampled bracket, or else ``x_copy`` itself,
-    reordered in place (contiguous accesses, no permutation indirection),
-    or a copy of it when it is read-only.  On at most ``_M0`` entries the
-    base case cuts the sorted copy that validated ``x_copy``, which keeps
-    its order.  When its sums could overflow, a
-    writeable ``x_copy`` is scaled in place to the working entries of
-    :class:`~dmark.core.IndicatorVector`.  Returns the smallest value
-    contained in any minimal marked set, in the units of ``x_copy``; it
-    alone does not fix the cut among ties in floating point, which
+    ``x_copy`` is validated into an :class:`~dmark.core.IndicatorVector`, as
+    every strategy's input is, and never written.  Returns the smallest
+    value contained in any minimal marked set, in the units of ``x_copy``;
+    it alone does not fix the cut among ties in floating point, which
     :func:`quickmark` decides.
     """
     theta = check_theta(theta)
-    a, total, _, scale, ascending = _working(_real_array(x_copy, copy=False))
-    goal = theta * total
-    if ascending is not None:
-        return _cut(ascending, 0, ascending.size, goal, goal)[0] * scale
-    # only the kernel's start is kept: the candidates are released before it runs
-    band, fixed, above = _candidates(a, theta, goal)[2:]
-    return _select(band, goal - fixed, above=above)[0] * scale
+    iv = as_indicators(x_copy)
+    return _threshold(iv, theta)[0] * iv._scale

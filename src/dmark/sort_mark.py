@@ -6,7 +6,7 @@ cut the descending order at the first prefix that reaches the goal.  The cut,
 :mod:`dmark.quickmark` (:func:`_settle` sorts a range and cuts it; it sums
 the mass above its range from its own buffer).  On at most ``_M0`` entries
 the sort is the one that validated the vector, and the two strategies run
-the same code, :func:`_small`, on that ascending copy.  Only the values are
+the same code, :func:`_cut`, on that ascending copy.  Only the values are
 sorted; the shared materialise step marks the cut, ties by ascending index,
 so outputs are deterministic and ascending.
 """
@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     AdmissibilityError,
     IndicatorInput,
-    IndicatorVector,
     MarkingOutcome,
     OpCounter,
     _first_reaching,
@@ -63,8 +62,8 @@ def sort_mark(
     Returns the shortest descending prefix that reaches the goal, cut by
     :func:`_cut` over the whole vector, with the cut's value as the
     outcome's ``threshold``.  On at most ``_M0`` entries it cuts the sorted
-    copy that validated the vector (:func:`_small`), and a ``counter``
-    counts that sort and cut as the selection kernel's base case does.
+    copy that validated the vector, and a ``counter`` counts that sort and
+    cut as the selection kernel's base case does.
     Above ``_M0`` a ``counter`` runs the interpreter's comparison sort as
     well, counting its comparisons and the length of the cut; the set is
     the same as without one.
@@ -73,27 +72,12 @@ def sort_mark(
     theta = check_theta(theta)
     goal = iv._goal(theta)
     if iv._sorted is not None:
-        return _small(iv, goal, counter)
-    x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal)
-    if counter is not None:
-        _counted_sort_desc(iv.values.tolist(), counter)
-        counter.add(count)
-    return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
-
-
-def _small(
-    iv: IndicatorVector, goal: float, counter: OpCounter | None = None, check: bool = False
-) -> MarkingOutcome:
-    """The minimal marking of at most ``_M0`` entries: one cut of ``iv._sorted``.
-
-    The vector's validation sorted its working entries once; :func:`_cut`
-    takes that ascending copy as the selection kernel's base case takes a
-    range it has sorted, and the materialise step marks the cut.  A
-    ``counter`` gets the count of the sort and the cut, and ``check``
-    verifies the cut against the rule, as in :func:`_settle`.
-    """
-    ascending = iv._sorted
-    x_star, count = _cut(ascending, 0, ascending.size, goal, goal, check, counter)
+        x_star, count = _cut(iv._sorted, 0, iv.n, goal, goal, counter=counter)
+    else:
+        x_star, count = _settle(iv._work.copy(), 0, iv.n, goal, goal)
+        if counter is not None:
+            _counted_sort_desc(iv.values.tolist(), counter)
+            counter.add(count)
     return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
 
 

@@ -103,7 +103,7 @@ def test_oracle_self_validation():
 
 
 def test_threshold_invariance():
-    # x* is bitwise identical between quickmark and the destructive xstar_kernel
+    # x* is bitwise identical between quickmark and xstar_kernel
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     checked = 0

@@ -86,6 +86,11 @@ class TestIsValidMinimalSet:
         assert is_valid_minimal_set([5e-324, 5e-324], [0], 0.0) is True
         assert is_valid_minimal_set([5e-324, 5e-324], [0, 1], 0.0) is False
 
+    def test_nan_goal_is_never_met(self):
+        # every comparison with NaN is false: no set may pass on that
+        assert is_valid_minimal_set([1.0, 2.0], [1], float("nan")) is False
+        assert is_valid_minimal_set([1.0, 2.0], [0, 1], float("nan")) is False
+
     def test_candidate_outside_range(self):
         with pytest.raises(IndexError):
             is_valid_minimal_set([1.0, 2.0, 3.0], [2, 3], 1.0)

@@ -9,7 +9,6 @@ and ``N_min`` is the shortest descending prefix that reaches it.
 """
 
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -146,23 +145,6 @@ def test_large_case_takes_the_candidate_path():
     iv = IndicatorVector(x)
     assert iv.total() == math.inf
     assert _candidates(iv._work, theta, iv._goal(theta))[0] is not None
-
-
-def test_xstar_kernel_scales_a_scratch_array_in_place():
-    # below the candidate filter's N the kernel reorders the caller's
-    # scratch array itself, scaled in place: no copy of the entries
-    x = 1e304 * np.random.default_rng(20).random(20_000)
-    expected = mark(x, 0.5, "quickmark").outcome.threshold
-    scratch = x.copy()
-    tracemalloc.start()
-    try:
-        threshold = xstar_kernel(scratch, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert threshold == expected
-    assert peak <= x.size
-    assert sorted(scratch.tolist()) == sorted((x * 2.0 ** -shift(x)).tolist())
 
 
 def test_reported_numbers_are_in_the_callers_units():

@@ -758,17 +758,47 @@ def fallback_cases():
 
 
 @pytest.mark.parametrize("n", [100, 2**16])
-def test_every_entry_start_is_the_scratch_array_or_a_copy(n):
+def test_every_entry_start_is_a_copy(n):
     # below _MIN_N, and from it on where the widened rank passes the sample
     x = np.random.default_rng(8).random(n)
-    theta = 0.999
-    idx, cand, band, fixed, above = _candidates(x, theta, theta * float(np.sum(x)))
-    assert idx is None and cand is x and band is x and (fixed, above) == (0.0, 0)
     x.setflags(write=False)
+    theta = 0.999
     idx, cand, band, fixed, above = _candidates(x, theta, theta * float(np.sum(x)))
     assert idx is None and cand is x and (fixed, above) == (0.0, 0)
     assert band.flags.writeable and not np.shares_memory(band, x)
     assert np.array_equal(band, x)
+
+
+def kernel_starts():
+    rng = np.random.default_rng(20)
+    return [
+        ("base case", rng.random(_M0), 0.5),
+        ("full kernel", rng.random(20_000), 0.5),
+        ("candidates", rng.lognormal(0.0, 2.5, 2**15), 0.3),
+        ("band", rng.random(2**17), 0.5),
+        ("fallback", rng.random(2**16), 0.999),
+        ("overflow", 1e304 * (1.0 + rng.random(20_000)), 0.5),
+    ]
+
+
+def kernel_start(iv, theta):
+    """The name of the start the kernel takes on ``iv``, as in :func:`kernel_starts`."""
+    if iv._sorted is not None:
+        return "base case"
+    if iv.total() == math.inf:
+        return "overflow"
+    idx, cand, band, fixed, above = _candidates(iv._work, theta, iv._goal(theta))
+    if idx is None:
+        return "fallback" if iv.n >= _MIN_N else "full kernel"
+    return "band" if above else "candidates"
+
+
+@pytest.mark.parametrize("start,x,theta", kernel_starts())
+def test_xstar_kernel_leaves_a_writeable_argument_unchanged(start, x, theta):
+    assert x.flags.writeable and kernel_start(IndicatorVector(x), theta) == start
+    before = x.copy()
+    assert xstar_kernel(x, theta) == quickmark(x, theta).threshold
+    assert x.flags.writeable and x.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("name,x,theta", fallback_cases())
