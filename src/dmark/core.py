@@ -142,7 +142,8 @@ def _first_reaching(
     pos = int(prefix.searchsorted(v))
     # the answer lies in [lo, hi]: probes at the two neighbours of the float
     # cut usually settle it, and only a probe that overturns the float cut
-    # opens the whole window
+    # opens the whole window (a plain bisect took 3-5 probes, not 2, in binning
+    # on 10^6 boundary inputs at theta > 0.99999: 155-291 against 105-151 ms)
     lo = hi = pos
     if pos < prefix.size and prefix.item(pos) < above:
         if not exact_sum(pos) >= v:

@@ -1,28 +1,25 @@
 """Minimal-cardinality marking in linear time by selection-style recursion.
 
-The value kernel reorders a fresh copy of the indicators in place.  At each
-level it partitions the active range of ``m`` entries around the value of
-its lower median rank ``(m - 1) // 2``, then either recurses into the part
-above the rank (it already covers the goal), stops at the rank (the rank's
-value closes the gap), or recurses into the part below with the goal
-reduced by the mass it skips: the levels carry one number, that residual
-goal.  A range of at most ``_M0`` entries is finished in one step by the
+The value kernel reorders a fresh copy of the indicators in place.  Its
+levels only narrow the active range of ``m`` entries: each partitions it
+around the value of its lower median rank ``(m - 1) // 2`` and recurses
+into the part above the rank when that part covers the goal, else into the
+part below, rank kept, with the goal reduced by the mass it skips: the
+levels carry one number, that residual goal.  Every cut is made by the
 sorted cut that ``sort`` runs over the whole vector,
-:func:`dmark.sort_mark._settle`: sorted in place, the range is cut at the
-first of its descending prefixes whose correctly rounded sum, together
-with the entries above the range, reaches the goal (the stop rule that
-every strategy shares, ``core._first_reaching``), clamped to the range;
-the base case adds the float mass above the range from the buffer itself.
-Below a band, or below a suffix of more than ``sort_mark._EXACT_MAX``
-entries, the range's float prefix sums decide against the residual goal
-instead, as every level above does.  The kernel returns the threshold
-``x_star`` and the cut ``count``, the cardinality of the marked set; one
-materialise step turns the two into the index set.  Each step halves the
-range, numpy's introselect partitions it in worst-case linear time and the
-base case sorts a constant number of entries, giving worst-case linear
-total cost; the returned set has minimal cardinality for every input whose
-sums do not sit within rounding of the goal, and on at most ``_M0`` entries
-it is the rule's cut, the set that ``sort`` returns.
+:func:`dmark.sort_mark._settle`, on a range of at most ``_M0`` entries or
+on a level's range within rounding of the goal (:func:`_select`): sorted
+in place, the range is cut by the stop rule that every strategy shares
+(``core._first_reaching``), with the float mass above it in the buffer.
+Below a band, or a suffix of more than ``sort_mark._EXACT_MAX`` entries,
+float sums decide against the residual goal instead.  The kernel returns
+the threshold ``x_star`` and the cut ``count``, the cardinality of the
+marked set, which one materialise step turns into the index set.  Each
+step halves the range, numpy's introselect partitions it in worst-case
+linear time and the base case sorts at most ``_EXACT_MAX`` entries:
+worst-case linear cost.  The set has minimal cardinality for every input
+whose sums do not sit within rounding of the goal, and on at most
+``_EXACT_MAX`` entries it is the rule's cut, the set that ``sort`` returns.
 
 A vector of at most ``_M0`` entries does not reach the kernel at all: the
 sort that validated it (``core._working``) is its base case, and one
@@ -60,12 +57,9 @@ chooses this start once, and :func:`_threshold` runs the kernel from it
 for :func:`quickmark` and :func:`xstar_kernel` alike.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
-same kernel, the elements each level partitions plus the elements it sums,
-``m * ceil(log2 m)`` for the base case's sort of ``m`` entries plus the
-length of its cut, the filter's ``N`` comparisons and ``m`` summands, and
-the split's ``m`` comparisons and the band's summands, so the counted cost
-is the cost of the code that is timed; on at most ``_M0`` entries it counts
-the validation's sort as the base case's.
+same kernel (:func:`_candidates`, :func:`_select`, ``sort_mark._cut``), so
+the counted cost is the cost of the code that is timed; on at most ``_M0``
+entries it counts the validation's sort as the base case's.
 """
 
 from __future__ import annotations
@@ -175,13 +169,9 @@ def _candidates(
     ``band`` the kernel starts on, below ``above`` candidates of float mass
     ``fixed`` that every minimal set holds; the kernel's goal is
     ``goal - fixed``.  ``band`` holds the candidates at most ``hi``, or a
-    copy of every candidate when the band is declined (see the module
-    docstring), with ``fixed = 0`` and ``above = 0``.  Without candidates
-    (``N`` below ``_MIN_N``, a subnormal goal, no positive ``lo``, or
-    candidates whose float sum does not clear the goal by the rounding
-    bound ``2 * (m + 1) * eps`` of ``core._first_reaching``) the start is
-    every entry: ``idx`` is ``None``, ``cand`` is ``values`` and ``band`` a
-    copy of it.
+    copy of every candidate when the band is declined, with ``fixed = 0``
+    and ``above = 0``; without candidates it is a copy of every entry, with
+    ``idx`` ``None`` and ``cand`` ``values`` (see the module docstring).
 
     With ``check`` the candidates are checked to hold every entry above
     ``lo`` and to carry the goal exactly, and a band to leave out only
@@ -256,18 +246,27 @@ def _select(
     """Destructive value kernel: threshold ``x_star`` and cut ``count``.
 
     Reorders ``a`` in place so that ``a[:k] <= x_star == a[k] <= a[k:]`` at
-    the stopping rank ``k`` and returns ``(a[k], a.size - k + above)``: the
+    the cut's rank ``k`` and returns ``(a[k], a.size - k + above)``: the
     ``count`` largest values carry the goal and the ``count - 1`` largest do
     not.  ``a`` is every entry, or the band of :func:`_candidates` with its
     own goal, below ``above`` entries that every minimal set holds.  The
     levels carry one number, the residual goal ``v`` (a running mass
     compared with the goal missed ``N_min`` more often at 10^4-10^5
-    entries), and halve the active range at its lower median rank until
-    :func:`_settle` cuts at most ``_M0`` entries.  With ``tol`` every level
-    is checked against the goal with that slack, and the base case's exact
-    cut against the rule.  A ``counter`` gets, per level, the elements
-    partitioned plus the elements summed above the rank, and the base
-    case's count.
+    entries), and narrow the range at its lower median rank by one
+    comparison ``s >= v`` with the float mass ``s`` above the rank, until
+    :func:`_settle` cuts at most ``_M0`` entries, or a range whose ``s``
+    lies within ``2 * (n + 1) * eps * goal`` of ``v`` while nothing lies
+    above ``a`` and ``n = a.size - lo`` is at most ``_EXACT_MAX``.  Outside
+    that window the comparison is the rule's: to first order, ``s`` errs by
+    ``(hi - k - 1) * eps / 2`` of its exact sum, and ``v`` errs from
+    ``goal - T``, for the exact mass ``T`` of ``a[hi:]`` (below ``goal`` up
+    to rounding), by ``(a.size - hi) * eps / 2 * (T + goal)``: per entry
+    moved there, one summand's rounding and at most one subtraction from
+    ``0 < v <= goal``.  So ``s - v`` errs by less than ``n * eps * goal``,
+    half the window, while ``s <= 2 * goal``, and a larger ``s`` carries
+    the goal alone.  ``tol`` checks every level with that slack and the
+    base case's exact cut against the rule; a ``counter`` gets, per level,
+    the elements partitioned and summed, and the base case's count.
     """
     v, lo, hi = goal, 0, int(a.size)
     while True:
@@ -275,21 +274,21 @@ def _select(
             _verify_level(a, lo, hi, v, goal, tol)
         m = hi - lo
         if m <= _M0:
-            return _settle(a, lo, hi, goal, v, tol is not None, counter, above)
-        r = (m - 1) // 2
-        k = lo + r
-        a[lo:hi].partition(r)
-        pv = float(a[k])
+            break
+        k = lo + (m - 1) // 2
+        a[lo:hi].partition(k - lo)
         s = float(np.add.reduce(a[k + 1 : hi]))
         if counter is not None:
             counter.add(m + (hi - k - 1))
+        n = a.size - lo
+        if not above and n <= _EXACT_MAX and abs(s - v) <= 2.0 * (n + 1) * EPS * goal:
+            break
         if s >= v:
             lo = k + 1
-        elif s + pv >= v:
-            return pv, int(a.size) - k + above
         else:
-            v -= s + pv
-            hi = k
+            v -= s
+            hi = k + 1
+    return _settle(a, lo, hi, goal, v, tol is not None, counter, above)
 
 
 def _verify_level(a, lo, hi, v, goal, tol) -> None:

@@ -2,7 +2,7 @@
 
 This is the classical log-linear reference strategy: sort the indicators and
 cut the descending order at the first prefix that reaches the goal.  The cut,
-:func:`_cut`, is also the base case of the selection kernel in
+:func:`_cut`, also makes every cut of the selection kernel in
 :mod:`dmark.quickmark` (:func:`_settle` sorts a range and cuts it; it sums
 the mass above its range from its own buffer).  On at most ``_M0`` entries
 the sort is the one that validated the vector, and the two strategies run

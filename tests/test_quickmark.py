@@ -23,7 +23,7 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
-from dmark.core import materialise
+from dmark.core import EPS, materialise
 from dmark.quickmark import (
     _M0,
     _MIN_N,
@@ -291,7 +291,7 @@ class TestBoundaryCuts:
             ([0.016, 0.13, 0.081, 0.015], 0.9999999999999999, (0.015, 4)),
         ],
     )
-    def test_bottom_rank_stops_the_kernel(self, x, theta, expected):
+    def test_base_case_cuts_a_few_entries(self, x, theta, expected):
         a = np.array(x)
         assert _select(a, theta * float(np.sum(x))) == expected
         # the cut is the kernel's non-strict ordering around the threshold
@@ -365,6 +365,73 @@ class TestBaseCase:
             x = np.arange(1.0, m + 1)
             count = _select(x.copy(), float(np.sum(x)) / 2, counter=counter)[1]
             assert counter.comparisons == m * math.ceil(math.log2(m)) + count
+
+
+def family_instance(rng, n, kind):
+    """Values of one family, theta on a float prefix-mass ratio, 1 ulp off it, or random."""
+    if kind == "boundary":
+        return boundary_instance(rng, n)
+    if kind == "uniform":
+        x = rng.random(n)
+    elif kind == "zeros":
+        x = np.where(rng.random(n) < 0.6, 0.0, rng.random(n))
+    elif kind == "ties":
+        x = rng.choice(rng.random(4), size=n)
+    elif kind == "decades":
+        x = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    elif kind == "digits":
+        x = np.round(rng.random(n), 2)
+    else:  # "huge": their sum overflows, so the strategies work on them scaled
+        x = 1e308 * rng.random(n)
+    if not x.any():
+        x[0] = 1.0
+    choice = int(rng.integers(4))
+    if choice == 3:
+        return x, float(rng.uniform(0.05, 0.95))
+    scaled = x * 2.0**-16  # exact, and keeps the float sums of "huge" finite
+    theta = float(np.sum(np.sort(scaled)[::-1][: int(rng.integers(1, n + 1))]) / np.sum(scaled))
+    theta = (theta, math.nextafter(theta, math.inf), math.nextafter(theta, 0.0))[choice]
+    return x, min(theta, math.nextafter(1.0, 0.0))
+
+
+class TestUpToExactMax:
+    """Up to ``_EXACT_MAX`` entries every cut is the rule's: the kernel returns ``sort``'s set."""
+
+    FAMILIES = ("uniform", "zeros", "ties", "decades", "digits", "huge")
+
+    @pytest.mark.parametrize(
+        "kind,seed,cases",
+        [("boundary", 4247, 1500)] + [(kind, 4250 + i, 1000) for i, kind in enumerate(FAMILIES)],
+    )
+    def test_quickmark_and_xstar_return_the_sort_set(self, kind, seed, cases):
+        # a level whose mass sits within rounding of the goal hands its range
+        # to the sorted cut, so no float decision near the goal can mark one
+        # entry more or fewer than sort
+        rng = np.random.default_rng(seed)
+        for case in range(cases):
+            x, theta = family_instance(rng, int(rng.integers(_M0 + 1, _EXACT_MAX + 1)), kind)
+            expected = mark(x, theta, "sort").outcome
+            runs = (
+                quickmark(x, theta),
+                quickmark(x, theta, check_invariants=True),
+                mark(x, theta, "xstar").outcome,
+            )
+            for out in runs:
+                assert out.marked.tolist() == expected.marked.tolist(), (kind, case)
+                assert out.threshold == expected.threshold, (kind, case)
+
+    @pytest.mark.parametrize("checked", [False, True])
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_level_within_a_rank_of_the_goal_leaves_the_cut_to_the_rule(self, checked, counted):
+        # at the top level the 128 entries above the median rank miss the
+        # goal by 64.5, less than the rank's value 129: the level narrows to
+        # the range below, rank kept, and the base case cuts at the rank
+        a = np.random.default_rng(4248).permutation(np.arange(1.0, 2 * _M0 + 2))
+        goal = sum(range(_M0 + 2, 2 * _M0 + 2)) + (_M0 + 1) / 2
+        tol = 4 * a.size * EPS * float(a.max()) if checked else None
+        counter = OpCounter() if counted else None
+        assert _select(a, goal, tol, counter) == (_M0 + 1.0, _M0 + 1)
+        assert not counted or counter.comparisons > 0
 
 
 class TestSmallPath:
