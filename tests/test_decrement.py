@@ -1,6 +1,7 @@
 """Threshold-decrement marking: sweep semantics, cost and the witness family."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from dmark import (
     nmin_oracle,
     satisfies_doerfler,
 )
+from dmark import decrement
 from dmark.decrement import MAX_SWEEPS, sweep_limit
 from test_quickmark import boundary_instance
 
@@ -245,6 +247,16 @@ def test_matches_reference_loop_on_boundary_instances(rng):
         _assert_matches_reference(x, theta, 0.5)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_small_blocks_match_reference_loop(monkeypatch, rng, block):
+    # blocks this small put the stop, the window test and the kept masks in
+    # every block position that a long vector reaches
+    monkeypatch.setattr(decrement, "_BLOCK", block)
+    for nu in (0.05, 0.3, 0.5, 0.9):
+        test_matches_reference_loop(rng, nu)
+    test_matches_reference_loop_on_boundary_instances(rng)
+
+
 def test_exact_fallback_decides_witness(monkeypatch):
     # the witness's float prefix sums land within rounding of the goal 2.5,
     # so the stop is settled by math.fsum; the cardinalities stay 9 and 16
@@ -282,3 +294,78 @@ def test_counted_cost_is_linear(nu):
         per_element.append(counter.comparisons / n)
     assert max(per_element) <= sweep_limit(nu) + 1
     assert max(per_element) / min(per_element) <= 2
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_window_admits_a_float_sum_short_of_the_goal(monkeypatch, block):
+    # 1 + 2**-53 rounds to 1, so the float running sum of sweep 2 stays at 1
+    # while the exact sum reaches the goal 1 + 2**-52 after two tiny entries
+    if block:
+        monkeypatch.setattr(decrement, "_BLOCK", block)
+    x = [2.0**-53] * 4 + [1.0]
+    theta = math.nextafter(1.0, 0.0)
+    _assert_matches_reference(x, theta, 0.5)
+    assert decrement_mark(x, theta, 0.5).marked.tolist() == [4, 0, 1]
+
+
+def _integer_vector():
+    """``3 * _BLOCK + 5`` entries in 0..6 and their selection order at ``nu = 0.5``.
+
+    Sweep 1 takes the entries above 3 and sweep 2 the rest of the positive
+    ones, each in index order; every sum is an exact integer.
+    """
+    x = np.random.default_rng(29).integers(0, 7, 3 * decrement._BLOCK + 5).astype(np.float64)
+    first = np.flatnonzero(x > 3.0)
+    order = np.concatenate([first, np.flatnonzero((x > 0.0) & (x <= 3.0))])
+    return x, order, first.size
+
+
+@pytest.mark.parametrize(
+    "sweep,block,last",
+    [(1, 0, False), (1, 1, False), (2, 2, False), (2, 1, True)],
+    ids=["first-block", "second-block", "third-block", "block-last-candidate"],
+)
+def test_stop_in_a_block_of_the_real_size(sweep, block, last):
+    x, order, first = _integer_vector()
+    lo, hi = block * decrement._BLOCK, (block + 1) * decrement._BLOCK
+    in_sweep = np.arange(order.size) < first if sweep == 1 else np.arange(order.size) >= first
+    positions = np.flatnonzero(in_sweep & (order >= lo) & (order < hi))
+    p = int(positions[-1] if last else positions[positions.size // 2])
+    mass = np.cumsum(x[order])
+    # the goal lies half a unit below the p-th prefix, above the one before
+    theta = (float(mass[p]) - 0.5) / float(x.sum())
+    expected = order[: p + 1]
+    stop = int(order[p])
+    # each sweep compares the entries it left free up to its last position
+    # and tests each selection; sweep 1 reaches the end when sweep 2 stops
+    if sweep == 1:
+        count = stop + 1 + p + 1
+    else:
+        free = stop + 1 - int(np.count_nonzero(x[: stop + 1] > 3.0))
+        count = x.size + first + free + p + 1 - first
+    counter = OpCounter()
+    out = decrement_mark(x, theta, 0.5, counter=counter)
+    state = decrement_trace(x, theta, 0.5)
+    assert np.array_equal(out.marked, expected)
+    assert np.array_equal(state.outcome.marked, expected)
+    assert state.sweeps_used == sweep
+    assert counter.comparisons == count
+    assert out.achieved_sum == float(mass[p])
+
+
+def test_sweep_reads_nothing_past_its_stop():
+    # the stop lies in the first block, so the sweep makes no N-entry mask,
+    # candidate list or prefix sum (14.0 B/elem when every sweep did)
+    n = 2**20
+    x = np.random.default_rng(5).random(n)
+    x.setflags(write=False)  # adopted without a copy
+    decrement_mark(x, 0.01, 0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = decrement_mark(x, 0.01, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.marked.max() < decrement._BLOCK
+    assert (peak - base) / n <= 2.0
