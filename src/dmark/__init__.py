@@ -7,7 +7,7 @@ indicator mass.  The package provides:
 * :func:`dmark.quickmark.quickmark` - minimal cardinality at worst-case
   linear cost (the recommended strategy); its threshold step alone,
   :func:`dmark.quickmark.xstar_kernel`, returns just the threshold,
-* :func:`dmark.sort_mark.sort_mark` - minimal cardinality via a full sort
+* :func:`dmark.quickmark.sort_mark` - minimal cardinality via a full sort
   (log-linear reference and oracle), cut by the selection kernel's base case,
 * :func:`dmark.binning.binning_mark` - quasi-minimal at O(N + K) cost,
 * :func:`dmark.decrement.decrement_mark` - linear cost, no cardinality
@@ -16,8 +16,8 @@ indicator mass.  The package provides:
 All four share one stop rule, ``core._first_reaching``: float prefix sums
 decide, and ``math.fsum`` settles the prefixes within rounding of the goal.
 ``sort`` and ``quickmark``'s base case run it in one sorted cut,
-``sort_mark._settle``, which decides by float prefix sums alone above
-``sort_mark._EXACT_MAX`` entries.
+``quickmark._cut``, which decides by float prefix sums alone above
+``quickmark._EXACT_MAX`` entries.
 
 Every strategy returns a :class:`dmark.core.MarkingOutcome`, whose
 ``threshold`` is the cut value of the minimal strategies, and
@@ -52,8 +52,7 @@ from .oracle import (
     nmin_exhaustive,
     nmin_oracle,
 )
-from .quickmark import quickmark, xstar_kernel
-from .sort_mark import sort_mark
+from .quickmark import quickmark, sort_mark, xstar_kernel
 
 __version__ = "0.1.0"
 

@@ -24,9 +24,11 @@ work on the entries scaled by a power of two, so that no float sum of them
 can overflow, and every number they report is scaled back.  The decrement
 and binning strategies share one stop rule: the first prefix of their walk
 whose correctly rounded sum reaches the goal, with ``math.fsum`` settling
-the prefixes within rounding of it.  The verification predicate
-:func:`satisfies_doerfler` is the only place where a floating-point slack
-is applied.
+the prefixes within rounding of it.  Only verification applies a
+floating-point slack, :func:`criterion_tolerance`: the predicates
+:func:`satisfies_doerfler` and :func:`_is_minimal` (behind
+``oracle.is_valid_minimal_set``) and ``quickmark``'s ``check_invariants``;
+the strategies themselves compare without slack.
 """
 
 from __future__ import annotations
@@ -262,10 +264,14 @@ def _working(
 
 def _real_array(values: object, copy: bool) -> np.ndarray:
     """``values`` as float64, a fresh array when ``copy``; :class:`InvalidIndicatorsError`
-    for a complex dtype, whose cast drops the imaginary part, or no real numbers."""
-    if getattr(values, "dtype", _F64).kind == "c":
-        raise InvalidIndicatorsError("indicators must be real, got a complex dtype")
+    for a complex, date or time dtype, whose cast drops the imaginary part or the
+    unit, or no real numbers."""
     try:
+        if not hasattr(values, "dtype"):
+            # a fresh array, whose dtype tells a sequence of numpy scalars
+            values, copy = np.array(values), False
+        if values.dtype.kind in "cMm":
+            raise InvalidIndicatorsError(f"indicators must be real, got dtype {values.dtype}")
         return (np.array if copy else np.asarray)(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidIndicatorsError(f"indicators must be real numbers: {exc}") from None
@@ -509,6 +515,23 @@ def satisfies_doerfler(x: IndicatorInput, theta: float, marked: Iterable[int]) -
     mask = _index_mask(iv.n, index_array(marked))
     marked_sum = pairwise_sum(iv._work[mask])
     return marked_sum >= iv._goal(theta) - criterion_tolerance(iv) / iv._scale
+
+
+def _is_minimal(iv: IndicatorVector, marked: Iterable[int], v: float) -> bool:
+    """Whether ``marked`` is a minimal set of goal ``v``, in the units of the working
+    entries; ``oracle.is_valid_minimal_set`` on a validated vector."""
+    mask = _index_mask(iv.n, index_array(marked))
+    member_vals = iv._work[mask]
+    if not member_vals.size:
+        return False
+    tol = criterion_tolerance(iv) / iv._scale
+    rest_vals = iv._work[~mask]
+    if rest_vals.size and member_vals.min() < rest_vals.max():
+        return False
+    total = pairwise_sum(member_vals)
+    reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))
+    # in positive form, so that a NaN goal fails
+    return total >= v - tol and not (member_vals.size > 1 and reduced >= v + tol)
 
 
 def mark_theta_one(x: IndicatorInput) -> MarkingOutcome:

@@ -20,8 +20,7 @@ from .core import (
     mark_theta_one,
 )
 from .decrement import decrement_mark
-from .quickmark import _quickmark
-from .sort_mark import sort_mark
+from .quickmark import _quickmark, sort_mark
 
 __all__ = ["ALGORITHM_NAMES", "MarkerRun", "mark"]
 

@@ -1,10 +1,10 @@
 """Independent verification machinery.
 
 Provides the minimal-cardinality oracle, a brute-force subset-enumeration
-oracle for small instances, the minimal-set membership predicate that checks
-the selection kernel's cut, and a generator for the witness family on which
-threshold-decrement marking exceeds any fixed multiple of the minimal
-cardinality.
+oracle for small instances, the minimal-set membership predicate (whose
+body, ``core._is_minimal``, also checks the selection kernel's cut), and a
+generator for the witness family on which threshold-decrement marking
+exceeds any fixed multiple of the minimal cardinality.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from .core import (
     InstanceTooLargeError,
     MarkingError,
     ParameterError,
-    _index_mask,
+    _REAL,
+    _is_minimal,
     as_indicators,
     check_nu,
     check_theta,
-    criterion_tolerance,
-    index_array,
-    pairwise_sum,
 )
-from .sort_mark import sort_mark
+from .quickmark import sort_mark
 
 __all__ = [
     "EXHAUSTIVE_MAX_N",
@@ -48,7 +46,7 @@ EXHAUSTIVE_MAX_N = 20
 def nmin_oracle(x: IndicatorInput, theta: float) -> int:
     """Minimal cardinality of a criterion-satisfying set, by :func:`sort_mark`,
     whose cut is the shared stop rule (float prefix sums above
-    ``sort_mark._EXACT_MAX`` entries)."""
+    ``quickmark._EXACT_MAX`` entries)."""
     return sort_mark(x, theta).cardinality
 
 
@@ -91,27 +89,13 @@ def is_valid_minimal_set(
     dropping any single member falls below it.  Comparisons of sums use the
     criterion tolerance.  An empty set is never valid, so a single member
     that reaches ``v`` is removal-minimal, also when ``v`` underflows to 0;
-    an index out of range raises :class:`IndexError`.
+    an index out of range raises :class:`IndexError`, and a ``v`` that is
+    not a real number :class:`ParameterError`; no sum reaches a NaN ``v``.
     """
     iv = as_indicators(x)
+    if not isinstance(v, _REAL):
+        raise ParameterError(f"v must be a real number, got {v!r}")
     return _is_minimal(iv, marked, v / iv._scale)
-
-
-def _is_minimal(iv: IndicatorVector, marked: Iterable[int], v: float) -> bool:
-    """:func:`is_valid_minimal_set` on the working entries, for a goal ``v`` in their units."""
-    mask = _index_mask(iv.n, index_array(marked))
-    member_vals = iv._work[mask]
-    if not member_vals.size:
-        return False
-    tol = criterion_tolerance(iv) / iv._scale
-
-    rest_vals = iv._work[~mask]
-    if rest_vals.size and member_vals.min() < rest_vals.max():
-        return False
-    total = pairwise_sum(member_vals)
-    reduced = pairwise_sum(np.delete(member_vals, np.argmin(member_vals)))
-    # in positive form, so that a NaN goal fails
-    return total >= v - tol and not (member_vals.size > 1 and reduced >= v + tol)
 
 
 @dataclass(frozen=True)

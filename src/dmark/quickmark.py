@@ -1,30 +1,35 @@
-"""Minimal-cardinality marking in linear time by selection-style recursion.
+"""Minimal-cardinality marking: by selection in linear time, and by a full sort.
 
-The value kernel reorders a fresh copy of the indicators in place.  Its
-levels only narrow the active range of ``m`` entries: each partitions it
-around the value of its lower median rank ``(m - 1) // 2`` and recurses
-into the part above the rank when that part covers the goal, else into the
-part below, rank kept, with the goal reduced by the mass it skips: the
-levels carry one number, that residual goal.  Every cut is made by the
-sorted cut that ``sort`` runs over the whole vector,
-:func:`dmark.sort_mark._settle`, on a range of at most ``_M0`` entries or
-on a level's range within rounding of the goal (:func:`_select`): sorted
-in place, the range is cut by the stop rule that every strategy shares
+Both minimal strategies end in one sorted cut, :func:`_cut`: an ascending
+range is cut by the stop rule that every strategy shares
 (``core._first_reaching``), with the float mass above it in the buffer.
-Below a band, or a suffix of more than ``sort_mark._EXACT_MAX`` entries,
-float sums decide against the residual goal instead.  The kernel returns
-the threshold ``x_star`` and the cut ``count``, the cardinality of the
-marked set, which one materialise step turns into the index set.  Each
-step halves the range, numpy's introselect partitions it in worst-case
-linear time and the base case sorts at most ``_EXACT_MAX`` entries:
-worst-case linear cost.  The set has minimal cardinality for every input
-whose sums do not sit within rounding of the goal, and on at most
-``_EXACT_MAX`` entries it is the rule's cut, the set that ``sort`` returns.
+``sort`` (:func:`sort_mark`, the classical log-linear reference) sorts the
+values and cuts the whole vector.  Only the values are sorted; the shared
+materialise step marks the cut, ties by ascending index, so outputs are
+deterministic and ascending.
+
+The value kernel of :func:`quickmark` reorders a fresh copy of the
+indicators in place.  Its levels only narrow the active range of ``m``
+entries: each partitions it around the value of its lower median rank
+``(m - 1) // 2`` and recurses into the part above the rank when that part
+covers the goal, else into the part below, rank kept, with the goal reduced
+by the mass it skips: the levels carry one number, that residual goal.  A
+range of at most ``_M0`` entries, or a level's range within rounding of the
+goal (:func:`_select`), is sorted in place and cut by :func:`_cut`.  Below
+a band, or on a suffix of more than ``_EXACT_MAX`` entries, float sums
+decide against the residual goal instead.  The kernel returns the threshold
+``x_star`` and the cut ``count``, the cardinality of the marked set, which
+one materialise step turns into the index set.  Each step halves the range,
+numpy's introselect partitions it in worst-case linear time and the base
+case sorts at most ``_EXACT_MAX`` entries: worst-case linear cost.  The set
+has minimal cardinality for every input whose sums do not sit within
+rounding of the goal, and on at most ``_EXACT_MAX`` entries it is the
+rule's cut, the set that ``sort`` returns.
 
 A vector of at most ``_M0`` entries does not reach the kernel at all: the
 sort that validated it (``core._working``) is its base case, and one
-:func:`dmark.sort_mark._cut` of that copy serves ``quickmark``, ``xstar``,
-``sort`` and :func:`xstar_kernel` alike: a small call sorts once.
+:func:`_cut` of that copy serves ``quickmark``, ``xstar``, ``sort`` and
+:func:`xstar_kernel` alike: a small call sorts once.
 
 From ``_MIN_N`` entries on, a sampled bracket of ``x_star`` narrows the
 kernel (Floyd & Rivest's sampled selection, applied to the mass-weighted
@@ -57,9 +62,10 @@ chooses this start once, and :func:`_threshold` runs the kernel from it
 for :func:`quickmark` and :func:`xstar_kernel` alike.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
-same kernel (:func:`_candidates`, :func:`_select`, ``sort_mark._cut``), so
-the counted cost is the cost of the code that is timed; on at most ``_M0``
-entries it counts the validation's sort as the base case's.
+same kernel (:func:`_candidates`, :func:`_select`, :func:`_cut`), so the
+counted cost is the cost of the code that is timed; on at most ``_M0``
+entries it counts the validation's sort as the base case's.  Above ``_M0``,
+``sort`` counts the comparisons of :func:`_counted_sort_desc` instead.
 """
 
 from __future__ import annotations
@@ -78,18 +84,22 @@ from .core import (
     _M0,
     _TINY,
     _exact_sum,
+    _first_reaching,
     _fsum,
+    _is_minimal,
     as_indicators,
     check_theta,
     criterion_tolerance,
     materialise,
     pairwise_sum,
 )
-from .oracle import _is_minimal
-from .sort_mark import _EXACT_MAX, _cut, _settle
 
-__all__ = ["quickmark", "xstar_kernel"]
+__all__ = ["quickmark", "sort_mark", "xstar_kernel"]
 
+# the longest suffix a[lo:] whose sorted cut math.fsum settles: a probe costs
+# 17-40 ns per entry, which made boundary inputs of 10^4-10^6 entries run
+# 2-3.5 times slower than the float cut (CHANGES.md)
+_EXACT_MAX = 1024
 # entries in the strided sample, and the smallest N whose mark() call the
 # sample and the filter make cheaper (crossover measured in CHANGES.md)
 _SAMPLE = 4096
@@ -254,9 +264,10 @@ def _select(
     compared with the goal missed ``N_min`` more often at 10^4-10^5
     entries), and narrow the range at its lower median rank by one
     comparison ``s >= v`` with the float mass ``s`` above the rank, until
-    :func:`_settle` cuts at most ``_M0`` entries, or a range whose ``s``
-    lies within ``2 * (n + 1) * eps * goal`` of ``v`` while nothing lies
-    above ``a`` and ``n = a.size - lo`` is at most ``_EXACT_MAX``.  Outside
+    the range, sorted in place, goes to :func:`_cut`: at most ``_M0``
+    entries, or a range whose ``s`` lies within ``2 * (n + 1) * eps * goal``
+    of ``v`` while nothing lies above ``a`` and ``n = a.size - lo`` is at
+    most ``_EXACT_MAX``.  Outside
     that window the comparison is the rule's: to first order, ``s`` errs by
     ``(hi - k - 1) * eps / 2`` of its exact sum, and ``v`` errs from
     ``goal - T``, for the exact mass ``T`` of ``a[hi:]`` (below ``goal`` up
@@ -288,7 +299,62 @@ def _select(
         else:
             v -= s
             hi = k + 1
-    return _settle(a, lo, hi, goal, v, tol is not None, counter, above)
+    a[lo:hi].sort()
+    return _cut(a, lo, hi, goal, v, tol is not None, counter, above)
+
+
+def _cut(
+    a: np.ndarray,
+    lo: int,
+    hi: int,
+    goal: float,
+    v: float,
+    check: bool = False,
+    counter: OpCounter | None = None,
+    above: int = 0,
+) -> tuple[float, int]:
+    """Cut the ascending range ``a[lo:hi]`` by the stop rule: the threshold and the count.
+
+    Every entry of ``a[hi:]``, and ``above`` more outside ``a``, is at least
+    the range's largest; ``v`` is the residual goal.  When nothing lies
+    above ``a`` and ``a[lo:]`` holds at most ``_EXACT_MAX`` entries, the cut
+    takes the ``j + 1`` largest entries of the range for the first ``j``
+    whose correctly rounded sum with ``a[hi:]`` reaches ``goal``: the float
+    mass of ``a[hi:]`` joins the range's prefix sums, and ``math.fsum``
+    settles those within rounding of the goal, each probe in one pass over
+    ``a[hi - 1 - j:]``.  Otherwise the range's float prefix sums decide
+    against ``v``.  Either cut takes the whole range when no prefix reaches
+    the goal, so rounding cannot empty it.  Returns
+    ``(a[k], a.size - k + above)`` at the cut's rank ``k``; ``a`` is only
+    read.  With ``check`` the exact cut is verified against the rule.  A
+    ``counter`` gets ``m * ceil(log2 m)`` for the sort of the ``m`` entries
+    plus the length of the cut.
+    """
+    prefix = np.add.accumulate(a[lo:hi][::-1])
+    m = hi - lo
+    exact = not above and a.size - lo <= _EXACT_MAX
+    if exact:
+        if hi < a.size:
+            prefix += np.add.reduce(a[hi:])
+        j = _first_reaching(prefix, goal, a.size - lo, lambda j: _fsum(a[hi - 1 - j :]))
+    else:
+        j = int(prefix.searchsorted(v))
+    j = min(j, m - 1)
+    k = hi - 1 - j
+    if counter is not None:
+        counter.add(m * (m - 1).bit_length() + j + 1)
+    if check and exact:
+        _verify_base(a, lo, hi, k, goal)
+    return a.item(k), a.size - k + above
+
+
+def _verify_base(a, lo, hi, k, goal) -> None:
+    if not np.all(a[lo : hi - 1] <= a[lo + 1 : hi]):
+        raise AdmissibilityError("base range not sorted")
+    if k > lo and not _fsum(a[k:]) >= goal:
+        raise AdmissibilityError("base cut misses the goal")
+    if k + 1 < hi and _fsum(a[k + 1 :]) >= goal:
+        raise AdmissibilityError("a shorter base cut reaches the goal")
 
 
 def _verify_level(a, lo, hi, v, goal, tol) -> None:
@@ -343,3 +409,48 @@ def xstar_kernel(x_copy: IndicatorInput, theta: float) -> float:
     theta = check_theta(theta)
     iv = as_indicators(x_copy)
     return _threshold(iv, theta)[0] * iv._scale
+
+
+def sort_mark(
+    x: IndicatorInput, theta: float, counter: OpCounter | None = None
+) -> MarkingOutcome:
+    """Mark a minimal-cardinality set via sorting.
+
+    Returns the shortest descending prefix that reaches the goal, cut by
+    :func:`_cut` over the whole vector, with the cut's value as the
+    outcome's ``threshold``.  On at most ``_M0`` entries it cuts the sorted
+    copy that validated the vector, and a ``counter`` counts that sort and
+    cut as the selection kernel's base case does.  Above ``_M0`` a
+    ``counter`` runs the interpreter's comparison sort as well, counting its
+    comparisons and the length of the cut; the set is the same without one.
+    """
+    iv = as_indicators(x)
+    theta = check_theta(theta)
+    goal = iv._goal(theta)
+    if iv._sorted is not None:
+        x_star, count = _cut(iv._sorted, 0, iv.n, goal, goal, counter=counter)
+    else:
+        x_star, count = _cut(np.sort(iv._work), 0, iv.n, goal, goal)
+        if counter is not None:
+            _counted_sort_desc(iv.values.tolist(), counter)
+            counter.add(count)
+    return MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
+
+
+def _counted_sort_desc(values: list[float], counter: OpCounter) -> list[float]:
+    """The values in descending order by the interpreter's sort, counting comparisons.
+
+    This is the package's one counted twin of a timed kernel, kept on purpose:
+    ``np.sort`` exposes no comparison count, and this count is the only
+    witness that sorting grows log-linearly while selection stays linear.
+    """
+    box = [0]
+
+    class _Desc(float):
+        def __lt__(self, other: float) -> bool:
+            box[0] += 1
+            return float.__gt__(self, other)
+
+    desc = sorted(map(_Desc, values))
+    counter.add(box[0])
+    return desc

@@ -136,11 +136,19 @@ class TestIndicatorVector:
             [1.0, "a"],
             np.array([1.0 + 2.0j, 2.0]),
             np.array([1.0 + 0.0j, 2.0]),
+            np.array([3, 5], dtype="timedelta64[ms]"),
+            np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+            [np.datetime64("2020-01-01"), np.datetime64("2020-01-02")],
+            [np.timedelta64(3, "s"), np.timedelta64(5, "s")],
+            np.timedelta64(3, "s"),
         ],
-        ids=["object-str", "bytes", "dict", "list-str", "complex", "complex-real-valued"],
+        ids=["object-str", "bytes", "dict", "list-str", "complex", "complex-real-valued",
+             "timedelta-array", "datetime-array", "datetime-list", "timedelta-list",
+             "timedelta-scalar"],
     )
     def test_non_numeric_input_raises_invalid_indicators(self, bad):
-        # a complex array is rejected before a cast that would drop its imaginary part
+        # a complex, date or time array is rejected before a cast that would
+        # drop its imaginary part or its unit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (IndicatorVector, lambda x: mark(x, 0.5)):

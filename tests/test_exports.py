@@ -47,6 +47,14 @@ def test_module_imports_first(module_name):
     assert run.returncode == 0, run.stderr
 
 
+def test_sort_mark_names_only_the_function():
+    # sort_mark lives in dmark.quickmark, and no submodule of that name
+    # hides behind the package attribute
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("dmark.sort_mark")
+    assert dmark.sort_mark is importlib.import_module("dmark.quickmark").sort_mark
+
+
 # every parameter of the public marking entry points; a new option must be
 # added here in the same change
 OPTIONS = {

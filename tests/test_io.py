@@ -104,8 +104,16 @@ def test_write_unsupported_extension(tmp_path):
 
 @pytest.mark.parametrize(
     "values",
-    [[[1.0, 2.0]], [10**400], ["a"], {1: 2}, np.array([1 + 1j, 2])],
-    ids=["2-D", "overflow", "string", "dict", "complex"],
+    [
+        [[1.0, 2.0]],
+        [10**400],
+        ["a"],
+        {1: 2},
+        np.array([1 + 1j, 2]),
+        np.array([3, 5], dtype="timedelta64[ms]"),
+        [np.datetime64("2020-01-01"), np.datetime64("2020-01-02")],
+    ],
+    ids=["2-D", "overflow", "string", "dict", "complex", "timedelta", "datetime-list"],
 )
 @pytest.mark.parametrize("suffix", [".txt", ".f64"])
 def test_write_rejects_what_is_not_a_real_vector(tmp_path, values, suffix):

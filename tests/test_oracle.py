@@ -91,6 +91,11 @@ class TestIsValidMinimalSet:
         assert is_valid_minimal_set([1.0, 2.0], [1], float("nan")) is False
         assert is_valid_minimal_set([1.0, 2.0], [0, 1], float("nan")) is False
 
+    @pytest.mark.parametrize("goal", ["3", None, [3.0], 3.0 + 0j])
+    def test_goal_that_is_not_a_real_number_raises_parameter_error(self, goal):
+        with pytest.raises(ParameterError, match="v must be a real number"):
+            is_valid_minimal_set([1.0, 2.0], [1], goal)
+
     def test_candidate_outside_range(self):
         with pytest.raises(IndexError):
             is_valid_minimal_set([1.0, 2.0, 3.0], [2, 3], 1.0)

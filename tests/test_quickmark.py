@@ -25,18 +25,20 @@ from dmark import (
 )
 from dmark.core import EPS, materialise
 from dmark.quickmark import (
+    _EXACT_MAX,
     _M0,
     _MIN_N,
     _SAMPLE,
     _bracket,
     _candidates,
+    _cut,
     _select,
     _verify_band,
+    _verify_base,
     _verify_candidates,
     _verify_cut,
     _verify_level,
 )
-from dmark.sort_mark import _EXACT_MAX, _settle, _verify_base
 
 dyadic_lists = st.lists(
     st.integers(0, 1024).map(lambda k: k / 256.0), min_size=1, max_size=30
@@ -335,8 +337,10 @@ class TestBaseCase:
     def test_exact_probes_stay_within_the_suffix_bound(self, monkeypatch):
         # math.fsum sums at most _EXACT_MAX entries per probe at any N; a
         # longer suffix is cut by the float prefix sums, and every cut
-        # passes the level checks and the final minimality check
-        module = importlib.import_module("dmark.sort_mark")
+        # passes the level checks and the final minimality check.  The
+        # probes are counted in unchecked calls, since the checks sum with
+        # the same _fsum
+        module = importlib.import_module("dmark.quickmark")
         lengths = []
 
         def probe(values):
@@ -344,20 +348,24 @@ class TestBaseCase:
             lengths.append(len(values))
             return math.fsum(values)
 
-        monkeypatch.setattr(module, "_fsum", probe)
         rng = np.random.default_rng(4244)
         for n in [_EXACT_MAX - 1] * 10 + [_EXACT_MAX + 1, 5000, 40000] * 4:
             x, theta = boundary_instance(rng, n)
-            out = quickmark(x, theta, check_invariants=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_fsum", probe)
+                out = quickmark(x, theta)
+            checked = quickmark(x, theta, check_invariants=True)
+            assert checked.marked.tolist() == out.marked.tolist()
             assert satisfies_doerfler(x, theta, out.marked)
         assert lengths and max(lengths) <= _EXACT_MAX
 
     def test_exact_cut_only_with_nothing_above(self):
         # the goal 3 cuts the sorted range at its largest entry; entries
         # above the buffer leave the cut to the residual goal 4.5 instead
-        a = np.array([1.0, 2.0, 3.0])
-        assert _settle(a.copy(), 0, 3, 3.0, 4.5) == (3.0, 1)
-        assert _settle(a.copy(), 0, 3, 3.0, 4.5, above=1) == (2.0, 3)
+        a = np.array([3.0, 1.0, 2.0])
+        a.sort()
+        assert _cut(a, 0, 3, 3.0, 4.5) == (3.0, 1)
+        assert _cut(a, 0, 3, 3.0, 4.5, above=1) == (2.0, 3)
 
     def test_counts_sort_and_cut(self):
         for m in (1, 2, 3, 5, _M0):
@@ -444,7 +452,7 @@ class TestSmallPath:
             iv = IndicatorVector(x)
             assert (iv._sorted is not None) == (n <= _M0)
             goal = iv._goal(theta)
-            x_star, count = _settle(iv._work.copy(), 0, n, goal, goal)
+            x_star, count = _cut(np.sort(iv._work), 0, n, goal, goal)
             base = MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count), x_star)
             expected = (base.marked.tolist(), base.threshold, base.achieved_sum.hex())
             runs = {"sort": lambda c: sort_mark(x, theta, c)}
@@ -463,26 +471,24 @@ class TestSmallPath:
                 assert checked.marked.tolist() == expected[0]
 
     def test_cuts_the_sorted_copy_without_sorting_again(self, monkeypatch):
-        # validation sorts once; the cut reads that copy, and no strategy
-        # starts the kernel or sorts the entries again
-        calls = []
-        for module, name in (
-            ("dmark.quickmark", "_candidates"),
-            ("dmark.quickmark", "_select"),
-            ("dmark.quickmark", "_settle"),
-            ("dmark.sort_mark", "_settle"),
-        ):
-            monkeypatch.setattr(
-                importlib.import_module(module), name, lambda *a, name=name, **k: calls.append(name)
-            )
+        # validation sorts once; every cut reads that copy itself, and no
+        # strategy starts the kernel or sorts the entries again
+        module = importlib.import_module("dmark.quickmark")
+        calls, cut_arrays = [], []
+        for name in ("_candidates", "_select"):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        monkeypatch.setattr(
+            module, "_cut", lambda a, *rest, **k: cut_arrays.append(a) or _cut(a, *rest, **k)
+        )
         x, theta = boundary_instance(np.random.default_rng(4246), _M0)
         iv = IndicatorVector(x)
         ascending = iv._sorted.copy()
         for algorithm in ("quickmark", "xstar", "sort"):
             assert satisfies_doerfler(iv, theta, mark(iv, theta, algorithm).outcome.marked)
         assert quickmark(iv, theta, check_invariants=True).threshold is not None
-        assert xstar_kernel(x.copy(), theta) == quickmark(iv, theta).threshold
+        assert xstar_kernel(iv, theta) == quickmark(iv, theta).threshold
         assert calls == []
+        assert len(cut_arrays) == 6 and all(a is iv._sorted for a in cut_arrays)
         assert not iv._sorted.flags.writeable
         assert np.array_equal(iv._sorted, ascending)
 

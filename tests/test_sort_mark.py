@@ -16,8 +16,7 @@ from dmark import (
     satisfies_doerfler,
     sort_mark,
 )
-from dmark.quickmark import _M0
-from dmark.sort_mark import _EXACT_MAX, _counted_sort_desc
+from dmark.quickmark import _EXACT_MAX, _M0, _counted_sort_desc
 from test_quickmark import boundary_instance
 
 dyadic_lists = st.lists(
