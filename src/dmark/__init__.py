@@ -13,9 +13,8 @@ indicator mass.  The package provides:
 * :func:`dmark.decrement.decrement_mark` - linear cost, no cardinality
   guarantee (historical reference).
 
-All four share one stop rule, ``core._first_reaching``: float prefix sums
-decide, and ``math.fsum`` settles the prefixes within rounding of the goal.
-``sort`` and ``quickmark``'s base case run it in one sorted cut,
+All four share one stop rule, ``core._first_reaching``, whose docstring
+states it.  ``sort`` and ``quickmark``'s base case run it in one sorted cut,
 ``quickmark._cut``, which decides by float prefix sums alone above
 ``quickmark._EXACT_MAX`` entries.
 

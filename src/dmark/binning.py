@@ -172,10 +172,9 @@ def binning_mark(
 ) -> MarkingOutcome:
     """Mark by cutting the bin walk at the goal value, without ordering the bins.
 
-    The bin masses give the cut bin, the first whose correctly rounded prefix
-    mass reaches the goal, and the cut inside it is the first index-order
-    prefix that reaches it, by the stop rule decrement shares (see
-    :mod:`dmark.core`); when none does, every index is marked.  ``marked``
+    The stop rule every strategy shares (:func:`dmark.core._first_reaching`)
+    cuts the bin masses at the cut bin, then that bin's entries in index
+    order; when no prefix reaches the goal, every index is marked.  ``marked``
     is ascending, with cardinality at most ``ceil(N_min / nu)``.
     """
     iv = as_indicators(x)

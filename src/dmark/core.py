@@ -14,21 +14,15 @@ Whole-vector sums are computed with numpy's pairwise summation, once per
 :class:`IndicatorVector`: its validation reads the input twice, once for
 the largest entry and once for the sum; up to ``_M0`` entries the first
 read is a sort, whose ascending copy the minimal strategies then cut
-without sorting again.  An input that no one can write
-to, a 1-D, contiguous, native float64 array that is read-only along with
-every array it views, is adopted without a copy, and every other input is
-copied; the caller promises not to make an adopted array writeable again
-(see :class:`IndicatorVector`).  Overflow is decided here alone: when ``N``
-times the largest entry reaches half the largest double, the strategies
-work on the entries scaled by a power of two, so that no float sum of them
-can overflow, and every number they report is scaled back.  The decrement
-and binning strategies share one stop rule: the first prefix of their walk
-whose correctly rounded sum reaches the goal, with ``math.fsum`` settling
-the prefixes within rounding of it.  Only verification applies a
-floating-point slack, :func:`criterion_tolerance`: the predicates
-:func:`satisfies_doerfler` and :func:`_is_minimal` (behind
-``oracle.is_valid_minimal_set``) and ``quickmark``'s ``check_invariants``;
-the strategies themselves compare without slack.
+without sorting again.  A float64 array no one can write to is adopted
+without a copy, every other input copied (see :class:`IndicatorVector`).
+Overflow is decided here alone: when ``N`` times the largest entry reaches
+half the largest double, the strategies work on the entries scaled by a
+power of two, so that no float sum of them can overflow, and every number
+they report is scaled back.  Every strategy stops its walk by one rule,
+:func:`_first_reaching`, without slack; only verification applies one,
+:func:`criterion_tolerance`: :func:`satisfies_doerfler`, :func:`_is_minimal`
+(behind ``oracle.is_valid_minimal_set``) and ``quickmark``'s ``check_invariants``.
 """
 
 from __future__ import annotations
@@ -52,6 +46,8 @@ _INF_BITS = 0x7FF0000000000000
 _BITS, _DOUBLE = struct.Struct("=Q"), struct.Struct("=d")
 # the types of theta and nu: float first, which the ABC check is slow to admit
 _REAL = (float, numbers.Real)
+# scalars in an object array whose float cast drops an imaginary part or a unit
+_UNREAL = (np.complexfloating, np.datetime64, np.timedelta64)
 # the largest vector validated by a sort, and the largest range the selection
 # kernel sorts instead of partitioning (sweep in CHANGES.md)
 _M0 = 128
@@ -131,16 +127,22 @@ def _first_reaching(
 ) -> int:
     """Position of the first prefix whose correctly rounded sum reaches ``v``.
 
-    ``prefix`` holds float running sums of at most ``m`` nonnegative
-    summands each, so each lies within a relative ``m * eps / 2`` of its
-    exact sum.  Positions whose float sums lie more than ``2 * (m + 1) * eps``
-    away from ``v`` are decided by the float sum alone; the window between
-    is settled by ``exact_sum(j)``, the correctly rounded sum up to ``j``.
-    The sum before ``prefix[0]`` is taken to fall short of ``v``.  Returns
-    ``len(prefix)`` when no prefix reaches ``v``.
+    This is the stop rule of every strategy's walk (decrement's selection,
+    binning's bins and then one bin in index order, the sorted cut's range
+    largest first), so a stop depends on the selected set alone, not on the
+    order of summation.  ``prefix`` holds float running sums of at most
+    ``m`` nonnegative summands each, within a relative ``m * eps / 2`` of
+    their exact sums: the float sum alone decides a position outside the
+    window of ``2 * (m + 1) * eps`` (relative) around ``v``, and
+    ``exact_sum(j)``, the correctly rounded sum up to ``j``, one inside it.
+    The sum before ``prefix[0]`` falls short of ``v``.  Returns
+    ``len(prefix)`` when no prefix reaches ``v``, without a search or a
+    probe when the walk is empty or ends below the window.
     """
     slack = 2.0 * (m + 1) * EPS
     below, above = v * (1.0 - slack), v * (1.0 + slack)
+    if not prefix.size or prefix.item(-1) < below:
+        return prefix.size
     pos = int(prefix.searchsorted(v))
     # the answer lies in [lo, hi]: probes at the two neighbours of the float
     # cut usually settle it, and only a probe that overturns the float cut
@@ -264,13 +266,15 @@ def _working(
 
 def _real_array(values: object, copy: bool) -> np.ndarray:
     """``values`` as float64, a fresh array when ``copy``; :class:`InvalidIndicatorsError`
-    for a complex, date or time dtype, whose cast drops the imaginary part or the
-    unit, or no real numbers."""
+    for a complex, date or time dtype, or such an element of an ``object`` array
+    (a mixed list), whose cast drops the imaginary part or the unit, or no real
+    numbers."""
     try:
         if not hasattr(values, "dtype"):
             # a fresh array, whose dtype tells a sequence of numpy scalars
             values, copy = np.array(values), False
-        if values.dtype.kind in "cMm":
+        kind = values.dtype.kind
+        if kind in "cMm" or kind == "O" and any(isinstance(e, _UNREAL) for e in np.ravel(values)):
             raise InvalidIndicatorsError(f"indicators must be real, got dtype {values.dtype}")
         return (np.array if copy else np.asarray)(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -8,13 +8,9 @@ marking criterion at cost O(N / nu), but its cardinality can exceed any fixed
 multiple of the minimum (see :mod:`dmark.oracle` for a witness family), so
 this routine is kept as a reference only.
 
-Each sweep is one numpy pass up to its stop: it walks the vector in blocks
-of index order, masks each block's candidates and prefix-sums their values,
-and reads no block past the one that holds the stop.  The sweep stops at the
-first prefix whose correctly rounded sum ``fl(sum of the selected doubles)``
-reaches the goal, by the stop rule that binning shares (see
-:mod:`dmark.core`), so the stop depends only on the selected set, not on the
-order of summation or on the block size.
+Each sweep is one numpy pass, in blocks of index order, up to the stop that
+:func:`dmark.core._first_reaching` places; the stop does not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EPS,
     IndicatorInput,
     MarkingOutcome,
     OpCounter,
@@ -104,8 +99,8 @@ def _sweeps(
     entries in ``(t_k, t_{k-1}]`` (``t_0 = inf``), in index order.  Each
     sweep walks the blocks of ``_BLOCK`` entries in order, keeps each
     block's mask for the next sweep, and carries one float running sum of
-    the selection in selection order; a block runs the stop rule only when
-    its last prefix lies within the rule's window below ``v``, and the
+    the selection in selection order; each block with candidates runs the
+    stop rule (:func:`dmark.core._first_reaching`) on its prefixes, and the
     sweep returns at the block that holds the stop.  A ``counter`` gets,
     per block, the free entries up to the last position visited (one
     threshold comparison each) plus one stop test per selection.
@@ -130,12 +125,10 @@ def _sweeps(
                 prefix[0] += running
                 prefix.cumsum(out=prefix)
                 running = prefix.item(-1)
-                # below the rule's window no prefix of the block reaches v
-                if running >= v * (1.0 - 2.0 * (taken + size + 1) * EPS):
-                    stop = _first_reaching(
-                        prefix, v, taken + size,
-                        lambda j: _exact_sum(x, parts + [candidates[: j + 1]]),
-                    )
+                stop = _first_reaching(
+                    prefix, v, taken + size,
+                    lambda j: _exact_sum(x, parts + [candidates[: j + 1]]),
+                )
             if counter is not None:
                 end = xb.size if stop == size else int(candidates[stop]) + 1 - a
                 free = end - (0 if prev is None else int(np.count_nonzero(prev[:end])))

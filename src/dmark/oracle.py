@@ -90,11 +90,16 @@ def is_valid_minimal_set(
     criterion tolerance.  An empty set is never valid, so a single member
     that reaches ``v`` is removal-minimal, also when ``v`` underflows to 0;
     an index out of range raises :class:`IndexError`, and a ``v`` that is
-    not a real number :class:`ParameterError`; no sum reaches a NaN ``v``.
+    not a real number or lies beyond the doubles :class:`ParameterError`; no
+    sum reaches a NaN ``v``.
     """
     iv = as_indicators(x)
     if not isinstance(v, _REAL):
         raise ParameterError(f"v must be a real number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ParameterError("v lies beyond the range of a double") from None
     return _is_minimal(iv, marked, v / iv._scale)
 
 

@@ -317,11 +317,9 @@ def _cut(
 
     Every entry of ``a[hi:]``, and ``above`` more outside ``a``, is at least
     the range's largest; ``v`` is the residual goal.  When nothing lies
-    above ``a`` and ``a[lo:]`` holds at most ``_EXACT_MAX`` entries, the cut
-    takes the ``j + 1`` largest entries of the range for the first ``j``
-    whose correctly rounded sum with ``a[hi:]`` reaches ``goal``: the float
-    mass of ``a[hi:]`` joins the range's prefix sums, and ``math.fsum``
-    settles those within rounding of the goal, each probe in one pass over
+    above ``a`` and ``a[lo:]`` holds at most ``_EXACT_MAX`` entries, the
+    rule cuts the range's descending prefix sums, plus the float mass of
+    ``a[hi:]``, against ``goal``, each probe one ``math.fsum`` of
     ``a[hi - 1 - j:]``.  Otherwise the range's float prefix sums decide
     against ``v``.  Either cut takes the whole range when no prefix reaches
     the goal, so rounding cannot empty it.  Returns

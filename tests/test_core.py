@@ -141,17 +141,22 @@ class TestIndicatorVector:
             [np.datetime64("2020-01-01"), np.datetime64("2020-01-02")],
             [np.timedelta64(3, "s"), np.timedelta64(5, "s")],
             np.timedelta64(3, "s"),
+            [np.datetime64("2020-01-01"), 1.0],
+            np.array([np.timedelta64(3, "ms"), 1.0], dtype=object),
+            np.array([1.0, np.complex128(1.0 + 2.0j)], dtype=object),
         ],
         ids=["object-str", "bytes", "dict", "list-str", "complex", "complex-real-valued",
              "timedelta-array", "datetime-array", "datetime-list", "timedelta-list",
-             "timedelta-scalar"],
+             "timedelta-scalar", "datetime-in-mixed-list", "timedelta-in-object-array",
+             "complex-in-object-array"],
     )
     def test_non_numeric_input_raises_invalid_indicators(self, bad):
-        # a complex, date or time array is rejected before a cast that would
-        # drop its imaginary part or its unit
+        # a complex, date or time array, or such an element of an object
+        # array or a mixed list, is rejected before a cast that would drop
+        # its imaginary part or its unit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (IndicatorVector, lambda x: mark(x, 0.5)):
+            for call in (IndicatorVector, lambda x: mark(x, 0.5), lambda x: xstar_kernel(x, 0.5)):
                 with pytest.raises(InvalidIndicatorsError):
                     call(bad)
 
@@ -692,3 +697,24 @@ def test_first_reaching_is_the_first_exact_prefix():
         expected = next((j for j in range(n) if exact[j] >= v), n)
         assert core._first_reaching(prefix, v, n, probe) == expected, (desc.tolist(), v)
         assert len(probed) <= 2 + n.bit_length()
+        if prefix[-1] < v * (1.0 - 2.0 * (n + 1) * core.EPS):
+            assert not probed, (desc.tolist(), v)
+
+    def never(j):
+        raise AssertionError(f"probed {j} below the window")
+
+    # an empty walk, and a walk whose last prefix lies just below the window
+    # of m = 4 summands, return their length without a probe
+    assert core._first_reaching(np.empty(0), 1.0, 0, never) == 0
+    edge = 1.0 - 2.0 * (4 + 1) * core.EPS
+    assert core._first_reaching(np.array([0.25, 0.5, math.nextafter(edge, 0.0)]), 1.0, 4, never) == 3
+    # just inside it, the float sum cannot tell, and the probe decides
+    for reaches, expected in ((True, 2), (False, 3)):
+        probed = []
+
+        def probe(j):
+            probed.append(j)
+            return 1.0 if reaches and j == 2 else 0.5
+
+        assert core._first_reaching(np.array([0.25, 0.5, edge]), 1.0, 4, probe) == expected
+        assert probed == [2]

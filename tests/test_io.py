@@ -112,8 +112,11 @@ def test_write_unsupported_extension(tmp_path):
         np.array([1 + 1j, 2]),
         np.array([3, 5], dtype="timedelta64[ms]"),
         [np.datetime64("2020-01-01"), np.datetime64("2020-01-02")],
+        [1.0, np.datetime64("2020-01-01")],
+        np.array([np.timedelta64(3, "ms"), 1.0], dtype=object),
     ],
-    ids=["2-D", "overflow", "string", "dict", "complex", "timedelta", "datetime-list"],
+    ids=["2-D", "overflow", "string", "dict", "complex", "timedelta", "datetime-list",
+         "datetime-in-mixed-list", "timedelta-in-object-array"],
 )
 @pytest.mark.parametrize("suffix", [".txt", ".f64"])
 def test_write_rejects_what_is_not_a_real_vector(tmp_path, values, suffix):

@@ -96,6 +96,14 @@ class TestIsValidMinimalSet:
         with pytest.raises(ParameterError, match="v must be a real number"):
             is_valid_minimal_set([1.0, 2.0], [1], goal)
 
+    @pytest.mark.parametrize(
+        "goal", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative-int", "fraction"]
+    )
+    def test_goal_beyond_the_doubles_raises_parameter_error(self, goal):
+        # a real goal whose float conversion overflows raises no OverflowError
+        with pytest.raises(ParameterError, match="beyond the range of a double"):
+            is_valid_minimal_set([1.0, 2.0], [1], goal)
+
     def test_candidate_outside_range(self):
         with pytest.raises(IndexError):
             is_valid_minimal_set([1.0, 2.0, 3.0], [2, 3], 1.0)

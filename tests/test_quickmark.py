@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import instance
 from dmark import (
+    ALGORITHM_NAMES,
     AdmissibilityError,
     IndicatorVector,
     MarkingOutcome,
@@ -427,6 +428,28 @@ class TestUpToExactMax:
             for out in runs:
                 assert out.marked.tolist() == expected.marked.tolist(), (kind, case)
                 assert out.threshold == expected.threshold, (kind, case)
+
+    @given(
+        st.sampled_from(("boundary",) + FAMILIES),
+        st.integers(2, _EXACT_MAX),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_walk_stops_by_the_one_rule(self, kind, n, seed):
+        # the minimal strategies make one cut; binning and decrement stop
+        # their walks by the same correctly rounded rule, so once sort's set
+        # reaches the goal in math.fsum, no smaller set does and no walk
+        # stops on fewer entries
+        x, theta = family_instance(np.random.default_rng(seed), n, kind)
+        runs = {name: mark(x, theta, name).outcome for name in ALGORITHM_NAMES}
+        expected = runs["sort"]
+        for name in ("quickmark", "xstar"):
+            assert runs[name].marked.tolist() == expected.marked.tolist(), name
+            assert runs[name].threshold == expected.threshold, name
+        iv = IndicatorVector(x)
+        if math.fsum(iv._work[expected.marked].tolist()) >= iv._goal(theta):
+            for name in ("binning", "decrement"):
+                assert runs[name].cardinality >= expected.cardinality, name
 
     @pytest.mark.parametrize("checked", [False, True])
     @pytest.mark.parametrize("counted", [False, True])
