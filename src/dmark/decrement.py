@@ -24,6 +24,7 @@ from .core import (
     MarkingOutcome,
     OpCounter,
     ParameterError,
+    _BLOCK,
     _exact_sum,
     _first_reaching,
     as_indicators,
@@ -36,10 +37,6 @@ __all__ = ["DecrementState", "MAX_SWEEPS", "decrement_mark", "decrement_trace", 
 # the most sweeps run, ceil(1/nu) for nu = 2**-20; below nu of about 2**-53
 # the first thresholds (1 - k*nu) * max round to max and select nothing
 MAX_SWEEPS = 2**20
-
-# entries per block of a sweep: on the 10^6-entry benchmark instances 2^15
-# took 0.92-0.99x the time of 2^14, 2^16 and 2^17, and 2^12 1.2x that of 2^16
-_BLOCK = 2**15
 
 
 @dataclass(frozen=True)

@@ -48,18 +48,25 @@ A second pass over the candidates splits off the band ``(lo, hi]``.  When
 more than ``_EXACT_MAX`` candidates lie above ``hi`` and their float mass,
 the candidate sum less the band sum, misses the goal by the rounding bound
 ``2 * (m + 1) * eps`` of the candidate sum, every minimal set holds them:
-the kernel runs on a copy of the band alone, with the band's own goal
+the kernel reorders the band alone, a fresh array, with the band's own goal
 ``goal - fixed`` for the float mass ``fixed`` above it, and adds their
 count to its cut.  Otherwise (no rank above, so ``hi`` is ``inf``; at most
 ``_EXACT_MAX`` above, where declining keeps the base case's exact cut; or
-their mass within rounding of the goal) it runs on a copy of every
-candidate.  The candidates stay intact and in index order, so one
-comparison with ``x_star`` gives the materialise step the marked
-candidates.  On a smaller input, a subnormal goal, ``lo <= 0`` and
-candidates that miss the goal, the kernel runs on every entry, at the cost
-of one extra pass and the sort of the sample at most.  :func:`_candidates`
-chooses this start once, and :func:`_threshold` runs the kernel from it
-for :func:`quickmark` and :func:`xstar_kernel` alike.
+their mass within rounding of the goal) it reorders the gathered candidates
+themselves.  While the candidates are sparse, ``8 * m <= N``, their
+ascending indices are kept, and after the kernel one gather of their
+values and one comparison with ``x_star`` give the materialise step the
+marked candidates.  Dense candidates keep only their values: the indices
+go after the gather, where indices and values together make the call's
+peak, and after the kernel one threshold pass over the entries, in blocks
+of ``core._BLOCK``, writes the marked indices, ascending, over the
+candidates' own ``m`` doubles.  Every entry ``>= x_star > lo`` is a
+candidate, so they fit, and the outcome's ``marked`` views that buffer.  On
+a smaller input, a subnormal goal, ``lo <= 0`` and candidates that miss the
+goal, the kernel runs on a copy of every entry, at the cost of one extra
+pass and the sort of the sample at most.  :func:`_candidates` chooses this
+start once, and :func:`_threshold` runs the kernel from it for
+:func:`quickmark` and :func:`xstar_kernel` alike.
 
 An :class:`~dmark.core.OpCounter` counts the element operations of this
 same kernel (:func:`_candidates`, :func:`_select`, :func:`_cut`), so the
@@ -81,6 +88,7 @@ from .core import (
     IndicatorVector,
     MarkingOutcome,
     OpCounter,
+    _BLOCK,
     _M0,
     _TINY,
     _exact_sum,
@@ -138,30 +146,41 @@ def _quickmark(
 ) -> MarkingOutcome:
     """The body of :func:`quickmark` on a validated vector and ``0 < theta < 1``;
     ``tol`` is in the units of the working entries, which the kernel cuts."""
-    x_star, count, idx, cand = _threshold(iv, theta, tol, counter)
+    x_star, count, idx, room = _threshold(iv, theta, tol, counter)
     if idx is not None:
-        # the candidates and their mask go before the next allocation
-        at_least = cand >= x_star
-        del cand
-        idx = idx.compress(at_least)
-        del at_least
+        idx = idx.compress(iv._work.take(idx) >= x_star)
+    elif room is not None:
+        idx = _write_at_least(iv._work, x_star, room.view(np.int64))
     outcome = MarkingOutcome.trusted(iv, materialise(iv._work, x_star, count, idx), x_star)
     if tol is not None:
         _verify_cut(iv, outcome, iv._goal(theta))
     return outcome
 
 
+def _write_at_least(values: np.ndarray, x_star: float, out: np.ndarray) -> np.ndarray:
+    """The ascending indices of the entries at or above ``x_star``, written from
+    the front of ``out`` by one pass in blocks of ``_BLOCK`` entries, so that no
+    temporary is longer than a block; a view of ``out``."""
+    k = 0
+    for a in range(0, values.size, _BLOCK):
+        hits = (values[a : a + _BLOCK] >= x_star).nonzero()[0]
+        np.add(hits, a, out=out[k : k + hits.size])
+        k += hits.size
+    return out[:k]
+
+
 def _threshold(
     iv: IndicatorVector, theta: float, tol: float | None = None, counter: OpCounter | None = None
 ) -> tuple[float, int, np.ndarray | None, np.ndarray | None]:
-    """``(x_star, count, idx, cand)``: the kernel's cut, or on at most ``_M0`` entries
-    the cut of ``iv._sorted``, and the candidates of :func:`_candidates`, or ``None``
-    twice without them; the one threshold step of :func:`_quickmark` and :func:`xstar_kernel`."""
+    """``(x_star, count, idx, room)``: the kernel's cut, or on at most ``_M0`` entries
+    the cut of ``iv._sorted``, with the sparse candidates' indices ``idx`` and the
+    dense candidates' buffer ``room`` of :func:`_candidates`, or ``None`` for
+    either; the one threshold step of :func:`_quickmark` and :func:`xstar_kernel`."""
     goal = iv._goal(theta)
     if iv._sorted is not None:
         return *_cut(iv._sorted, 0, iv.n, goal, goal, tol is not None, counter), None, None
-    idx, cand, band, fixed, above = _candidates(iv._work, theta, goal, tol is not None, counter)
-    return *_select(band, goal - fixed, tol, counter, above), idx, cand
+    start, fixed, above, idx, room = _candidates(iv._work, theta, goal, tol is not None, counter)
+    return *_select(start, goal - fixed, tol, counter, above), idx, room
 
 
 def _candidates(
@@ -170,18 +189,23 @@ def _candidates(
     goal: float,
     check: bool = False,
     counter: OpCounter | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, int, np.ndarray | None, np.ndarray | None]:
     """The kernel's start, chosen once for :func:`_threshold`.
 
-    Returns ``(idx, cand, band, fixed, above)``: the ascending indices of
-    the candidates, the entries above the bound ``lo`` of :func:`_bracket`,
-    a fresh array of their values in that order, and the fresh array
-    ``band`` the kernel starts on, below ``above`` candidates of float mass
-    ``fixed`` that every minimal set holds; the kernel's goal is
-    ``goal - fixed``.  ``band`` holds the candidates at most ``hi``, or a
-    copy of every candidate when the band is declined, with ``fixed = 0``
-    and ``above = 0``; without candidates it is a copy of every entry, with
-    ``idx`` ``None`` and ``cand`` ``values`` (see the module docstring).
+    Returns ``(start, fixed, above, idx, room)``.  ``start`` is the fresh
+    array the kernel reorders, below ``above`` candidates of float mass
+    ``fixed`` that every minimal set holds; the kernel's goal is ``goal -
+    fixed``.  The candidates are the entries above the bound ``lo`` of
+    :func:`_bracket`, gathered in index order; ``start`` is the band of
+    those at most ``hi``, or, when the band is declined, the gathered
+    candidates themselves, with ``fixed = 0`` and ``above = 0``.  While
+    the candidates are sparse (``8 * m <= N``), ``idx`` holds their
+    ascending indices and ``room`` is ``None``.  Dense ones keep only their
+    values: ``idx`` is ``None`` and ``room`` is the array they were
+    gathered into, ``start`` itself when the band is declined, whose ``m``
+    doubles take the marked set after the kernel: every entry ``>= x_star
+    > lo`` is a candidate.  Without candidates ``start`` is a copy of every
+    entry and both are ``None`` (see the module docstring).
 
     With ``check`` the candidates are checked to hold every entry above
     ``lo`` and to carry the goal exactly, and a band to leave out only
@@ -193,7 +217,7 @@ def _candidates(
     n = int(values.size)
     bounds = _bracket(values, theta) if n >= _MIN_N and goal >= _TINY else None
     if bounds is None:
-        return None, values, values.copy(), 0.0, 0
+        return values.copy(), 0.0, 0, None, None
     lo, hi = bounds
     idx = (values > lo).nonzero()[0]
     cand = values.take(idx)
@@ -203,9 +227,13 @@ def _candidates(
         counter.add(n + m)
     if not total >= goal * (1.0 + 2.0 * (m + 1) * EPS):
         del idx, cand  # released before the copy of every entry
-        return None, values, values.copy(), 0.0, 0
+        return values.copy(), 0.0, 0, None, None
     if check:
         _verify_candidates(values, lo, idx, goal)
+    room = None
+    if 8 * m > n:
+        # sparse indices, at most 1 B per entry, weigh no more than the filter's mask
+        idx, room = None, cand
     if hi < math.inf:
         # ties at hi stay in the band
         in_band = cand <= hi
@@ -217,8 +245,8 @@ def _candidates(
         if above > _EXACT_MAX and fixed < goal - 2.0 * (m + 1) * EPS * total:
             if check:
                 _verify_band(cand[~in_band], hi, goal)
-            return idx, cand, band, fixed, above
-    return idx, cand, cand.copy(), 0.0, 0
+            return band, fixed, above, idx, room
+    return cand, 0.0, 0, idx, room
 
 
 def _bracket(values: np.ndarray, theta: float) -> tuple[float, float] | None:

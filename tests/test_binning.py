@@ -18,7 +18,9 @@ from dmark import (
     nmin_oracle,
     satisfies_doerfler,
 )
-from dmark.binning import MAX_DEPTH
+from dmark import binning
+from dmark.binning import MAX_DEPTH, _powers
+from dmark.core import IndicatorVector
 from test_decrement import _correctly_rounded_sum
 from test_quickmark import boundary_instance
 
@@ -68,6 +70,50 @@ class TestDepth:
         assert MAX_DEPTH - 1002 <= bin_layout([1.0, 1e-300], 0.5, nu).depth <= MAX_DEPTH
         with pytest.raises(ParameterError):
             bin_layout([1.0, 1e-300], 0.5, 0.25 ** (1.0 / (MAX_DEPTH + 1000)))
+
+
+def _loop_powers(iv, theta, nu):
+    """The power table by one multiplication per bin, as the definition reads."""
+    bound = (1.0 - theta) * iv._sum / iv.n
+    powers = [1.0, nu]
+    while powers[-1] * iv._max > bound:
+        powers.append(powers[-1] * nu)
+    return np.array(powers)
+
+
+class TestPowers:
+    @pytest.mark.parametrize(
+        "x,theta,nu",
+        [
+            (np.random.default_rng(41).random(1000), 0.5, 0.5),
+            (np.random.default_rng(42).lognormal(0.0, 2.5, 1000), 0.9, 0.9),
+            # 916,292 and 700,618 powers, and one within a few of the cap
+            (np.array([1.0, 0.6]), 0.5, 1 - 1e-6),
+            (1.0 + 1e-4 * np.random.default_rng(43).random(1000), 1e-3, 1 - 1.5e-9),
+            (np.array([1.0, 1e-300]), 0.5, 0.25 ** (1.0 / (MAX_DEPTH - 1000))),
+            # the bound underflows to 0
+            (np.array([5e-324, 0.0, 0.0, 0.0]), 0.5, 0.5),
+        ],
+    )
+    def test_match_the_loop_bitwise(self, x, theta, nu):
+        iv = IndicatorVector(x)
+        assert np.array_equal(_powers(iv, theta, nu), _loop_powers(iv, theta, nu))
+
+    @pytest.mark.parametrize("predicted", [0, 19])
+    def test_a_missed_prediction_searches_the_table(self, predicted, monkeypatch):
+        # the bound 2**-1076 rounds to 0, so half the smallest subnormal
+        # predicts the depth, 15: 2**-15 * 2**-1060 rounds to 0 (ties to
+        # even); a prediction of 0 leaves the first table short, and one of
+        # 19 runs past the first power at the bound
+        x = np.array([2.0**-1060, 0.0, 0.0, 0.0])
+        theta = 1.0 - 2.0**-14
+        iv = IndicatorVector(x)
+        expected = _loop_powers(iv, theta, 0.5)
+        assert expected.size == 16
+        log_half_subnormal = math.log(2.0**-1060) + (predicted + 0.5) * math.log(0.5)
+        monkeypatch.setattr(binning, "_LOG_HALF_SUBNORMAL", log_half_subnormal)
+        assert np.array_equal(_powers(iv, theta, 0.5), expected)
+        assert bin_layout(x, theta, 0.5).depth == expected.size - 2
 
 
 class TestLayout:

@@ -3,6 +3,7 @@
 import importlib
 import math
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from dmark import (
     sort_mark,
     xstar_kernel,
 )
-from dmark.core import EPS, materialise
+from dmark.core import _BLOCK, EPS, materialise
 from dmark.quickmark import (
     _EXACT_MAX,
     _M0,
@@ -41,6 +42,7 @@ from dmark.quickmark import (
     _verify_candidates,
     _verify_cut,
     _verify_level,
+    _write_at_least,
 )
 
 dyadic_lists = st.lists(
@@ -553,6 +555,23 @@ class TestMaterialise:
         marked = materialise(np.array([1.0, 2.0]), 2.0, 1)
         assert marked.dtype == np.int64 and not marked.flags.writeable
 
+    @pytest.mark.parametrize("surplus", [0, 5])
+    def test_dense_set_is_written_over_room_across_blocks(self, surplus):
+        # ties at 3.0 in every block but the last two, and one in the third
+        values = np.random.default_rng(31).integers(0, 5, 3 * _BLOCK + 5).astype(np.float64)
+        values[2 * _BLOCK :] = np.minimum(values[2 * _BLOCK :], 2.0)
+        values[2 * _BLOCK + 7] = 3.0
+        count = int(np.count_nonzero(values >= 3.0)) - surplus
+        room = np.full(count + surplus + 3, np.nan)
+        above = _write_at_least(values, 3.0, room.view(np.int64))
+        assert np.shares_memory(above, room)
+        assert np.array_equal(above, (values >= 3.0).nonzero()[0])
+        marked = materialise(values, 3.0, count, above)
+        assert np.array_equal(marked, materialise(values, 3.0, count))
+        assert marked.dtype == np.int64 and not marked.flags.writeable
+        # without surplus ties the result is the front of room itself
+        assert np.shares_memory(marked, room) == (not surplus)
+
 
 class TestCheckInvariants:
     def test_level_check_rejects_broken_states(self):
@@ -628,7 +647,9 @@ def family(rng, n, kind):
 
 
 def took_candidates(iv, theta):
-    return _candidates(iv._work, theta, iv._goal(theta))[0] is not None
+    """Whether the kernel starts from the candidates: it keeps their indices or their buffer."""
+    start, fixed, above, idx, room = _candidates(iv._work, theta, iv._goal(theta))
+    return idx is not None or room is not None
 
 
 class TestCandidatePath:
@@ -687,7 +708,7 @@ class TestCandidatePath:
 
 
 def took_band(iv, theta):
-    return _candidates(iv._work, theta, iv._goal(theta))[4] > 0
+    return _candidates(iv._work, theta, iv._goal(theta))[2] > 0
 
 
 def mass_window_case():
@@ -790,20 +811,23 @@ class TestBandPath:
         # the filter's N comparisons and m summands, the split's m
         # comparisons and the band's summands, then the kernel on the band
         iv = IndicatorVector(np.random.default_rng(12).random(2**17))
-        idx, cand, band, fixed, above = _candidates(iv._work, 0.5, iv._goal(0.5))
-        assert above > 0
+        band, fixed, above, idx, room = _candidates(iv._work, 0.5, iv._goal(0.5))
+        # dense candidates: room holds all m of them
+        assert above > 0 and idx is None and room.size == band.size + above
         kernel, total = OpCounter(), OpCounter()
         _select(band, iv._goal(0.5) - fixed, counter=kernel, above=above)
         quickmark(iv, 0.5, counter=total)
-        assert total.comparisons - kernel.comparisons == iv.n + 2 * idx.size + band.size
+        assert total.comparisons - kernel.comparisons == iv.n + 2 * room.size + band.size
 
 
 def declined(iv, theta):
-    """The candidate path is taken and the kernel starts on a copy of every candidate."""
-    idx, cand, band, fixed, above = _candidates(iv._work, theta, iv._goal(theta))
-    assert idx is not None
-    assert (fixed, above) == (0.0, 0) and np.array_equal(band, cand)
-    assert not np.shares_memory(band, cand)
+    """The candidate path is taken and the kernel starts on every candidate, gathered afresh."""
+    start, fixed, above, idx, room = _candidates(iv._work, theta, iv._goal(theta))
+    # the candidates' indices while they are sparse, else their buffer: the start
+    assert room is None if idx is not None else room is start
+    lo = _bracket(iv._work, theta)[0]
+    assert (fixed, above) == (0.0, 0) and np.array_equal(start, iv._work[iv._work > lo])
+    assert start.flags.writeable and not np.shares_memory(start, iv.values)
     out = quickmark(iv, theta, check_invariants=True)
     marked, x_star, achieved = full_kernel(iv, theta)
     assert np.array_equal(out.marked, marked) and out.threshold == x_star
@@ -851,6 +875,51 @@ def test_band_declines_on_mass_within_rounding_of_the_goal():
     assert quickmark(iv, theta).cardinality == above.size
 
 
+@pytest.mark.parametrize("theta,dense", [(0.05, False), (0.5, True)])
+def test_dense_and_sparse_candidates_mark_alike(theta, dense, monkeypatch):
+    # on either side of 8 * m = N: sparse candidates keep their indices, and
+    # dense ones only their values, whose buffer then takes the marked set
+    module = importlib.import_module("dmark.quickmark")
+    starts = []
+    monkeypatch.setattr(
+        module, "_candidates", lambda *a, **k: starts.append(_candidates(*a, **k)) or starts[-1]
+    )
+    x = np.random.default_rng(32).random(2**17)
+    x.setflags(write=False)
+    iv = IndicatorVector(x)
+    out = quickmark(iv, theta)
+    start, fixed, above, idx, room = starts[0]
+    m = (room if dense else idx).size
+    assert (8 * m > iv.n) == dense and (idx is None, room is None) == (dense, not dense)
+    if dense:
+        assert np.shares_memory(out.marked, room)
+    marked, x_star, achieved = full_kernel(iv, theta)
+    assert np.array_equal(out.marked, marked) and out.threshold == x_star
+    assert out.achieved_sum.hex() == achieved.hex()
+    assert out.marked.dtype == np.int64 and not out.marked.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "kind,theta,bound", [("uniform", 0.5, 6.0), ("uniform", 0.9, 13.5), ("lognormal", 0.5, 1.3)]
+)
+def test_peak_memory_per_entry(kind, theta, bound):
+    # a read-only input is adopted without a copy.  On uniform input the
+    # gather, where the candidates' indices and values live together, makes
+    # the peak; a marked set compressed from both read 7.8 and 17.7 B/elem.
+    # On lognormal input the filter's mask and indices make it.
+    x = family(np.random.default_rng(33), 2**18, kind)
+    x.setflags(write=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = mark(x, theta).outcome
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert satisfies_doerfler(x, theta, out.marked)
+    assert (peak - base) / x.size <= bound
+
+
 def fallback_cases():
     n = 2**16
     i = np.arange(n)
@@ -876,10 +945,10 @@ def test_every_entry_start_is_a_copy(n):
     x = np.random.default_rng(8).random(n)
     x.setflags(write=False)
     theta = 0.999
-    idx, cand, band, fixed, above = _candidates(x, theta, theta * float(np.sum(x)))
-    assert idx is None and cand is x and (fixed, above) == (0.0, 0)
-    assert band.flags.writeable and not np.shares_memory(band, x)
-    assert np.array_equal(band, x)
+    start, fixed, above, idx, room = _candidates(x, theta, theta * float(np.sum(x)))
+    assert idx is None and room is None and (fixed, above) == (0.0, 0)
+    assert start.flags.writeable and not np.shares_memory(start, x)
+    assert np.array_equal(start, x)
 
 
 def kernel_starts():
@@ -900,8 +969,8 @@ def kernel_start(iv, theta):
         return "base case"
     if iv.total() == math.inf:
         return "overflow"
-    idx, cand, band, fixed, above = _candidates(iv._work, theta, iv._goal(theta))
-    if idx is None:
+    start, fixed, above, idx, room = _candidates(iv._work, theta, iv._goal(theta))
+    if idx is None and room is None:
         return "fallback" if iv.n >= _MIN_N else "full kernel"
     return "band" if above else "candidates"
 
